@@ -16,12 +16,21 @@ Satisfiability is decided by
        fixpoint; crossing bounds refute.
 Anything outside that fragment makes the verdict Unknown rather than wrong:
 Unsat is only ever returned with an actual refutation in hand.
+
+Both parts live in one `Closure` object, and `check_sat` is its verdict.
+The engine asks a narrower question at every branch and dereference: "is
+this path condition plus one atom satisfiable?". Each exploration answers
+it through its own `SatCache`, which keeps the closure of every atom set it
+has seen. A question extends the path condition's closure by one atom (a
+copied union-find re-closed over field paths, or a re-run of the interval
+check on the integer atoms) and keeps the result, where the path's next
+question starts. Its answers are `check_sat`'s, so the one-sided Unsat
+contract holds for them too.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 # ---------------------------------------------------------------- terms
@@ -171,53 +180,75 @@ def _is_int_atom(a: Atom) -> bool:
 # ---------------------------------------------------------------- congruence
 
 class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
+    """Union-find over terms. `register` makes a term its own root; after
+    that, `find` returns the one stored object for every term equal to it,
+    so roots are compared by identity. Copying `parent` copies the
+    partition."""
+
+    def __init__(self, parent: dict | None = None):
+        self.parent: dict = {} if parent is None else parent
+
+    def register(self, terms) -> None:
+        for t in terms:
+            self.parent.setdefault(t, t)
 
     def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
+        parent = self.parent
+        while True:
+            p = parent.get(x, x)
+            if p is x:
+                return x
+            g = parent.get(p, p)
+            if g is not p:
+                parent[x] = g  # path halving; the partition is unchanged
+            x = g
 
-    def union(self, a, b):
+    def union(self, a, b) -> bool:
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+        if ra is rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
 
-def _congruence_classes(atoms) -> tuple[_UnionFind, list[Atom], list[Term]]:
+def _atom_terms(a: Atom):
+    """The atom's two sides, plus the base of each side that is a field path."""
+    for t in (a.lhs, a.rhs):
+        yield t
+        if isinstance(t, FieldPath):
+            yield t.base
+
+
+def _close(uf: _UnionFind, paths) -> None:
+    """Close `uf` under field-path congruence: paths with the same field
+    chain over unified bases collapse into one class."""
+    changed = True
+    while changed:
+        changed = False
+        first: dict = {}
+        for p in paths:
+            q = first.setdefault((p.fields, uf.find(p.base)), p)
+            if q is not p and uf.union(p, q):
+                changed = True
+
+
+def _congruence_classes(atoms) -> tuple[_UnionFind, list[Atom], set[Term]]:
     """Union-find over the non-integer terms, closed under field-path
     congruence (equal bases and equal field chains collapse)."""
     uf = _UnionFind()
     terms: set[Term] = set()
     eqs, neqs = [], []
     for a in atoms:
-        terms.add(a.lhs)
-        terms.add(a.rhs)
-        for t in (a.lhs, a.rhs):
-            if isinstance(t, FieldPath):
-                terms.add(t.base)
+        terms.update(_atom_terms(a))
         if a.op == EQ:
             eqs.append(a)
         elif a.op == NEQ:
             neqs.append(a)
-    for t in terms:
-        uf.find(t)
+    uf.register(terms)
     for a in eqs:
         uf.union(a.lhs, a.rhs)
-    # congruence over field paths: same field chain, unified base
-    paths = [t for t in terms if isinstance(t, FieldPath)]
-    changed = True
-    while changed:
-        changed = False
-        for p1, p2 in itertools.combinations(paths, 2):
-            if p1.fields == p2.fields and uf.find(p1.base) == uf.find(p2.base):
-                if uf.find(p1) != uf.find(p2):
-                    uf.union(p1, p2)
-                    changed = True
-    return uf, neqs, sorted(terms, key=render_term)
+    _close(uf, [t for t in terms if isinstance(t, FieldPath)])
+    return uf, neqs, terms
 
 
 # ---------------------------------------------------------------- integers
@@ -421,26 +452,113 @@ def _int_sat(atoms) -> SatResult:
 
 # ---------------------------------------------------------------- checkSat
 
-def check_sat(c: Constraint) -> SatResult:
-    int_atoms = [a for a in c.atoms if _is_int_atom(a)]
-    eq_atoms = [a for a in c.atoms if not _is_int_atom(a)]
+def _addrish(t: Term) -> bool:
+    return isinstance(t, (SymAddrRef, NullRef, FieldPath, SymDataRef))
 
-    uf, neqs, _terms = _congruence_classes(eq_atoms)
-    for a in neqs:
-        if uf.find(a.lhs) == uf.find(a.rhs):
-            return SatResult.UNSAT
 
-    r = _int_sat(int_atoms)
-    if r == SatResult.UNSAT:
+def _refuted(uf: _UnionFind, neqs) -> bool:
+    """Whether some disequality has both sides in one class."""
+    return any(uf.find(a.lhs) is uf.find(a.rhs) for a in neqs)
+
+
+def _verdict(eq_refuted: bool, int_verdict: SatResult | None, bad_sorts: bool) -> SatResult:
+    if eq_refuted or int_verdict == SatResult.UNSAT:
         return SatResult.UNSAT
-
-    bad_sorts = any(
-        not isinstance(t, (SymAddrRef, NullRef, FieldPath, SymDataRef))
-        for a in eq_atoms for t in (a.lhs, a.rhs)
-    )
-    if bad_sorts or r == SatResult.UNKNOWN:
+    if bad_sorts or int_verdict == SatResult.UNKNOWN:
         return SatResult.UNKNOWN
     return SatResult.SAT
+
+
+class Closure:
+    """The closed state of one conjunction: union-find parents over its
+    non-integer terms, its field paths and disequalities, its integer atoms
+    with their interval verdict, and whether an equality mixes sorts.
+
+    `Closure.of(atoms)` builds it; `extended(atom)` returns the closure of
+    the conjunction plus one atom without rebuilding it. An extension that
+    leaves the partition as it is shares the parent map, which later
+    lookups only ever change in ways that keep the partition.
+    """
+
+    def __init__(self, parent: dict, paths: set, neqs: list, int_atoms: list,
+                 bad_sorts: bool, eq_refuted: bool, int_verdict: SatResult | None):
+        self.parent = parent
+        self.paths = paths
+        self.neqs = neqs
+        self.int_atoms = int_atoms
+        self.bad_sorts = bad_sorts
+        self.eq_refuted = eq_refuted
+        self.int_verdict = int_verdict
+        self.verdict = _verdict(eq_refuted, int_verdict, bad_sorts)
+
+    @classmethod
+    def of(cls, atoms) -> "Closure":
+        int_atoms, eq_atoms = [], []
+        for a in atoms:
+            (int_atoms if _is_int_atom(a) else eq_atoms).append(a)
+        uf, neqs, terms = _congruence_classes(eq_atoms)
+        eq_refuted = _refuted(uf, neqs)
+        return cls(
+            uf.parent, {t for t in terms if isinstance(t, FieldPath)}, neqs, int_atoms,
+            not all(_addrish(t) for a in eq_atoms for t in (a.lhs, a.rhs)),
+            eq_refuted,
+            # the integer side is only consulted once the equalities stand
+            None if eq_refuted else _int_sat(int_atoms),
+        )
+
+    def extended(self, atom: Atom) -> "Closure":
+        if self.eq_refuted:
+            return self  # no atom undoes a refutation of the equalities
+        if _is_int_atom(atom):
+            int_atoms = self.int_atoms + [atom]
+            return Closure(self.parent, self.paths, self.neqs, int_atoms,
+                           self.bad_sorts, False, _int_sat(int_atoms))
+        bad_sorts = self.bad_sorts or not (_addrish(atom.lhs) and _addrish(atom.rhs))
+        neqs = self.neqs + [atom] if atom.op == NEQ else self.neqs
+        new_paths = {t for t in (atom.lhs, atom.rhs)
+                     if isinstance(t, FieldPath) and t not in self.paths}
+        uf = _UnionFind(self.parent)
+        if new_paths or (atom.op == EQ and uf.find(atom.lhs) is not uf.find(atom.rhs)):
+            # the partition changes: close a copy
+            uf = _UnionFind(dict(self.parent))
+            uf.register(_atom_terms(atom))
+            if atom.op == EQ:
+                uf.union(atom.lhs, atom.rhs)
+            paths = self.paths | new_paths
+            _close(uf, paths)
+            refuted = _refuted(uf, neqs)
+        else:
+            # only new singleton classes, which the shared map may hold
+            uf.register(_atom_terms(atom))
+            paths = self.paths
+            refuted = atom.op == NEQ and uf.find(atom.lhs) is uf.find(atom.rhs)
+        return Closure(uf.parent, paths, neqs, self.int_atoms, bad_sorts,
+                       refuted, self.int_verdict)
+
+
+def check_sat(c: Constraint) -> SatResult:
+    return Closure.of(c.atoms).verdict
+
+
+class SatCache:
+    """Memo for the questions one exploration asks: "is `base` plus one
+    atom satisfiable?". It maps atom sets to their closures. A question
+    extends the closure of `base` by the atom and keeps the result, which
+    is the base of the next question on that path. Answers equal
+    `check_sat` on the conjunction."""
+
+    def __init__(self):
+        self.closures: dict[frozenset, Closure] = {}
+
+    def check(self, base: Constraint, atom: Atom) -> SatResult:
+        key = base.atoms | {atom}
+        closure = self.closures.get(key)
+        if closure is None:
+            base_closure = self.closures.get(base.atoms)
+            if base_closure is None:
+                base_closure = self.closures[base.atoms] = Closure.of(base.atoms)
+            closure = self.closures[key] = base_closure.extended(atom)
+        return closure.verdict
 
 
 class Entailment(enum.Enum):
@@ -464,10 +582,6 @@ class UnsatInput(Exception):
     pass
 
 
-def _addrish(t: Term) -> bool:
-    return isinstance(t, (SymAddrRef, NullRef, FieldPath, SymDataRef))
-
-
 def _class_representative(members: list[Term]) -> Term:
     for m in members:
         if isinstance(m, NullRef):
@@ -484,7 +598,7 @@ def simplify_constraint(c: Constraint) -> Constraint:
     eqs = [a for a in c.atoms if a.op == EQ and _addrish(a.lhs) and _addrish(a.rhs)]
     uf, _, terms = _congruence_classes(eqs)
     classes: dict[Term, list[Term]] = {}
-    for t in terms:
+    for t in sorted(terms, key=render_term):
         classes.setdefault(uf.find(t), []).append(t)
     rep: dict[Term, Term] = {}
     for members in classes.values():

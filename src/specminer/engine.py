@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import constraints as C
-from .constraints import Atom, IntConst, NullRef, SatResult, conjoin
+from .constraints import Atom, IntConst, NullRef, SatResult
 from .frontend import nodes
 from .symstate import (
     FINAL,
@@ -187,6 +187,9 @@ class _Engine:
         self.truncated = 0
         self.budget_error = False
         self.split_log: list = []
+        # satisfiability of "path condition plus one atom", for this
+        # exploration only
+        self.sat = C.SatCache()
 
     # -------------------------------------------------- main loop
 
@@ -258,8 +261,8 @@ class _Engine:
         """Return [(pattern, truth)] successors for a two-way decision."""
         neg = C.negate_atom(atom_true)
         base = p.combined_condition()
-        st = C.check_sat(conjoin(base, C.constraint(atom_true)))
-        sf = C.check_sat(conjoin(base, C.constraint(neg)))
+        st = self.sat.check(base, atom_true)
+        sf = self.sat.check(base, neg)
         if st == SatResult.UNSAT and sf == SatResult.UNSAT:
             return []
         if sf == SatResult.UNSAT:
@@ -296,8 +299,8 @@ class _Engine:
         base = p.combined_condition()
         eq_null = Atom(C.EQ, target.ref, NullRef())
         ne_null = Atom(C.NEQ, target.ref, NullRef())
-        s_null = C.check_sat(conjoin(base, C.constraint(eq_null)))
-        s_ok = C.check_sat(conjoin(base, C.constraint(ne_null)))
+        s_null = self.sat.check(base, eq_null)
+        s_ok = self.sat.check(base, ne_null)
         if s_null == SatResult.UNSAT and s_ok == SatResult.UNSAT:
             return []
         if s_null == SatResult.UNSAT:
@@ -332,12 +335,14 @@ class _Engine:
         then(ok, target)
         succs.append(ok)
 
+        ok_base = base.with_atom(ne_null)
         for cand in fresh_candidates:
+            alias = Atom(C.EQ, target.ref, cand.ref)
+            if self.sat.check(ok_base, alias) == SatResult.UNSAT:
+                continue
             al = p.clone()
             al.add_mem_atom(ne_null)
-            al.add_mem_atom(Atom(C.EQ, target.ref, cand.ref))
-            if C.check_sat(al.combined_condition()) == SatResult.UNSAT:
-                continue
+            al.add_mem_atom(alias)
             al.guard_split = True
             al.aliases[target] = cand
             then(al, cand)

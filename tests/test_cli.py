@@ -127,6 +127,22 @@ def test_lazy_aliasing_flag_runs(capsys, tmp_path):
     assert "ret = 1" in out and "ret = 2" in out
 
 
+def test_unknown_verdict_marks_every_axiom_approx(capsys, tmp_path):
+    # `x + x` has a coefficient the solver does not handle, so the engine's
+    # cache answers UNKNOWN for both sides of the branch; each axiom must
+    # still be marked as approximate
+    src = tmp_path / "dbl.c"
+    src.write_text(
+        "int dbl(int x, int y) { if (x + x > y) return 1; return 0; }\n"
+        "int other(int x, int y) { return x; }\n")
+    code, out, _err = run(capsys, str(src), "-f", "dbl")
+    assert code == EXIT_OK
+    ends = [line for line in out.splitlines()
+            if line.startswith(")") and "=>" not in line]
+    assert len(ends) == 2
+    assert all(line.endswith(" [approx]") for line in ends)
+
+
 def test_no_axioms_message(capsys, tmp_path):
     # a modifier with untraceable effects and no observers to phrase them
     src = tmp_path / "v.c"

@@ -10,11 +10,12 @@ import pytest
 
 from specminer.constraints import (
     EQ, GE, GT, LE, LT, NEQ,
-    Add, Atom, Constraint, Entailment, FieldPath, IntConst, NullRef, SatResult,
-    Sub, SymAddrRef, SymDataRef, SymIntRef, TRUE, UnsatInput,
+    Add, Atom, Constraint, Entailment, FieldPath, IntConst, NullRef, SatCache,
+    SatResult, Sub, SymAddrRef, SymDataRef, SymIntRef, TRUE, UnsatInput,
     check_sat, conjoin, constraint, entails, negate_atom,
     render_atom, render_constraint, simplify_constraint,
 )
+from specminer.modelsearch import find_model
 
 X = SymIntRef(1, "x")
 Y = SymIntRef(2, "y")
@@ -174,6 +175,78 @@ def test_simplify_is_idempotent_and_equivalent():
             # nothing sat-relevant was lost
             assert entails(s, at) != Entailment.NO, render_atom(at)
     assert tried > 40  # the generator must actually exercise the path
+
+
+# ---------------------------------------------------------------- SatCache
+
+def test_sat_cache_agrees_with_check_sat():
+    """Differential: the engine's cache extends a base closure by one atom;
+    its verdict must be exactly what check_sat says about the conjunction,
+    on the first ask and from the memo, and an UNSAT must have no model."""
+    rng = random.Random(20261017)
+    ints = [SymIntRef(i, n) for i, n in enumerate(("x", "y", "z"))]
+    addrs = [SymAddrRef(100 + i, f"q{i}") for i in range(4)]
+
+    def int_term():
+        r = rng.random()
+        if r < 0.15:
+            v = rng.choice(ints)
+            return Add(v, v)  # coefficient 2: outside the fragment
+        if r < 0.3:
+            return Add(rng.choice(ints), IntConst(rng.randrange(-3, 4)))
+        return rng.choice(ints)
+
+    def random_atom():
+        # shaped like acceptance criterion 6, plus non-unit coefficients
+        if rng.random() < 0.5:
+            op = rng.choice([EQ, NEQ, LT, LE, GT, GE])
+            rhs = rng.choice([int_term(), IntConst(rng.randrange(-3, 4))])
+            return Atom(op, int_term(), rhs)
+        op = rng.choice([EQ, NEQ])
+        base = rng.choice(addrs)
+        lhs = FieldPath(base, ("next",)) if rng.random() < 0.3 else base
+        rhs = rng.choice(addrs + [NullRef(), FieldPath(rng.choice(addrs), ("next",))])
+        return Atom(op, lhs, rhs)
+
+    def near_atom(base):
+        # an address question over what the base already constrains, so
+        # that new equalities merge classes with field paths on them
+        found = {t.base if isinstance(t, FieldPath) else t
+                 for a in base.atoms for t in (a.lhs, a.rhs)}
+        pool = [q for q in addrs if q in found] or addrs
+        terms = pool + [FieldPath(q, ("next",)) for q in pool]
+        return Atom(rng.choice([EQ, NEQ]), rng.choice(terms),
+                    rng.choice(terms + [NullRef()]))
+
+    refuted = []  # atom sets shown to have no model
+
+    def assert_no_model(c):
+        # a conjunction containing one without a model has none either
+        if not any(r <= c.atoms for r in refuted):
+            assert find_model(c, addr_pool=4) is None, render_constraint(c)
+            refuted.append(c.atoms)
+
+    cache = SatCache()
+    verdicts = {r: 0 for r in SatResult}
+    for _ in range(40):
+        base = constraint(*(random_atom() for _ in range(rng.randrange(2, 6))))
+        for i in range(6):
+            base_unsat = check_sat(base) == SatResult.UNSAT
+            if base_unsat:
+                assert_no_model(base)
+            atom = near_atom(base) if i % 2 else random_atom()
+            both = conjoin(base, constraint(atom))
+            expected = check_sat(both)
+            assert cache.check(base, atom) == expected, render_constraint(both)
+            assert both.atoms in cache.closures
+            assert cache.check(base, atom) == expected, render_constraint(both)
+            verdicts[expected] += 1
+            if expected == SatResult.UNSAT and not base_unsat:
+                assert_no_model(both)
+            if i % 3 == 1:
+                base = both  # the path takes the branch it asked about
+    # the generator must reach every verdict
+    assert all(n > 10 for n in verdicts.values()), verdicts
 
 
 if __name__ == "__main__":
