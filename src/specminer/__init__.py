@@ -10,7 +10,7 @@ language with its decision procedure, `symstate` the shared state model,
 command-line entry point.
 """
 
-from .constraints import Constraint, SatResult, check_sat, entails, simplify_constraint
+from .constraints import Constraint, SatResult, check_sat, entails
 from .engine import Limits, SEResult, se
 from .frontend import load_program
 from .inference import Axiom, Equation, SpecSet, infer_spec
@@ -34,5 +34,4 @@ __all__ = [
     "infer_spec",
     "load_program",
     "se",
-    "simplify_constraint",
 ]

@@ -205,21 +205,7 @@ def main(argv=None) -> int:
         return EXIT_SOURCE
 
     limits = Limits(unroll_bound=cfg.unroll_bound, max_patterns=cfg.max_patterns)
-    patterns = None
     try:
-        if cfg.dump_patterns:
-            from .engine import se
-            from .inference import _seed_args
-            from .symstate import Allocator, CallPattern
-            f = index.functions.get(cfg.modifier_name)
-            if f is None:
-                raise UnknownFunction(cfg.modifier_name)
-            alloc = Allocator(cfg.seed_label)
-            seeded = _seed_args(f, alloc)
-            dump_res = se(index, CallPattern(cfg.modifier_name,
-                                             [v for _n, v, _t in seeded]),
-                          limits, alloc, cfg.lazy_aliasing)
-            patterns = dump_res.patterns
         spec = infer_spec(
             index,
             cfg.modifier_name,
@@ -232,6 +218,7 @@ def main(argv=None) -> int:
         print(f"specminer: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
+    patterns = spec.patterns if cfg.dump_patterns else None
     if cfg.format == "json":
         sys.stdout.write(emit_json(spec, patterns))
     else:

@@ -574,70 +574,3 @@ def entails(c: Constraint, a: Atom) -> Entailment:
     if r == SatResult.SAT:
         return Entailment.NO
     return Entailment.UNKNOWN
-
-
-# ---------------------------------------------------------------- simplify
-
-class UnsatInput(Exception):
-    pass
-
-
-def _class_representative(members: list[Term]) -> Term:
-    for m in members:
-        if isinstance(m, NullRef):
-            return m
-    return min(members, key=lambda m: (len(render_term(m)), render_term(m)))
-
-
-def simplify_constraint(c: Constraint) -> Constraint:
-    if check_sat(c) == SatResult.UNSAT:
-        raise UnsatInput(render_constraint(c))
-
-    # 1. canonicalize aliases: keep member = representative equations, and
-    #    substitute representatives into every other atom
-    eqs = [a for a in c.atoms if a.op == EQ and _addrish(a.lhs) and _addrish(a.rhs)]
-    uf, _, terms = _congruence_classes(eqs)
-    classes: dict[Term, list[Term]] = {}
-    for t in sorted(terms, key=render_term):
-        classes.setdefault(uf.find(t), []).append(t)
-    rep: dict[Term, Term] = {}
-    for members in classes.values():
-        r = _class_representative(members)
-        for m in members:
-            rep[m] = r
-
-    def subst(t: Term) -> Term:
-        if t in rep:
-            return rep[t]
-        if isinstance(t, FieldPath) and t.base in rep and isinstance(rep[t.base], SymAddrRef):
-            return FieldPath(rep[t.base], t.fields)
-        return t
-
-    rebuilt: set[Atom] = set()
-    for members in classes.values():
-        r = _class_representative(members)
-        for m in members:
-            if m != r:
-                rebuilt.add(Atom(EQ, m, r))
-    for a in c.atoms:
-        if a in eqs:
-            continue
-        na = Atom(a.op, subst(a.lhs), subst(a.rhs))
-        if na.op == EQ and na.lhs == na.rhs:
-            continue
-        rebuilt.add(na)
-
-    # 2. drop atoms entailed by the rest, trying the syntactically greatest
-    #    first so the least member of a redundant group survives
-    atoms = set(rebuilt)
-    while True:
-        dropped = False
-        for a in sorted(atoms, key=lambda x: (-len(render_atom(x)), render_atom(x), x.op)):
-            rest = Constraint(frozenset(atoms - {a}))
-            if entails(rest, a) == Entailment.YES:
-                atoms.discard(a)
-                dropped = True
-                break
-        if not dropped:
-            break
-    return Constraint(frozenset(atoms))

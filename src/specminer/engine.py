@@ -224,11 +224,6 @@ class _Engine:
         p.k = []
         return p
 
-    def _resolve(self, p: Pattern, a: SymAddress) -> SymAddress:
-        while a in p.aliases:
-            a = p.aliases[a]
-        return a
-
     def _materialize(self, p: Pattern, a: SymAddress, struct_name: str) -> None:
         if a in p.heap:
             return
@@ -257,8 +252,9 @@ class _Engine:
     def _log_split(self, a: Pattern, b: Pattern) -> None:
         self.split_log.append((a.combined_condition(), b.combined_condition()))
 
-    def _binary_split(self, p: Pattern, atom_true: Atom, route: str):
-        """Return [(pattern, truth)] successors for a two-way decision."""
+    def _binary_split(self, p: Pattern, atom_true: Atom, route: str) -> list[Pattern]:
+        """Decide `atom_true` two ways; each successor gets its outcome, 1
+        or 0, pushed on its value stack."""
         neg = C.negate_atom(atom_true)
         base = p.combined_condition()
         st = self.sat.check(base, atom_true)
@@ -268,14 +264,16 @@ class _Engine:
         if sf == SatResult.UNSAT:
             if st == SatResult.UNKNOWN:
                 p.approx = True
-            return [(p, True)]
+            p.vals.append(TypedValue(nodes.INT, 1))
+            return [p]
         if st == SatResult.UNSAT:
             if sf == SatResult.UNKNOWN:
                 p.approx = True
-            return [(p, False)]
+            p.vals.append(TypedValue(nodes.INT, 0))
+            return [p]
         q_true = p
         q_false = p.clone()
-        for q, atom, verdict in ((q_true, atom_true, st), (q_false, neg, sf)):
+        for q, atom, verdict, truth in ((q_true, atom_true, st, 1), (q_false, neg, sf, 0)):
             if route == "mem":
                 q.add_mem_atom(atom)
             else:
@@ -283,8 +281,9 @@ class _Engine:
             if verdict == SatResult.UNKNOWN:
                 q.approx = True
             q.guard_split = True
+            q.vals.append(TypedValue(nodes.INT, truth))
         self._log_split(q_true, q_false)
-        return [(q_true, True), (q_false, False)]
+        return [q_true, q_false]
 
     def _deref(self, p: Pattern, value, struct_name: str, then):
         """Dereference a pointer value; `then(pattern, address)` continues
@@ -295,7 +294,7 @@ class _Engine:
             return [self._error(p, "NULL dereference")]
         if not isinstance(value, Addr):
             return [self._error(p, "dereference of a non-address value")]
-        target = self._resolve(p, value.target)
+        target = p.resolve(value.target)
         base = p.combined_condition()
         eq_null = Atom(C.EQ, target.ref, NullRef())
         ne_null = Atom(C.NEQ, target.ref, NullRef())
@@ -359,12 +358,6 @@ class _Engine:
         return succs
 
     @staticmethod
-    def _int_term(v: TypedValue):
-        if isinstance(v.payload, int):
-            return IntConst(v.payload)
-        return v.payload
-
-    @staticmethod
     def _value_term(v):
         if v is NULL_ADDR:
             return NullRef()
@@ -387,17 +380,13 @@ class _Engine:
             p.vals.append(TypedValue(nodes.INT, 1 if v.payload != 0 else 0))
             return [p]
         if isinstance(v, Addr):
-            target = self._resolve(p, v.target)
+            target = p.resolve(v.target)
             atom = Atom(C.NEQ, target.ref, NullRef())
             route = "mem"
         else:
             atom = Atom(C.NEQ, self._value_term(v), NullRef())
             route = "path"
-        out = []
-        for q, truth in self._binary_split(p, atom, route):
-            q.vals.append(TypedValue(nodes.INT, 1 if truth else 0))
-            out.append(q)
-        return out
+        return self._binary_split(p, atom, route)
 
     # -------------------------------------------------- stepping
 
@@ -449,7 +438,7 @@ class _Engine:
                 n = l.payload + r.payload if item.op == "+" else l.payload - r.payload
                 p.vals.append(TypedValue(nodes.INT, n))
                 return [p]
-            lt, rt = self._int_term(l), self._int_term(r)
+            lt, rt = self._value_term(l), self._value_term(r)
             s = self.alloc.fresh_int(f"i{self.alloc._next}")
             expr = C.Add(lt, rt) if item.op == "+" else C.Sub(lt, rt)
             p.add_path_atom(Atom(C.EQ, s, expr))
@@ -620,9 +609,9 @@ class _Engine:
             p.vals.append(TypedValue(nodes.INT, 1 if res else 0))
             return [p]
         if isinstance(l, Addr):
-            l = Addr(self._resolve(p, l.target))
+            l = Addr(p.resolve(l.target))
         if isinstance(r, Addr):
-            r = Addr(self._resolve(p, r.target))
+            r = Addr(p.resolve(r.target))
         if isinstance(l, Addr) and isinstance(r, Addr) and l.target == r.target:
             res = op in ("==", "<=", ">=")
             p.vals.append(TypedValue(nodes.INT, 1 if res else 0))
@@ -637,11 +626,7 @@ class _Engine:
             or (l is NULL_ADDR and isinstance(r, Addr))
         )
         route = "mem" if null_vs_addr else "path"
-        out = []
-        for q, truth in self._binary_split(p, atom, route):
-            q.vals.append(TypedValue(nodes.INT, 1 if truth else 0))
-            out.append(q)
-        return out
+        return self._binary_split(p, atom, route)
 
     # -------------------------------------------------- calls
 

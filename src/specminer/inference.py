@@ -20,7 +20,7 @@ from itertools import permutations
 
 from . import constraints as C
 from .constraints import Atom, Constraint, Entailment, IntConst, NullRef, SymAddrRef, SymIntRef
-from .engine import Limits, SEResult, se
+from .engine import Limits, se
 from .symstate import (
     NULL_ADDR,
     UNDEF,
@@ -29,9 +29,7 @@ from .symstate import (
     CallPattern,
     Pattern,
     TypedValue,
-    extract_return,
 )
-from .frontend import nodes
 
 
 class UnknownFunction(Exception):
@@ -133,7 +131,7 @@ class SpecSet:
     modifier: str
     axioms: list
     limits: Limits
-    truncated_paths: int
+    patterns: list  # the modifier's terminal patterns the axioms came from
     stats: dict
     diagnostics: list
     split_log: list
@@ -180,11 +178,7 @@ def _normalize_return(leaf: Pattern, sym_map: dict):
     if v is NULL_ADDR:
         return RNull()
     if isinstance(v, Addr):
-        t = v.target
-        seen = set()
-        while t in leaf.aliases and t not in seen:
-            seen.add(t)
-            t = leaf.aliases[t]
+        t = leaf.resolve(v.target)
         # a provably-null address is NULL first, whatever else it matches
         verdict = C.entails(leaf.combined_condition(),
                             Atom(C.EQ, t.ref, NullRef()))
@@ -326,7 +320,7 @@ def infer_spec(
             diagnostics=diagnostics, context=f"{modifier}/{p.provenance_id} pre")
         budget_error = budget_error or hit
 
-        ret_v = extract_return(p)
+        ret_v = p.return_value
         post_args = []
         post_root = None
         for pname, seed_v, ptype in seeded:
@@ -337,12 +331,7 @@ def infer_spec(
                 display = pname + "'"
                 post_args.append((display, root_v, ptype))
                 if isinstance(root_v, Addr):
-                    t = root_v.target
-                    seen = set()
-                    while t in p.aliases and t not in seen:
-                        seen.add(t)
-                        t = p.aliases[t]
-                    post_root = (t.sid, display)
+                    post_root = (p.resolve(root_v.target).sid, display)
             else:
                 post_args.append((pname, p.heap.get(p.env[pname], UNDEF), ptype))
         post_eqs, hit = explain(
@@ -367,7 +356,7 @@ def infer_spec(
         "errorPatterns": len(res.error_patterns),
         "truncatedPaths": res.truncated_paths,
     }
-    return SpecSet(modifier, axioms, limits, res.truncated_paths, stats,
+    return SpecSet(modifier, axioms, limits, res.patterns, stats,
                    diagnostics, split_log, budget_error)
 
 

@@ -110,33 +110,7 @@ class MissingField:
 MISSING = MissingField()
 
 
-class UnboundAddress(Exception):
-    pass
-
-
 Heap = dict  # SymAddress -> Value (cell) | HeapObject
-
-
-def heap_read_field(heap: Heap, addr: SymAddress, fname: str) -> Value:
-    """Read obj.field; MISSING when the object exists but the field was
-    never set."""
-    if addr not in heap:
-        raise UnboundAddress(addr.display)
-    entry = heap[addr]
-    if not isinstance(entry, HeapObject):
-        raise UnboundAddress(f"{addr.display} holds a plain cell, not an object")
-    if fname not in entry.fields:
-        return MISSING
-    return entry.fields[fname]
-
-
-def heap_write_field(heap: Heap, addr: SymAddress, fname: str, v: Value) -> None:
-    if addr not in heap:
-        raise UnboundAddress(addr.display)
-    entry = heap[addr]
-    if not isinstance(entry, HeapObject):
-        raise UnboundAddress(f"{addr.display} holds a plain cell, not an object")
-    entry.fields[fname] = v
 
 
 # ---------------------------------------------------------------- allocator
@@ -239,6 +213,14 @@ class Pattern:
             provenance_id=self.provenance_id,
         )
 
+    def resolve(self, a: SymAddress) -> SymAddress:
+        """The object `a` stands for once aliasing decisions are applied.
+        An alias maps an unmaterialized address to a lazy heap key, and heap
+        keys are never aliased, so the chain is at most one step long."""
+        while a in self.aliases:
+            a = self.aliases[a]
+        return a
+
     def add_path_atom(self, a: Atom) -> None:
         self.path_condition = self.path_condition.with_atom(a)
 
@@ -264,10 +246,6 @@ def _copy_heap(h: Heap) -> Heap:
     return out
 
 
-def copy_heap(h: Heap) -> Heap:
-    return _copy_heap(h)
-
-
 @dataclass
 class Frame:
     """One pending call: where to put the return value and what to restore."""
@@ -284,10 +262,6 @@ class Frame:
 # ---------------------------------------------------------------- call shape
 
 class ArityMismatch(Exception):
-    pass
-
-
-class NotFinal(Exception):
     pass
 
 
@@ -330,12 +304,6 @@ def make_call_pattern(index, cp: CallPattern, alloc: Allocator) -> Pattern:
         mem_path_condition=TRUE,
         malloced=cp.initial_malloced,
     )
-
-
-def extract_return(p: Pattern) -> Value:
-    if p.status != FINAL:
-        raise NotFinal(f"pattern is {p.status}")
-    return p.return_value
 
 
 # ---------------------------------------------------------------- rendering

@@ -17,10 +17,18 @@ from specminer.cli import (
     MAX_PATTERNS_ENV,
     main,
 )
+from specminer.engine import Limits, se
+from specminer.frontend import load_program
+from specminer.symstate import Addr, Allocator, CallPattern, TypedValue, render_pattern
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 DLL = str(CORPUS / "dll.c")
 BRANCH = str(CORPUS / "branch.c")
+
+TOUCH_SRC = (
+    "struct Node { int v; struct Node* nxt; };\n"
+    "int touch(struct Node* a, struct Node* b) {\n"
+    "  a->v = 1;\n  b->v = 2;\n  return a->v;\n}\n")
 
 
 def run(capsys, *argv):
@@ -98,6 +106,39 @@ def test_dump_patterns_json(capsys):
     assert doc["patterns"][0]["rendered"].startswith("<k>")
 
 
+def _standalone_patterns(source, fname, unroll, lazy_aliasing, seed_label):
+    """The modifier's terminal patterns from its own `se` run, seeded as
+    inference seeds it: one fresh symbol per parameter, in order."""
+    index = load_program(source)
+    alloc = Allocator(seed_label)
+    args = []
+    for pname, ptype in index.functions[fname].params:
+        if ptype.kind == "structptr":
+            args.append(Addr(alloc.fresh_addr(pname)))
+        else:
+            args.append(TypedValue(ptype, alloc.fresh_data(pname)))
+    return se(index, CallPattern(fname, args), Limits(unroll_bound=unroll),
+              alloc, lazy_aliasing).patterns
+
+
+@pytest.mark.parametrize("case", ["append-unroll2", "touch-lazy"])
+def test_dumped_patterns_are_the_ones_the_axioms_came_from(capsys, tmp_path, case):
+    if case == "append-unroll2":
+        path, fname, unroll, flags = DLL, "append", 2, ["--unroll", "2"]
+    else:
+        path, fname, unroll, flags = tmp_path / "touch.c", "touch", 1, ["--lazy-aliasing"]
+        path.write_text(TOUCH_SRC)
+    argv = [str(path), "-f", fname, "--seed-label", "run1", *flags]
+    code, dumped, _err = run(capsys, *argv, "--dump-patterns")
+    assert code == EXIT_OK
+    _code, plain, _err = run(capsys, *argv)
+    patterns = _standalone_patterns(pathlib.Path(path).read_text(), fname, unroll,
+                                    "--lazy-aliasing" in flags, "run1")
+    blocks = "".join(f"-- pattern {p.provenance_id}\n{render_pattern(p)}\n\n"
+                     for p in patterns)
+    assert dumped == blocks + plain
+
+
 def test_observers_whitelist(capsys):
     code, out, _err = run(capsys, DLL, "-f", "append", "--observers", "length")
     assert code == EXIT_OK
@@ -117,10 +158,7 @@ def test_seed_label_prefixes_symbols_once(capsys):
 
 def test_lazy_aliasing_flag_runs(capsys, tmp_path):
     src = tmp_path / "touch.c"
-    src.write_text(
-        "struct Node { int v; struct Node* nxt; };\n"
-        "int touch(struct Node* a, struct Node* b) {\n"
-        "  a->v = 1;\n  b->v = 2;\n  return a->v;\n}\n")
+    src.write_text(TOUCH_SRC)
     code, out, _err = run(capsys, str(src), "-f", "touch", "--lazy-aliasing")
     assert code == EXIT_OK
     # the aliased world surfaces as a second return class

@@ -11,9 +11,9 @@ import pytest
 from specminer.constraints import (
     EQ, GE, GT, LE, LT, NEQ,
     Add, Atom, Constraint, Entailment, FieldPath, IntConst, NullRef, SatCache,
-    SatResult, Sub, SymAddrRef, SymDataRef, SymIntRef, TRUE, UnsatInput,
+    SatResult, Sub, SymAddrRef, SymDataRef, SymIntRef, TRUE,
     check_sat, conjoin, constraint, entails, negate_atom,
-    render_atom, render_constraint, simplify_constraint,
+    render_atom, render_constraint,
 )
 from specminer.modelsearch import find_model
 
@@ -127,54 +127,6 @@ def test_entails_no_on_open_field():
 
 def test_entails_unknown_on_mixed_sorts():
     assert entails(constraint(Atom(EQ, X, A)), Atom(GT, Y, IntConst(0))) == Entailment.UNKNOWN
-
-
-# ---------------------------------------------------------------- simplify
-
-def test_simplify_drops_entailed_bound():
-    c = constraint(Atom(GT, X, IntConst(0)), Atom(GE, X, IntConst(1)))
-    assert render_constraint(simplify_constraint(c)) == "?x > 0"
-
-
-def test_simplify_canonicalizes_alias_classes():
-    c = constraint(Atom(EQ, A, B), Atom(EQ, B, NullRef()), Atom(EQ, A, NullRef()))
-    assert render_constraint(simplify_constraint(c)) == "list = NULL /\\ p = NULL"
-
-
-def test_simplify_rejects_unsat_input():
-    with pytest.raises(UnsatInput):
-        simplify_constraint(constraint(Atom(EQ, X, IntConst(1)), Atom(EQ, X, IntConst(2))))
-
-
-def _random_atom(rng):
-    ints = [X, Y, Z, IntConst(rng.randrange(-3, 4))]
-    addrs = [A, B, NullRef(), A_NEXT]
-    if rng.random() < 0.5:
-        op = rng.choice([EQ, NEQ, LT, LE, GT, GE])
-        return Atom(op, rng.choice(ints[:3]), rng.choice(ints))
-    op = rng.choice([EQ, NEQ])
-    lhs = rng.choice(addrs[:2] + [A_NEXT])
-    rhs = rng.choice(addrs)
-    return Atom(op, lhs, rhs)
-
-
-def test_simplify_is_idempotent_and_equivalent():
-    """Property: simplification is a fixpoint, never changes satisfiability,
-    and every dropped atom stays entailed."""
-    rng = random.Random(20260816)
-    tried = 0
-    for _ in range(120):
-        atoms = [_random_atom(rng) for _ in range(rng.randrange(1, 5))]
-        c = constraint(*atoms)
-        if check_sat(c) == SatResult.UNSAT:
-            continue
-        tried += 1
-        s = simplify_constraint(c)
-        assert simplify_constraint(s) == s
-        for at in c.atoms:
-            # nothing sat-relevant was lost
-            assert entails(s, at) != Entailment.NO, render_atom(at)
-    assert tried > 40  # the generator must actually exercise the path
 
 
 # ---------------------------------------------------------------- SatCache

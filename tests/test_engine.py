@@ -13,6 +13,7 @@ from specminer.symstate import (
     Addr,
     Allocator,
     CallPattern,
+    HeapObject,
     NULL_ADDR,
     TypedValue,
     render_pattern,
@@ -133,6 +134,28 @@ def test_lazy_aliasing_adds_the_overlap_world():
     rets = sorted(render_tv(p.return_value) for p in aliased.final_patterns)
     # when b resolves to a, the second write clobbers the first
     assert rets == ["tv(int, 1)", "tv(int, 2)"]
+
+
+def test_aliases_map_undiscovered_addresses_to_lazy_objects(dll_index):
+    """The invariant behind `Pattern.resolve` following a single step: an
+    aliased address never became a heap key, and it stands for an input
+    object already discovered, so no alias chain is longer than one."""
+    runs = [(load_program(ALIAS_SRC), "touch")]
+    runs += [(dll_index, f) for f in ("append", "reverse", "init", "length", "last")]
+    aliases = 0
+    for index, fname in runs:
+        alloc = Allocator()
+        args = [Addr(alloc.fresh_addr(pname)) if ptype.kind == "structptr"
+                else TypedValue(ptype, alloc.fresh_data(pname))
+                for pname, ptype in index.functions[fname].params]
+        res = se(index, CallPattern(fname, args), Limits(), alloc, lazy_aliasing=True)
+        for p in res.patterns:
+            for target, cand in p.aliases.items():
+                aliases += 1
+                assert target not in p.heap, (fname, p.provenance_id)
+                obj = p.heap.get(cand)
+                assert isinstance(obj, HeapObject) and obj.lazy, (fname, p.provenance_id)
+    assert aliases > 0
 
 
 # ---------------------------------------------------------------- recursion

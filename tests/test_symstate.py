@@ -8,15 +8,9 @@ from specminer.symstate import (
     ArityMismatch,
     CallPattern,
     HeapObject,
-    MISSING,
     NULL_ADDR,
-    NotFinal,
     TypedValue,
     UNDEF,
-    UnboundAddress,
-    extract_return,
-    heap_read_field,
-    heap_write_field,
     make_call_pattern,
     render_pattern,
     render_tv,
@@ -50,26 +44,6 @@ def test_allocator_is_monotone_and_label_scoped():
     assert labeled.display == "run1:x"
 
 
-def test_heap_field_access():
-    alloc = Allocator()
-    a = alloc.fresh_addr("n")
-    heap = {a: HeapObject("List", {"data": NULL_ADDR})}
-    assert heap_read_field(heap, a, "data") is NULL_ADDR
-    assert heap_read_field(heap, a, "next") is MISSING
-    heap_write_field(heap, a, "next", NULL_ADDR)
-    assert heap_read_field(heap, a, "next") is NULL_ADDR
-
-
-def test_heap_access_errors():
-    alloc = Allocator()
-    a = alloc.fresh_addr("n")
-    with pytest.raises(UnboundAddress):
-        heap_read_field({}, a, "data")
-    with pytest.raises(UnboundAddress):
-        # a plain cell (parameter slot) is not an object
-        heap_read_field({a: TypedValue(N.INT, 1)}, a, "data")
-
-
 def test_make_call_pattern_binds_params_and_locals(dll_index):
     alloc = Allocator()
     root = alloc.fresh_addr("list")
@@ -79,8 +53,6 @@ def test_make_call_pattern_binds_params_and_locals(dll_index):
     assert p.heap[p.env["list"]] == Addr(root)
     assert p.heap[p.env["final"]] is UNDEF
     assert p.status == "running"
-    with pytest.raises(NotFinal):
-        extract_return(p)
 
 
 def test_make_call_pattern_checks_arity(dll_index):
@@ -95,9 +67,9 @@ def test_clone_isolates_heap_env_and_conditions(dll_index):
     cp = CallPattern("length", [Addr(root)], initial_heap={root: obj})
     p = make_call_pattern(dll_index, cp, alloc)
     q = p.clone()
-    heap_write_field(q.heap, root, "data", TypedValue(N.INT, 9))
+    q.heap[root].fields["data"] = TypedValue(N.INT, 9)
     q.heap[q.env["len"]] = TypedValue(N.INT, 3)
-    assert heap_read_field(p.heap, root, "data") is NULL_ADDR
+    assert p.heap[root].fields["data"] is NULL_ADDR
     assert p.heap[p.env["len"]] is UNDEF
     # lazy flag must survive copying — it drives field materialization
     assert q.heap[root].lazy
