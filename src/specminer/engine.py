@@ -2,7 +2,8 @@
 
 The machine is a small-step interpreter over a continuation stack (`k`) and
 an expression value stack, exploring branches depth-first with the true
-branch first. Three mechanisms matter beyond plain evaluation:
+branch first (the false one first in an all-or-nothing run, see `se`).
+Three mechanisms matter beyond plain evaluation:
 
 * Guard decisions. Comparing values that the current conditions do not
   already decide clones the pattern, one branch per polarity, and records
@@ -65,6 +66,9 @@ class SEResult:
     truncated_paths: int
     budget_error: bool
     split_log: list  # [(Constraint, Constraint)] per genuine split
+    # the run stopped early: `reject` held for its last pattern, or a path
+    # was cut at the unroll bound
+    rejected: bool = False
 
     @property
     def final_patterns(self) -> list:
@@ -193,12 +197,17 @@ class _Engine:
 
     # -------------------------------------------------- main loop
 
-    def run(self, start: Pattern) -> SEResult:
+    def run(self, start: Pattern, reject=None) -> SEResult:
         out: list[Pattern] = []
         finals = errors = 0
+        rejected = False
         stack = [start]
         while stack:
-            if len(out) >= self.limits.max_patterns:
+            # An exhaustive run is out of budget once `max_patterns` leaves
+            # are out and work is left. An all-or-nothing run is out of
+            # budget only on accepting one leaf more: the work left may
+            # still be cut at the bound, which rules the run out instead.
+            if reject is None and len(out) >= self.limits.max_patterns:
                 self.budget_error = True
                 break
             p = stack.pop()
@@ -210,11 +219,26 @@ class _Engine:
                     p.provenance_id = f"e{errors}"
                     errors += 1
                 out.append(p)
+                if reject is None:
+                    continue
+                if reject(p):
+                    rejected = True
+                    break
+                if len(out) > self.limits.max_patterns:
+                    self.budget_error = True
+                    break
                 continue
             succs = self.step(p)
-            for s in reversed(succs):
-                stack.append(s)
-        return SEResult(out, self.truncated, self.budget_error, self.split_log)
+            if reject is not None and self.truncated:
+                rejected = True
+                break
+            # Without `reject`, the first successor (true branch, object)
+            # is explored first, which fixes the pN numbering. With it, the
+            # last one (loop exit, NULL error) is: shallow leaves that rule
+            # the run out show up before the deep walk to the bound.
+            stack.extend(succs if reject is not None else reversed(succs))
+        return SEResult(out, self.truncated, self.budget_error, self.split_log,
+                        rejected)
 
     # -------------------------------------------------- helpers
 
@@ -683,10 +707,17 @@ def se(
     limits: Limits | None = None,
     alloc: Allocator | None = None,
     lazy_aliasing: bool = False,
+    reject=None,
 ) -> SEResult:
     """Execute `call_pattern` symbolically and return every terminal
     pattern (finals and errors), the count of bound-cut paths, and the log
-    of genuine guard splits."""
+    of genuine guard splits.
+
+    `reject` is an optional predicate over terminal patterns. With it, the
+    run is all-or-nothing: it stops at the first terminal pattern `reject`
+    holds for, or at the first path cut at the unroll bound, and sets
+    `rejected`. Exploration then takes the last successor of each split
+    first, so the patterns come in another order than without it."""
     limits = limits or Limits()
     alloc = alloc or Allocator()
     eng = _Engine(index, limits, alloc, lazy_aliasing)
@@ -695,4 +726,4 @@ def se(
         raise KeyError(f"unknown function '{call_pattern.fname}'")
     p = make_call_pattern(index, call_pattern, alloc)
     p.k = [KStmt(x) for x in f.body] + [KCallBoundary()]
-    return eng.run(p)
+    return eng.run(p, reject)

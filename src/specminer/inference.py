@@ -7,7 +7,8 @@ against the final heap (post), both under the branch's accumulated
 conditions. An observer call earns an equation only when every one of its
 own branches finishes normally with the same value, and that value is
 expressible in the caller's vocabulary: a literal, NULL, an input
-argument, or the updated structure root. The surviving equations become
+argument, or the updated structure root. So a replay stops at its first leaf
+that rules the call out (see `explain`). The surviving equations become
 one axiom per branch; axioms are then merged (same conclusion — intersect
 premises; same premises — union conclusions) and redundant equations
 dropped.
@@ -22,6 +23,7 @@ from . import constraints as C
 from .constraints import Atom, Constraint, Entailment, IntConst, NullRef, SymAddrRef, SymIntRef
 from .engine import Limits, se
 from .symstate import (
+    FINAL,
     NULL_ADDR,
     UNDEF,
     Addr,
@@ -214,12 +216,26 @@ def explain(
     """Equations observed to hold on `heap` under `condition`.
 
     `args` is [(display, value, ctype)] — the vocabulary; `post_root`
-    optionally names (sid, display) for the updated-structure root."""
+    optionally names (sid, display) for the updated-structure root.
+
+    A call's replay rejects a leaf that is not final, whose value the
+    caller cannot name, or whose value differs from the first leaf's, and
+    stops there: no equation can come from it. A replay whose budget ran
+    out first gets a diagnostic instead."""
     diagnostics = diagnostics if diagnostics is not None else []
     sym_map = _sym_id_map(args, post_root)
     equations = []
     budget_hit = False
     for oname, call_args in build_universe(index, observer_names, args):
+        values = []  # the nameable value of each accepted leaf, all equal
+
+        def reject(leaf: Pattern) -> bool:
+            v = _normalize_return(leaf, sym_map) if leaf.status == FINAL else None
+            if v is None or (values and v != values[0]):
+                return True
+            values.append(v)
+            return False
+
         res = se(
             index,
             CallPattern(oname, [v for _d, v in call_args],
@@ -229,6 +245,7 @@ def explain(
             limits,
             alloc,
             lazy_aliasing,
+            reject,
         )
         if res.budget_error:
             budget_hit = True
@@ -237,20 +254,11 @@ def explain(
                 f"{context}: observer run {oname}({names}) exhausted its "
                 f"budget; inconclusive")
             continue
-        if res.error_patterns or res.truncated_paths:
+        if res.rejected or not values:
             continue
-        leaves = res.final_patterns
-        if not leaves:
-            continue
-        values = [_normalize_return(leaf, sym_map) for leaf in leaves]
-        if any(v is None for v in values):
-            continue
-        first = values[0]
-        if any(v != first for v in values[1:]):
-            continue
-        approx = any(leaf.approx for leaf in leaves)
+        approx = any(leaf.approx for leaf in res.patterns)
         equations.append(Equation(oname, tuple(d for d, _v in call_args),
-                                  first, approx))
+                                  values[0], approx))
     return equations, budget_hit
 
 

@@ -263,6 +263,40 @@ def test_pattern_budget_exits_3(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_exhausted_budget_alone_marks_nothing_approx(capsys, monkeypatch):
+    # `[approx]` reports an Unknown solver verdict, not a cut exploration;
+    # exit 3 and the notes report the cut
+    monkeypatch.setenv(MAX_PATTERNS_ENV, "2")
+    code, out, err = run(capsys, DLL, "-f", "append")
+    assert code == EXIT_BUDGET
+    assert "[approx]" not in out
+    assert "append: exploration budget exhausted" in err
+
+
+def test_replay_ruled_out_before_its_budget_is_no_budget_error(capsys, monkeypatch):
+    # explored to completion, the init(list') replays on reverse's p0 and
+    # p1 outgrow a three-pattern budget, but a leaf within it already rules
+    # the call out, so the budget loses nothing
+    code, out, _err = run(capsys, DLL, "-f", "reverse", "--unroll", "2",
+                          "--format", "json")
+    assert code == EXIT_OK
+    monkeypatch.setenv(MAX_PATTERNS_ENV, "3")
+    code, budget_out, _err = run(capsys, DLL, "-f", "reverse", "--unroll", "2",
+                                 "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(budget_out)
+    assert doc["diagnostics"] == []
+    assert doc["axioms"] == json.loads(out)["axioms"]
+
+
+def test_lazy_aliasing_find_needs_no_step_budget(capsys):
+    # the observer walks that run on forever over a cyclic discovered heap
+    # are ruled out by an earlier leaf before they reach the step cap
+    code, _out, err = run(capsys, DLL, "-f", "find", "--lazy-aliasing")
+    assert code == EXIT_OK
+    assert "note:" not in err
+
+
 def test_generous_env_budget_is_fine(capsys, monkeypatch):
     monkeypatch.setenv(MAX_PATTERNS_ENV, "4096")
     assert run(capsys, BRANCH, "-f", "branch")[0] == EXIT_OK

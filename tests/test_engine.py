@@ -103,6 +103,26 @@ def test_engine_is_deterministic(dll_index):
     assert run() == run()
 
 
+def test_all_or_nothing_run_stops_at_the_shallow_rejected_leaf(dll_index):
+    """With `reject`, the loop-exit branch is explored before the walk, and
+    the run ends at the first leaf `reject` holds for."""
+    def run(reject):
+        alloc = Allocator()
+        res = se(dll_index, CallPattern("length", [Addr(alloc.fresh_addr("list"))]),
+                 Limits(), alloc, reject=reject)
+        return res, [(render_tv(p.return_value), render_constraint(p.mem_path_condition))
+                     for p in res.patterns]
+
+    res, leaves = run(lambda p: True)
+    assert leaves == [("tv(int, 0)", "list = NULL")]
+    assert res.rejected and res.truncated_paths == 0
+
+    res, leaves = run(None)
+    assert leaves == [("tv(int, 1)", "list != NULL /\\ list->next = NULL"),
+                      ("tv(int, 0)", "list = NULL")]
+    assert not res.rejected and res.truncated_paths == 1
+
+
 # ---------------------------------------------------------------- aliasing
 
 ALIAS_SRC = """

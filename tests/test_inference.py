@@ -7,10 +7,12 @@ interpreter on real heaps. Axiom comparisons are order-agnostic (sets),
 with the canonical output order pinned separately.
 """
 import re
+from dataclasses import replace
 
 import pytest
 
-from specminer.engine import Limits
+from specminer import inference
+from specminer.engine import Limits, se
 from specminer.frontend import load_program, nodes as N
 from specminer.inference import (
     Equation,
@@ -24,6 +26,7 @@ from specminer.inference import (
     infer_spec,
     simplify_spec,
 )
+from specminer.symstate import CallPattern
 
 
 def _shape(spec):
@@ -278,6 +281,97 @@ def test_observer_budget_is_reported_not_fatal():
     assert _shape(spec) == {_triple(set(), set(), "ret = s'")}
     assert spec.budget_error  # surfaced for the exit code
     assert any("exhausted its budget" in d for d in spec.diagnostics)
+
+
+def _ruled_out(res, sym_map):
+    """Does a complete replay have a leaf that rules its call out? A
+    step-budget leaf is the budget running out, not a ruling."""
+    values = {inference._normalize_return(p, sym_map) for p in res.final_patterns}
+    return (res.truncated_paths > 0 or None in values or len(values) > 1
+            or any(p.error_reason != "step budget exceeded"
+                   for p in res.error_patterns))
+
+
+def _exhaustive_explain(index, heap, condition, args, limits, alloc,
+                        observer_names, *, malloced=frozenset(), post_root=None,
+                        lazy_aliasing=False, context=""):
+    """The acceptance rule applied after complete replays, as it was before
+    replays stopped early. Returns the equations, the budget diagnostics,
+    and the budget diagnostics of calls no leaf rules out."""
+    sym_map = inference._sym_id_map(args, post_root)
+    equations, diagnostics, unruled = [], [], []
+    for oname, call_args in build_universe(index, observer_names, args):
+        def replay(limits):
+            return se(index,
+                      CallPattern(oname, [v for _d, v in call_args],
+                                  initial_constraint=condition, initial_heap=heap,
+                                  initial_malloced=malloced),
+                      limits, alloc, lazy_aliasing)
+
+        res = replay(limits)
+        if res.budget_error:
+            names = ", ".join(d for d, _v in call_args)
+            note = (f"{context}: observer run {oname}({names}) exhausted its "
+                    f"budget; inconclusive")
+            diagnostics.append(note)
+            # a pattern budget hides leaves; judge the call on all of them
+            if not _ruled_out(replay(replace(limits, max_patterns=10**6)), sym_map):
+                unruled.append(note)
+            continue
+        if res.error_patterns or res.truncated_paths:
+            continue
+        leaves = res.final_patterns
+        if not leaves:
+            continue
+        values = [inference._normalize_return(leaf, sym_map) for leaf in leaves]
+        if any(v is None for v in values):
+            continue
+        if any(v != values[0] for v in values[1:]):
+            continue
+        equations.append(Equation(oname, tuple(d for d, _v in call_args),
+                                  values[0], any(p.approx for p in leaves)))
+    return equations, diagnostics, unruled
+
+
+# 200 steps cut some replays that no leaf rules out, so the diagnostic
+# check has cases; 2000 steps let every non-divergent replay complete; a
+# budget of 3 patterns cuts replays with many leaves
+@pytest.mark.parametrize("budget", [dict(max_steps=200), dict(max_steps=2000),
+                                    dict(max_steps=2000, max_patterns=3)])
+@pytest.mark.parametrize("lazy_aliasing", [False, True])
+@pytest.mark.parametrize("unroll", [1, 2, 3])
+@pytest.mark.parametrize("modifier", ["append", "reverse", "init", "find", "head"])
+def test_early_rejection_never_changes_an_equation(
+        dll_index, monkeypatch, modifier, unroll, lazy_aliasing, budget):
+    """`explain` stops each replay at its first rejecting leaf. On every pre
+    and post replay it must give the equations (and `approx` flags) of the
+    complete replay, keep the diagnostic of every run whose budget ran out
+    with no leaf ruling it out, and add no diagnostic."""
+    real_explain = inference.explain
+    replays = []
+
+    def checked(index, heap, condition, args, limits, alloc, observer_names,
+                *, diagnostics, context, **kw):
+        want, want_notes, unruled = _exhaustive_explain(
+            index, heap, condition, args, limits, alloc, observer_names,
+            context=context, **kw)
+        notes = []
+        got, hit = real_explain(index, heap, condition, args, limits, alloc,
+                                observer_names, diagnostics=notes,
+                                context=context, **kw)
+        assert [(e, e.approx) for e in got] == [(e, e.approx) for e in want], context
+        assert set(unruled) <= set(notes) <= set(want_notes), context
+        assert hit == bool(notes)
+        replays.append(context)
+        diagnostics.extend(notes)
+        return got, hit
+
+    monkeypatch.setattr(inference, "explain", checked)
+    # the step budgets keep the complete replays of divergent
+    # --lazy-aliasing walks short; each is the same for both rules
+    infer_spec(dll_index, modifier, Limits(unroll_bound=unroll, **budget),
+               lazy_aliasing=lazy_aliasing)
+    assert replays
 
 
 def test_unknown_modifier_and_observer_names(dll_index, setter_index):
