@@ -3,7 +3,8 @@
 Exit codes:
   0   success
   2   the input file failed to lex, parse, or type-check
-  3   an exploration budget was exhausted (partial output was printed)
+  3   a run lost a leaf to its pattern or step budget (partial output
+      was printed)
   64  usage errors: bad flags, unreadable input, unknown function names
 """
 

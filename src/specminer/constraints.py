@@ -324,6 +324,13 @@ def _norm_int_atom(a: Atom):
     raise AssertionError(op)
 
 
+def _scaled(c: int, lo, hi):
+    """The interval of c*x for x in [lo, hi], c being 1 or -1."""
+    if c == 1:
+        return lo, hi
+    return (None if hi is None else -hi), (None if lo is None else -lo)
+
+
 def _int_sat(atoms) -> SatResult:
     """Interval propagation over canonical linear keys. Returns UNSAT only on
     a genuine crossing; SAT when every atom was representable; UNKNOWN
@@ -332,12 +339,28 @@ def _int_sat(atoms) -> SatResult:
     bounds: dict[tuple, list] = {}  # key -> [lo, hi] (None = unbounded)
     neqs: list[tuple[tuple, int]] = []
 
-    def add_fact(key, lo, hi):
+    def tighten(key, lo, hi) -> bool:
+        """Narrow `key`'s interval by [lo, hi] (None: no bound); whether
+        it changed."""
         b = bounds.setdefault(key, [None, None])
+        changed = False
         if lo is not None and (b[0] is None or lo > b[0]):
             b[0] = lo
+            changed = True
         if hi is not None and (b[1] is None or hi < b[1]):
             b[1] = hi
+            changed = True
+        return changed
+
+    def span(items):
+        """The interval of sum(c * v) over `items` (each c is 1 or -1)
+        from the variables' own intervals; None where one is unbounded."""
+        lo = hi = 0
+        for v, c in items:
+            vlo, vhi = _scaled(c, *bounds.get(((v, 1),), (None, None)))
+            lo = None if lo is None or vlo is None else lo + vlo
+            hi = None if hi is None or vhi is None else hi + vhi
+        return lo, hi
 
     for a in atoms:
         facts = _norm_int_atom(a)
@@ -350,93 +373,24 @@ def _int_sat(atoms) -> SatResult:
             if isinstance(lo, tuple) and lo[0] == "neq":
                 neqs.append((key, lo[1]))
                 continue
-            add_fact(key, lo, hi)
+            tighten(key, lo, hi)
 
-    single = {}  # SymIntRef -> key of its singleton term
-    for key in list(bounds):
-        if len(key) == 1 and key[0][1] == 1:
-            single[key[0][0]] = key
-
-    def var_interval(v):
-        key = single.get(v)
-        if key is None or key not in bounds:
-            return (None, None)
-        return tuple(bounds[key])
-
-    # propagate between multi-variable terms and their variables
+    # propagate between multi-variable terms and their variables: derive
+    # a bound for each variable from the term and the other variables,
+    # then tighten each term from its variables
+    multi = [key for key in bounds if len(key) > 1]
     for _ in range(64):
         changed = False
-        for key, (lo, hi) in list(bounds.items()):
-            if len(key) == 1:
-                continue
-            # derive a bound for each variable when all the others are bounded
-            for i, (v, coeff) in enumerate(key):
-                rest = [key[j] for j in range(len(key)) if j != i]
-                rest_lo = rest_hi = 0
-                ok_lo = ok_hi = True
-                for rv, rc in rest:
-                    rlo, rhi = var_interval(rv)
-                    a_, b_ = (rlo, rhi) if rc == 1 else ((None if rhi is None else -rhi),
-                                                         (None if rlo is None else -rlo))
-                    if a_ is None:
-                        ok_lo = False
-                    else:
-                        rest_lo += a_
-                    if b_ is None:
-                        ok_hi = False
-                    else:
-                        rest_hi += b_
-                vkey = ((v, 1),)
-                # coeff*v = term - rest
-                if lo is not None and ok_hi:
-                    t_lo = lo - rest_hi  # coeff*v >= t_lo
-                    if coeff == 1:
-                        nlo, nhi = t_lo, None
-                    else:
-                        nlo, nhi = None, -t_lo
-                    b0 = bounds.get(vkey, [None, None])
-                    if (nlo is not None and (b0[0] is None or nlo > b0[0])) or \
-                       (nhi is not None and (b0[1] is None or nhi < b0[1])):
-                        add_fact(vkey, nlo, nhi)
-                        single[v] = vkey
-                        changed = True
-                if hi is not None and ok_lo:
-                    t_hi = hi - rest_lo  # coeff*v <= t_hi
-                    if coeff == 1:
-                        nlo, nhi = None, t_hi
-                    else:
-                        nlo, nhi = -t_hi, None
-                    b0 = bounds.get(vkey, [None, None])
-                    if (nlo is not None and (b0[0] is None or nlo > b0[0])) or \
-                       (nhi is not None and (b0[1] is None or nhi < b0[1])):
-                        add_fact(vkey, nlo, nhi)
-                        single[v] = vkey
-                        changed = True
-        # tighten multi-variable terms from their variables' intervals
-        for key in list(bounds):
-            if len(key) == 1:
-                continue
-            t_lo = t_hi = 0
-            ok_lo = ok_hi = True
-            for v, c in key:
-                vlo, vhi = var_interval(v)
-                a_, b_ = (vlo, vhi) if c == 1 else ((None if vhi is None else -vhi),
-                                                    (None if vlo is None else -vlo))
-                if a_ is None:
-                    ok_lo = False
-                else:
-                    t_lo += a_
-                if b_ is None:
-                    ok_hi = False
-                else:
-                    t_hi += b_
-            b0 = bounds[key]
-            if ok_lo and (b0[0] is None or t_lo > b0[0]):
-                b0[0] = t_lo
-                changed = True
-            if ok_hi and (b0[1] is None or t_hi < b0[1]):
-                b0[1] = t_hi
-                changed = True
+        for key in multi:
+            lo, hi = bounds[key]
+            for i, (v, c) in enumerate(key):
+                rlo, rhi = span(key[:i] + key[i + 1:])
+                # c*v = term - rest
+                vlo = None if lo is None or rhi is None else lo - rhi
+                vhi = None if hi is None or rlo is None else hi - rlo
+                changed |= tighten(((v, 1),), *_scaled(c, vlo, vhi))
+        for key in multi:
+            changed |= tighten(key, *span(key))
         if not changed:
             break
 

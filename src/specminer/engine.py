@@ -5,12 +5,15 @@ an expression value stack, exploring branches depth-first with the true
 branch first (the false one first in an all-or-nothing run, see `se`).
 Three mechanisms matter beyond plain evaluation:
 
-* Guard decisions. Comparing values that the current conditions do not
-  already decide clones the pattern, one branch per polarity, and records
-  the new atom — in the memory condition cell when the decision is an
-  address-against-NULL question (heap shape discovery), in the ordinary
-  path condition otherwise. A decision the conditions already entail takes
-  a single successor and records nothing.
+* Guard decisions. Branches and dereferences fork in one place,
+  `_Engine._decide`. An atom the current conditions do not already decide
+  clones the pattern, one successor per polarity, and records the atom or
+  its negation — in the memory condition cell when it tests an address
+  against NULL (heap shape discovery), in the ordinary path condition
+  otherwise. A decision the conditions already entail takes a single
+  successor and records nothing. A branch pushes the outcome as 1 or 0; a
+  dereference turns the NULL outcome into an error leaf. An int is true
+  when it is not 0.
 
 * Lazy heaps. The input heap starts unknown. Dereferencing an address the
   conditions allow to be non-null conjures an empty object for it; reading
@@ -24,7 +27,8 @@ Three mechanisms matter beyond plain evaluation:
   since the last check marks the iteration as a real decision; only those
   iterations count against the unroll bound. Iterations whose guard was
   entailed are free, so post-state walks over already-discovered heaps do
-  not burn budget. Paths cut at the bound are tallied, not emitted.
+  not burn budget. Paths cut at the bound are tallied, not emitted. A run
+  is out of its pattern budget only when a leaf it would keep does not fit.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import constraints as C
-from .constraints import Atom, IntConst, NullRef, SatResult
+from .constraints import Atom, IntConst, NullRef, SatResult, SymAddrRef
 from .frontend import nodes
 from .symstate import (
     FINAL,
@@ -48,6 +52,7 @@ from .symstate import (
     Pattern,
     SymAddress,
     TypedValue,
+    bind_frame,
     make_call_pattern,
 )
 
@@ -180,6 +185,11 @@ class KReturn:
 _CMP_TO_ATOM = {"==": C.EQ, "!=": C.NEQ, "<": C.LT, "<=": C.LE, ">": C.GT, ">=": C.GE}
 
 
+def _body(f) -> list:
+    """The continuation that runs `f`'s body up to its return."""
+    return [KStmt(x) for x in f.body] + [KCallBoundary()]
+
+
 # ---------------------------------------------------------------- engine
 
 class _Engine:
@@ -203,13 +213,6 @@ class _Engine:
         rejected = False
         stack = [start]
         while stack:
-            # An exhaustive run is out of budget once `max_patterns` leaves
-            # are out and work is left. An all-or-nothing run is out of
-            # budget only on accepting one leaf more: the work left may
-            # still be cut at the bound, which rules the run out instead.
-            if reject is None and len(out) >= self.limits.max_patterns:
-                self.budget_error = True
-                break
             p = stack.pop()
             if p.status != "running":
                 if p.status == FINAL:
@@ -218,15 +221,16 @@ class _Engine:
                 else:
                     p.provenance_id = f"e{errors}"
                     errors += 1
-                out.append(p)
-                if reject is None:
-                    continue
-                if reject(p):
+                if reject is not None and reject(p):
+                    out.append(p)
                     rejected = True
                     break
-                if len(out) > self.limits.max_patterns:
+                # out of budget only when a leaf the run keeps does not fit;
+                # work left that is cut at the bound loses nothing
+                if len(out) >= self.limits.max_patterns:
                     self.budget_error = True
                     break
+                out.append(p)
                 continue
             succs = self.step(p)
             if reject is not None and self.truncated:
@@ -273,45 +277,50 @@ class _Engine:
             entry.fields[fname] = v
         return v
 
-    def _log_split(self, a: Pattern, b: Pattern) -> None:
-        self.split_log.append((a.combined_condition(), b.combined_condition()))
-
-    def _binary_split(self, p: Pattern, atom_true: Atom, route: str) -> list[Pattern]:
-        """Decide `atom_true` two ways; each successor gets its outcome, 1
-        or 0, pushed on its value stack."""
-        neg = C.negate_atom(atom_true)
+    def _decide(self, p: Pattern, atom: Atom) -> list[tuple[Pattern, bool]]:
+        """Decide `atom` on `p`: one (successor, whether `atom` holds) pair
+        per polarity the conditions allow, the holding one first. An
+        entailed polarity keeps `p` and records nothing; a genuine split
+        clones `p`, records the atom on one side and its negation on the
+        other, and logs the split. A side that rests on an Unknown verdict
+        is marked `approx`."""
+        neg = C.negate_atom(atom)
         base = p.combined_condition()
-        st = self.sat.check(base, atom_true)
+        st = self.sat.check(base, atom)
         sf = self.sat.check(base, neg)
         if st == SatResult.UNSAT and sf == SatResult.UNSAT:
             return []
-        if sf == SatResult.UNSAT:
-            if st == SatResult.UNKNOWN:
+        if SatResult.UNSAT in (st, sf):
+            holds = sf == SatResult.UNSAT
+            if (st if holds else sf) == SatResult.UNKNOWN:
                 p.approx = True
-            p.vals.append(TypedValue(nodes.INT, 1))
-            return [p]
-        if st == SatResult.UNSAT:
-            if sf == SatResult.UNKNOWN:
-                p.approx = True
-            p.vals.append(TypedValue(nodes.INT, 0))
-            return [p]
-        q_true = p
-        q_false = p.clone()
-        for q, atom, verdict, truth in ((q_true, atom_true, st, 1), (q_false, neg, sf, 0)):
-            if route == "mem":
-                q.add_mem_atom(atom)
+            return [(p, holds)]
+        q = p.clone()
+        mem = {type(atom.lhs), type(atom.rhs)} == {SymAddrRef, NullRef}
+        for r, a, verdict in ((p, atom, st), (q, neg, sf)):
+            if mem:
+                r.add_mem_atom(a)
             else:
-                q.add_path_atom(atom)
+                r.add_path_atom(a)
             if verdict == SatResult.UNKNOWN:
-                q.approx = True
-            q.guard_split = True
-            q.vals.append(TypedValue(nodes.INT, truth))
-        self._log_split(q_true, q_false)
-        return [q_true, q_false]
+                r.approx = True
+            r.guard_split = True
+        self.split_log.append((p.combined_condition(), q.combined_condition()))
+        return [(p, True), (q, False)]
+
+    def _binary_split(self, p: Pattern, atom: Atom) -> list[Pattern]:
+        """Decide `atom`; each successor gets its outcome, 1 or 0, pushed
+        on its value stack."""
+        out = []
+        for q, holds in self._decide(p, atom):
+            q.vals.append(TypedValue(nodes.INT, 1 if holds else 0))
+            out.append(q)
+        return out
 
     def _deref(self, p: Pattern, value, struct_name: str, then):
         """Dereference a pointer value; `then(pattern, address)` continues
-        the work on each successor that reached an object."""
+        the work on each successor that reached an object. Successors come
+        as [object, aliases..., NULL error]."""
         if value is UNDEF:
             return [self._error(p, "read of undefined value")]
         if value is NULL_ADDR:
@@ -319,67 +328,45 @@ class _Engine:
         if not isinstance(value, Addr):
             return [self._error(p, "dereference of a non-address value")]
         target = p.resolve(value.target)
-        base = p.combined_condition()
-        eq_null = Atom(C.EQ, target.ref, NullRef())
-        ne_null = Atom(C.NEQ, target.ref, NullRef())
-        s_null = self.sat.check(base, eq_null)
-        s_ok = self.sat.check(base, ne_null)
-        if s_null == SatResult.UNSAT and s_ok == SatResult.UNSAT:
-            return []
-        if s_null == SatResult.UNSAT:
-            # definitely an object; no new fact
-            if s_ok == SatResult.UNKNOWN:
-                p.approx = True
-            self._materialize(p, target, struct_name)
-            then(p, target)
-            return [p]
-        if s_ok == SatResult.UNSAT:
-            if s_null == SatResult.UNKNOWN:
-                p.approx = True
-            return [self._error(p, "NULL dereference")]
-
+        outcomes = self._decide(p, Atom(C.NEQ, target.ref, NullRef()))
         succs = []
-        fresh_candidates = []
-        if self.lazy_aliasing and target not in p.heap:
-            fresh_candidates = sorted(
-                (a for a, o in p.heap.items()
-                 if isinstance(o, HeapObject) and o.lazy
-                 and o.struct_name == struct_name and a != target),
-                key=lambda a: (a.display, a.sid),
-            )
-        ok = p.clone()
-        ok.add_mem_atom(ne_null)
-        if s_ok == SatResult.UNKNOWN:
-            ok.approx = True
-        ok.guard_split = True
-        for cand in fresh_candidates:
-            ok.add_mem_atom(Atom(C.NEQ, target.ref, cand.ref))
-        self._materialize(ok, target, struct_name)
-        then(ok, target)
-        succs.append(ok)
-
-        ok_base = base.with_atom(ne_null)
-        for cand in fresh_candidates:
-            alias = Atom(C.EQ, target.ref, cand.ref)
-            if self.sat.check(ok_base, alias) == SatResult.UNSAT:
+        for q, is_object in outcomes:
+            if not is_object:
+                succs.append(self._error(q, "NULL dereference"))
                 continue
-            al = p.clone()
-            al.add_mem_atom(ne_null)
-            al.add_mem_atom(alias)
-            al.guard_split = True
-            al.aliases[target] = cand
-            then(al, cand)
-            succs.append(al)
-
-        err = p.clone()
-        err.add_mem_atom(eq_null)
-        if s_null == SatResult.UNKNOWN:
-            err.approx = True
-        err.guard_split = True
-        self._error(err, "NULL dereference")
-        succs.append(err)
-        self._log_split(succs[0], succs[-1])
+            worlds = [(q, target)]
+            if len(outcomes) == 2 and self.lazy_aliasing and target not in q.heap:
+                worlds += self._alias_worlds(q, target, struct_name)
+            self._materialize(q, target, struct_name)
+            for w, obj in worlds:
+                then(w, obj)
+                succs.append(w)
         return succs
+
+    def _alias_worlds(self, ok: Pattern, target: SymAddress, struct_name: str):
+        """With `target` newly found non-null on `ok`: one (pattern,
+        object) per already-discovered object it may be. `ok` itself is
+        told that `target` is none of them."""
+        cands = sorted(
+            (a for a, o in ok.heap.items()
+             if isinstance(o, HeapObject) and o.lazy
+             and o.struct_name == struct_name and a != target),
+            key=lambda a: (a.display, a.sid),
+        )
+        if not cands:
+            return []
+        base = ok.combined_condition()
+        worlds = []
+        for cand in cands:
+            alias = Atom(C.EQ, target.ref, cand.ref)
+            if self.sat.check(base, alias) != SatResult.UNSAT:
+                al = ok.clone()
+                al.add_mem_atom(alias)
+                al.aliases[target] = cand
+                worlds.append((al, cand))
+        for cand in cands:
+            ok.add_mem_atom(Atom(C.NEQ, target.ref, cand.ref))
+        return worlds
 
     @staticmethod
     def _value_term(v):
@@ -404,13 +391,10 @@ class _Engine:
             p.vals.append(TypedValue(nodes.INT, 1 if v.payload != 0 else 0))
             return [p]
         if isinstance(v, Addr):
-            target = p.resolve(v.target)
-            atom = Atom(C.NEQ, target.ref, NullRef())
-            route = "mem"
-        else:
-            atom = Atom(C.NEQ, self._value_term(v), NullRef())
-            route = "path"
-        return self._binary_split(p, atom, route)
+            v = Addr(p.resolve(v.target))
+        term = self._value_term(v)
+        zero = IntConst(0) if C.is_int_term(term) else NullRef()
+        return self._binary_split(p, Atom(C.NEQ, term, zero))
 
     # -------------------------------------------------- stepping
 
@@ -644,13 +628,7 @@ class _Engine:
         rt = self._value_term(r)
         if lt is None or rt is None:
             return [self._error(p, "comparison of incomparable values")]
-        atom = Atom(_CMP_TO_ATOM[op], lt, rt)
-        null_vs_addr = (
-            (isinstance(l, Addr) and r is NULL_ADDR)
-            or (l is NULL_ADDR and isinstance(r, Addr))
-        )
-        route = "mem" if null_vs_addr else "path"
-        return self._binary_split(p, atom, route)
+        return self._binary_split(p, Atom(_CMP_TO_ATOM[op], lt, rt))
 
     # -------------------------------------------------- calls
 
@@ -665,20 +643,10 @@ class _Engine:
         if active >= self.limits.unroll_bound:
             self.truncated += 1
             return []
-        frame = Frame(item.fname, item.site, p.env, p.loop_counts)
-        p.call_stack.append(frame)
-        env = {}
-        for (pname, _pt), v in zip(f.params, args):
-            cell = self.alloc.fresh_addr(f"cell_{pname}")
-            p.heap[cell] = v
-            env[pname] = cell
-        for lname, _lt in f.locals:
-            cell = self.alloc.fresh_addr(f"cell_{lname}")
-            p.heap[cell] = UNDEF
-            env[lname] = cell
-        p.env = env
+        p.call_stack.append(Frame(item.fname, item.site, p.env, p.loop_counts))
+        p.env = bind_frame(f, args, p.heap, self.alloc)
         p.loop_counts = {}
-        p.k[:0] = [KStmt(x) for x in f.body] + [KCallBoundary()]
+        p.k[:0] = _body(f)
         return [p]
 
     def _do_return(self, p: Pattern, rv, boundary_consumed: bool) -> list[Pattern]:
@@ -711,7 +679,9 @@ def se(
 ) -> SEResult:
     """Execute `call_pattern` symbolically and return every terminal
     pattern (finals and errors), the count of bound-cut paths, and the log
-    of genuine guard splits.
+    of genuine guard splits. `budget_error` is set when a terminal pattern
+    the run would keep finds `limits.max_patterns` already kept, or when a
+    path runs out of steps.
 
     `reject` is an optional predicate over terminal patterns. With it, the
     run is all-or-nothing: it stops at the first terminal pattern `reject`
@@ -725,5 +695,5 @@ def se(
     if f is None:
         raise KeyError(f"unknown function '{call_pattern.fname}'")
     p = make_call_pattern(index, call_pattern, alloc)
-    p.k = [KStmt(x) for x in f.body] + [KCallBoundary()]
+    p.k = _body(f)
     return eng.run(p, reject)

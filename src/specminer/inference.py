@@ -10,8 +10,7 @@ expressible in the caller's vocabulary: a literal, NULL, an input
 argument, or the updated structure root. So a replay stops at its first leaf
 that rules the call out (see `explain`). The surviving equations become
 one axiom per branch; axioms are then merged (same conclusion — intersect
-premises; same premises — union conclusions) and redundant equations
-dropped.
+premises; same premises — union conclusions) and canonically ordered.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from . import constraints as C
-from .constraints import Atom, Constraint, Entailment, IntConst, NullRef, SymAddrRef, SymIntRef
+from .constraints import Atom, Constraint, Entailment, NullRef
 from .engine import Limits, se
 from .symstate import (
     FINAL,
@@ -370,64 +369,8 @@ def infer_spec(
 
 # ---------------------------------------------------------------- simplify
 
-def _eq_key(e: Equation):
-    return (e.observer, e.args)
-
-
 def _canonical(eqs) -> tuple:
     return tuple(sorted(eqs, key=lambda e: (e.observer, e.args)))
-
-
-def _encode_equations(eqs):
-    """Each observer call becomes an opaque symbol; its equation becomes an
-    atom over that symbol, so entailment between equations can be decided
-    without interpreting the observers."""
-    ids: dict = {}
-    consts: dict = {}
-
-    def var_for(key, int_valued):
-        if key not in ids:
-            sid = 10_000_000 + len(ids)
-            ids[key] = (SymIntRef(sid, f"o{len(ids)}") if int_valued
-                        else SymAddrRef(sid, f"o{len(ids)}"))
-        return ids[key]
-
-    def const_for(name):
-        if name not in consts:
-            sid = 20_000_000 + len(consts)
-            consts[name] = SymAddrRef(sid, name)
-        return consts[name]
-
-    atoms = {}
-    for e in eqs:
-        rhs = e.rhs
-        if isinstance(rhs, RInt):
-            atoms[e] = Atom(C.EQ, var_for(_eq_key(e), True), IntConst(rhs.value))
-        elif isinstance(rhs, RNull):
-            atoms[e] = Atom(C.EQ, var_for(_eq_key(e), False), NullRef())
-        elif isinstance(rhs, (RArg, RPostRoot)):
-            atoms[e] = Atom(C.EQ, var_for(_eq_key(e), False), const_for(rhs.name))
-        else:
-            atoms[e] = None
-    return atoms
-
-
-def _drop_entailed(eqs: tuple) -> tuple:
-    atoms = _encode_equations(eqs)
-    kept = list(eqs)
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(kept, key=lambda x: (-len(x.render()), x.render())):
-            a = atoms[e]
-            if a is None:
-                continue
-            rest = [atoms[o] for o in kept if o is not e and atoms[o] is not None]
-            if C.entails(Constraint(frozenset(rest)), a) == Entailment.YES:
-                kept.remove(e)
-                changed = True
-                break
-    return tuple(kept)
 
 
 def simplify_spec(axioms: list) -> list:
@@ -471,8 +414,6 @@ def simplify_spec(axioms: list) -> list:
                     break
             if changed:
                 break
-    axioms = [Axiom(_drop_entailed(a.pre), _drop_entailed(a.post), a.ret,
-                    a.provenance, a.approx) for a in axioms]
 
     def size(a: Axiom) -> tuple:
         parts = [e.render() for e in a.pre + a.post]

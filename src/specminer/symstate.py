@@ -278,15 +278,11 @@ class CallPattern:
     initial_malloced: frozenset = frozenset()
 
 
-def make_call_pattern(index, cp: CallPattern, alloc: Allocator) -> Pattern:
-    """Bind parameters to fresh cells holding the argument values; locals
-    get cells too, initially undefined."""
-    f = index.functions[cp.fname]
-    if len(f.params) != len(cp.args):
-        raise ArityMismatch(f"{cp.fname} expects {len(f.params)} args, got {len(cp.args)}")
-    heap = _copy_heap(cp.initial_heap)
+def bind_frame(f, args: list, heap: Heap, alloc: Allocator) -> dict[str, SymAddress]:
+    """Bind `f`'s parameters to fresh cells in `heap` holding `args`, and
+    its locals to fresh cells, initially undefined; return the new env."""
     env: dict[str, SymAddress] = {}
-    for (pname, _ptype), v in zip(f.params, cp.args):
+    for (pname, _ptype), v in zip(f.params, args):
         cell = alloc.fresh_addr(f"cell_{pname}")
         heap[cell] = v
         env[pname] = cell
@@ -294,6 +290,17 @@ def make_call_pattern(index, cp: CallPattern, alloc: Allocator) -> Pattern:
         cell = alloc.fresh_addr(f"cell_{lname}")
         heap[cell] = UNDEF
         env[lname] = cell
+    return env
+
+
+def make_call_pattern(index, cp: CallPattern, alloc: Allocator) -> Pattern:
+    """The entry pattern of `cp`: its heap, with the callee's frame bound
+    by `bind_frame`."""
+    f = index.functions[cp.fname]
+    if len(f.params) != len(cp.args):
+        raise ArityMismatch(f"{cp.fname} expects {len(f.params)} args, got {len(cp.args)}")
+    heap = _copy_heap(cp.initial_heap)
+    env = bind_frame(f, cp.args, heap, alloc)
     return Pattern(
         k=[],
         env=env,

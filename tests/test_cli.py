@@ -289,6 +289,25 @@ def test_replay_ruled_out_before_its_budget_is_no_budget_error(capsys, monkeypat
     assert doc["axioms"] == json.loads(out)["axioms"]
 
 
+def test_budget_that_loses_no_leaf_is_no_budget_error(capsys, monkeypatch, tmp_path):
+    # r keeps one leaf; its other path recurses and is cut at the bound, so
+    # a one-pattern budget loses nothing
+    src = tmp_path / "r.c"
+    src.write_text("int r(int x) { if (x > 0) return 1; return r(x); }\n")
+    outputs = []
+    for budget in (None, "1"):
+        if budget:
+            monkeypatch.setenv(MAX_PATTERNS_ENV, budget)
+        code, out, err = run(capsys, str(src), "-f", "r")
+        assert code == EXIT_OK
+        assert "budget" not in err
+        code, doc, _err = run(capsys, str(src), "-f", "r", "--format", "json")
+        doc = json.loads(doc)
+        del doc["limits"]
+        outputs.append((out, doc))
+    assert outputs[1] == outputs[0]
+
+
 def test_lazy_aliasing_find_needs_no_step_budget(capsys):
     # the observer walks that run on forever over a cyclic discovered heap
     # are ruled out by an earlier leaf before they reach the step cap

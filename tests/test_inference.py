@@ -12,6 +12,8 @@ from dataclasses import replace
 import pytest
 
 from specminer import inference
+from specminer.concrete import CAddr, CObject, concrete_run
+from specminer.constraints import render_constraint
 from specminer.engine import Limits, se
 from specminer.frontend import load_program, nodes as N
 from specminer.inference import (
@@ -400,6 +402,44 @@ def test_lazy_aliasing_never_gives_one_observer_call_two_values():
         rhs = {}
         for e in ax.post:
             assert rhs.setdefault((e.observer, e.args), e.rhs) == e.rhs, e.render()
+
+
+TOUCH_NEXT_SRC = """
+struct N { int v; struct N* next; };
+int getv(struct N* n) { return n->v; }
+int touch(struct N* a) {
+  if (a->next != NULL) { a->next->v = 1; a->v = 2; return a->next->v; }
+  return 0;
+}
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "alias worlds are forked only where the NULL test splits at the "
+    "dereference; `a->next` is decided non-null by the comparison before "
+    "it, so `a->next == a` is never considered"))
+def test_lazy_aliasing_forks_a_pointer_decided_non_null_earlier():
+    idx = load_program(TOUCH_NEXT_SRC)
+    a = CAddr(1)
+    got, _heap = concrete_run(idx, "touch", {a: CObject("N", {"v": 0, "next": a})}, [a])
+    assert got == 2  # a one-node cyclic list
+    spec = infer_spec(idx, "touch", lazy_aliasing=True)
+    assert Equation(RET, (), RInt(got)) in [ax.ret for ax in spec.axioms]
+
+
+def test_an_int_tested_for_truth_is_compared_with_zero():
+    # `if (x)` must decide the same atom as `if (x != 0)`; comparing an int
+    # with NULL is a sort error the solver answers Unknown
+    idx = load_program("int f(int x) { if (x) return 1; return 0; }\n"
+                       "int g(int x) { if (x != 0) return 1; return 0; }\n")
+    spec = infer_spec(idx, "f")
+    assert [render_constraint(p.path_condition) for p in spec.patterns] == \
+        ["?x != 0", "?x = 0"]
+    assert not any(ax.approx for ax in spec.axioms)
+    assert _shape(spec) == {
+        _triple({"g(x) = 1"}, {"g(x) = 1"}, "ret = 1"),
+        _triple({"g(x) = 0"}, {"g(x) = 0"}, "ret = 0"),
+    }
 
 
 def test_observers_override_narrows_the_universe(dll_index):
