@@ -381,20 +381,14 @@ class _Engine:
         return None
 
     def _push_truth(self, p: Pattern, v):
-        """Reduce a value to concrete 0/1 on each successor."""
+        """Reduce an int value (the resolver admits no other condition) to
+        concrete 0/1 on each successor."""
         if v is UNDEF:
             return [self._error(p, "read of undefined value")]
-        if v is NULL_ADDR:
-            p.vals.append(TypedValue(nodes.INT, 0))
-            return [p]
-        if isinstance(v, TypedValue) and isinstance(v.payload, int):
+        if isinstance(v.payload, int):
             p.vals.append(TypedValue(nodes.INT, 1 if v.payload != 0 else 0))
             return [p]
-        if isinstance(v, Addr):
-            v = Addr(p.resolve(v.target))
-        term = self._value_term(v)
-        zero = IntConst(0) if C.is_int_term(term) else NullRef()
-        return self._binary_split(p, Atom(C.NEQ, term, zero))
+        return self._binary_split(p, Atom(C.NEQ, v.payload, IntConst(0)))
 
     # -------------------------------------------------- stepping
 

@@ -370,7 +370,7 @@ def infer_spec(
 # ---------------------------------------------------------------- simplify
 
 def _canonical(eqs) -> tuple:
-    return tuple(sorted(eqs, key=lambda e: (e.observer, e.args)))
+    return tuple(sorted(eqs, key=lambda e: (e.observer, e.args, e.render())))
 
 
 def simplify_spec(axioms: list) -> list:

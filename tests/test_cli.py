@@ -1,11 +1,15 @@
 """Command-line interface tests: flags, formats, exit codes.
 
-Everything here drives main() in-process; the byte-identity check across
-real subprocesses lives in the acceptance suite.
+Everything here drives main() in-process, except one hash-seed check; the
+corpus-wide byte-identity check across real subprocesses lives in the
+acceptance suite.
 """
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -163,6 +167,31 @@ def test_lazy_aliasing_flag_runs(capsys, tmp_path):
     assert code == EXIT_OK
     # the aliased world surfaces as a second return class
     assert "ret = 1" in out and "ret = 2" in out
+
+
+PICK_SRC = (
+    "struct N { int v; struct N* next; };\n"
+    "int getv(struct N* n) { return n->v; }\n"
+    "int diff(struct N* a, struct N* b) { return a->v - b->v; }\n"
+    "struct N* pick(struct N* a, struct N* b) { b->v = 2; a->v = 1; return a; }\n")
+
+
+def test_one_call_with_two_values_prints_the_same_under_any_hash_seed(tmp_path):
+    # the joined post of `pick` holds getv(b) = 1 and getv(b) = 2; equations
+    # that share observer and arguments must still print in a fixed order
+    src = tmp_path / "pick.c"
+    src.write_text(PICK_SRC)
+    outs = set()
+    for seed in ("0", "5", "7", "42"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "specminer.cli", str(src), "-f", "pick",
+             "--lazy-aliasing"],
+            capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode == EXIT_OK, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    out = outs.pop().decode()
+    assert out.index("getv(b) = 1") < out.index("getv(b) = 2")
 
 
 def test_unknown_verdict_marks_every_axiom_approx(capsys, tmp_path):

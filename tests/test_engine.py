@@ -6,7 +6,7 @@ import random
 import pytest
 
 from specminer.concrete import build_dll, concrete_run
-from specminer.constraints import SatResult, check_sat, conjoin, render_constraint
+from specminer.constraints import NULL, SatCache, SatResult, check_sat, conjoin, render_constraint
 from specminer.engine import Limits, se
 from specminer.frontend import load_program, nodes as N
 from specminer.symstate import (
@@ -154,6 +154,26 @@ def test_lazy_aliasing_adds_the_overlap_world():
     rets = sorted(render_tv(p.return_value) for p in aliased.final_patterns)
     # when b resolves to a, the second write clobbers the first
     assert rets == ["tv(int, 1)", "tv(int, 2)"]
+
+
+def test_alias_worlds_inherit_an_unknown_non_null_verdict(monkeypatch):
+    # the alias world also rests on `b != NULL`; when the solver cannot
+    # decide that atom, the world must be marked approx like the separate one
+    check = SatCache.check
+
+    def unknown_b_non_null(self, base, atom):
+        if atom.op == "!=" and atom.rhs == NULL and atom.lhs.display == "b":
+            return SatResult.UNKNOWN
+        return check(self, base, atom)
+
+    monkeypatch.setattr(SatCache, "check", unknown_b_non_null)
+    alloc = Allocator()
+    cp = CallPattern("touch", [Addr(alloc.fresh_addr("a")),
+                               Addr(alloc.fresh_addr("b"))])
+    res = se(load_program(ALIAS_SRC), cp, Limits(), alloc, lazy_aliasing=True)
+    assert sorted(render_tv(p.return_value) for p in res.final_patterns) == \
+        ["tv(int, 1)", "tv(int, 2)"]
+    assert all(p.approx for p in res.final_patterns)
 
 
 def test_aliases_map_undiscovered_addresses_to_lazy_objects(dll_index):
