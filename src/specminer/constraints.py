@@ -19,13 +19,14 @@ Unsat is only ever returned with an actual refutation in hand.
 
 Both parts live in one `Closure` object, and `check_sat` is its verdict.
 The engine asks a narrower question at every branch and dereference: "is
-this path condition plus one atom satisfiable?". Each exploration answers
-it through its own `SatCache`, which keeps the closure of every atom set it
-has seen. A question extends the path condition's closure by one atom (a
-copied union-find re-closed over field paths, or a re-run of the interval
-check on the integer atoms) and keeps the result, where the path's next
-question starts. Its answers are `check_sat`'s, so the one-sided Unsat
-contract holds for them too.
+this path condition plus one atom satisfiable?". One `SatCache` answers it
+for a whole inference invocation (the modifier run and every observer
+replay, which start from the modifier's path conditions), keeping the
+closure of every atom set it has seen. A question extends the path
+condition's closure by one atom (a copied union-find re-closed over field
+paths, or a re-run of the interval check on the integer atoms) and keeps
+the result, where the path's next question starts. Its answers are
+`check_sat`'s, so the one-sided Unsat contract holds for them too.
 """
 
 from __future__ import annotations
@@ -495,23 +496,29 @@ def check_sat(c: Constraint) -> SatResult:
 
 
 class SatCache:
-    """Memo for the questions one exploration asks: "is `base` plus one
-    atom satisfiable?". It maps atom sets to their closures. A question
-    extends the closure of `base` by the atom and keeps the result, which
-    is the base of the next question on that path. Answers equal
-    `check_sat` on the conjunction."""
+    """Memo for the questions one inference invocation asks: "is `base`
+    plus one atom satisfiable?". It maps atom sets to their closures. A
+    question extends the closure of `base` by the atom and keeps the
+    result, which is the base of the next question on that path. Answers
+    equal `check_sat` on the conjunction, which depends on the atom set
+    alone, so runs may share one cache."""
 
     def __init__(self):
         self.closures: dict[frozenset, Closure] = {}
 
+    def _closure(self, atoms: frozenset) -> Closure:
+        closure = self.closures.get(atoms)
+        if closure is None:
+            closure = self.closures[atoms] = Closure.of(atoms)
+        return closure
+
     def check(self, base: Constraint, atom: Atom) -> SatResult:
+        if atom in base.atoms:
+            return self._closure(base.atoms).verdict
         key = base.atoms | {atom}
         closure = self.closures.get(key)
         if closure is None:
-            base_closure = self.closures.get(base.atoms)
-            if base_closure is None:
-                base_closure = self.closures[base.atoms] = Closure.of(base.atoms)
-            closure = self.closures[key] = base_closure.extended(atom)
+            closure = self.closures[key] = self._closure(base.atoms).extended(atom)
         return closure.verdict
 
 

@@ -11,9 +11,12 @@ Three mechanisms matter beyond plain evaluation:
   its negation — in the memory condition cell when it tests an address
   against NULL (heap shape discovery), in the ordinary path condition
   otherwise. A decision the conditions already entail takes a single
-  successor and records nothing. A branch pushes the outcome as 1 or 0; a
-  dereference turns the NULL outcome into an error leaf. An int is true
-  when it is not 0.
+  successor and records nothing; when they record the atom or its
+  negation, that decides it with one solver question. A branch pushes the
+  outcome as 1 or 0; a dereference turns the NULL outcome into an error
+  leaf. An int is true when it is not 0. The solver's answers come from a
+  `SatCache` the caller may share between runs (`infer_spec` shares one
+  between the modifier run and every observer replay).
 
 * Lazy heaps. The input heap starts unknown. Dereferencing an address the
   conditions allow to be non-null conjures an empty object for it; reading
@@ -193,7 +196,8 @@ def _body(f) -> list:
 # ---------------------------------------------------------------- engine
 
 class _Engine:
-    def __init__(self, index, limits: Limits, alloc: Allocator, lazy_aliasing: bool):
+    def __init__(self, index, limits: Limits, alloc: Allocator, lazy_aliasing: bool,
+                 sat: C.SatCache):
         self.index = index
         self.limits = limits
         self.alloc = alloc
@@ -201,9 +205,9 @@ class _Engine:
         self.truncated = 0
         self.budget_error = False
         self.split_log: list = []
-        # satisfiability of "path condition plus one atom", for this
-        # exploration only
-        self.sat = C.SatCache()
+        # satisfiability of "path condition plus one atom"; the caller may
+        # share it with other runs
+        self.sat = sat
 
     # -------------------------------------------------- main loop
 
@@ -283,9 +287,19 @@ class _Engine:
         entailed polarity keeps `p` and records nothing; a genuine split
         clones `p`, records the atom on one side and its negation on the
         other, and logs the split. A side that rests on an Unknown verdict
-        is marked `approx`."""
+        is marked `approx`. When the conditions record the atom or its
+        negation, only their own verdict is asked: Unsat leaves no
+        successor, anything else keeps `p` on the recorded side."""
         neg = C.negate_atom(atom)
         base = p.combined_condition()
+        for recorded, holds in ((atom, True), (neg, False)):
+            if recorded in base.atoms:
+                verdict = self.sat.check(base, recorded)
+                if verdict == SatResult.UNSAT:
+                    return []
+                if verdict == SatResult.UNKNOWN:
+                    p.approx = True
+                return [(p, holds)]
         st = self.sat.check(base, atom)
         sf = self.sat.check(base, neg)
         if st == SatResult.UNSAT and sf == SatResult.UNSAT:
@@ -670,6 +684,7 @@ def se(
     alloc: Allocator | None = None,
     lazy_aliasing: bool = False,
     reject=None,
+    sat: C.SatCache | None = None,
 ) -> SEResult:
     """Execute `call_pattern` symbolically and return every terminal
     pattern (finals and errors), the count of bound-cut paths, and the log
@@ -681,10 +696,14 @@ def se(
     run is all-or-nothing: it stops at the first terminal pattern `reject`
     holds for, or at the first path cut at the unroll bound, and sets
     `rejected`. Exploration then takes the last successor of each split
-    first, so the patterns come in another order than without it."""
+    first, so the patterns come in another order than without it.
+
+    `sat` answers the run's solver questions. Runs may share it; a run
+    without one gets a fresh cache."""
     limits = limits or Limits()
     alloc = alloc or Allocator()
-    eng = _Engine(index, limits, alloc, lazy_aliasing)
+    eng = _Engine(index, limits, alloc, lazy_aliasing,
+                  C.SatCache() if sat is None else sat)
     f = index.functions.get(call_pattern.fname)
     if f is None:
         raise KeyError(f"unknown function '{call_pattern.fname}'")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from . import constraints as C
-from .constraints import Atom, Constraint, Entailment, NullRef
+from .constraints import Atom, Constraint, NullRef, SatCache, SatResult
 from .engine import Limits, se
 from .symstate import (
     FINAL,
@@ -173,7 +173,7 @@ def _sym_id_map(args, post_root):
     return m
 
 
-def _normalize_return(leaf: Pattern, sym_map: dict):
+def _normalize_return(leaf: Pattern, sym_map: dict, sat: SatCache):
     """The leaf's return value as an expressible rhs, or None."""
     v = leaf.return_value
     if v is NULL_ADDR:
@@ -181,9 +181,8 @@ def _normalize_return(leaf: Pattern, sym_map: dict):
     if isinstance(v, Addr):
         t = leaf.resolve(v.target)
         # a provably-null address is NULL first, whatever else it matches
-        verdict = C.entails(leaf.combined_condition(),
-                            Atom(C.EQ, t.ref, NullRef()))
-        if verdict == Entailment.YES:
+        if sat.check(leaf.combined_condition(),
+                     Atom(C.NEQ, t.ref, NullRef())) == SatResult.UNSAT:
             return RNull()
         if t.sid in sym_map:
             return sym_map[t.sid]
@@ -206,6 +205,7 @@ def explain(
     alloc: Allocator,
     observer_names,
     *,
+    sat: SatCache,
     malloced=frozenset(),
     post_root=None,
     lazy_aliasing: bool = False,
@@ -215,7 +215,9 @@ def explain(
     """Equations observed to hold on `heap` under `condition`.
 
     `args` is [(display, value, ctype)] — the vocabulary; `post_root`
-    optionally names (sid, display) for the updated-structure root.
+    optionally names (sid, display) for the updated-structure root. `sat`
+    answers every solver question of the replays and may be shared with
+    other runs.
 
     A call's replay rejects a leaf that is not final, whose value the
     caller cannot name, or whose value differs from the first leaf's, and
@@ -229,7 +231,7 @@ def explain(
         values = []  # the nameable value of each accepted leaf, all equal
 
         def reject(leaf: Pattern) -> bool:
-            v = _normalize_return(leaf, sym_map) if leaf.status == FINAL else None
+            v = _normalize_return(leaf, sym_map, sat) if leaf.status == FINAL else None
             if v is None or (values and v != values[0]):
                 return True
             values.append(v)
@@ -245,6 +247,7 @@ def explain(
             alloc,
             lazy_aliasing,
             reject,
+            sat=sat,
         )
         if res.budget_error:
             budget_hit = True
@@ -299,9 +302,12 @@ def infer_spec(
         observer_names = sorted(n for n in index.observers if n != modifier)
 
     alloc = Allocator(seed_label)
+    # one solver cache for every run below: replays start from the path
+    # conditions whose closures the modifier run already built
+    sat = SatCache()
     seeded = _seed_args(f, alloc)
     res = se(index, CallPattern(modifier, [v for _n, v, _t in seeded]),
-             limits, alloc, lazy_aliasing)
+             limits, alloc, lazy_aliasing, sat=sat)
 
     diagnostics: list[str] = []
     split_log = list(res.split_log)
@@ -323,7 +329,7 @@ def infer_spec(
         cond = p.combined_condition()
         pre_eqs, hit = explain(
             index, p.entry_heap, cond, seeded, limits, alloc, observer_names,
-            malloced=p.malloced, lazy_aliasing=lazy_aliasing,
+            sat=sat, malloced=p.malloced, lazy_aliasing=lazy_aliasing,
             diagnostics=diagnostics, context=f"{modifier}/{p.provenance_id} pre")
         budget_error = budget_error or hit
 
@@ -343,14 +349,15 @@ def infer_spec(
                 post_args.append((pname, p.heap.get(p.env[pname], UNDEF), ptype))
         post_eqs, hit = explain(
             index, p.heap, cond, post_args, limits, alloc, observer_names,
-            malloced=p.malloced, post_root=post_root, lazy_aliasing=lazy_aliasing,
+            sat=sat, malloced=p.malloced, post_root=post_root,
+            lazy_aliasing=lazy_aliasing,
             diagnostics=diagnostics, context=f"{modifier}/{p.provenance_id} post")
         budget_error = budget_error or hit
 
         if f.return_type.kind == "void":
             ret_eq = Equation(RET, (), RVoid())
         else:
-            rhs = _normalize_return(p, _sym_id_map(post_args, post_root))
+            rhs = _normalize_return(p, _sym_id_map(post_args, post_root), sat)
             ret_eq = Equation(RET, (), rhs) if rhs is not None else None
 
         approx = p.approx or any(e.approx for e in pre_eqs + post_eqs)

@@ -231,9 +231,8 @@ class Pattern:
         self.alloc_condition = self.alloc_condition.with_atom(a)
 
     def combined_condition(self) -> Constraint:
-        from .constraints import conjoin
-        return conjoin(conjoin(self.path_condition, self.mem_path_condition),
-                       self.alloc_condition)
+        return Constraint(self.path_condition.atoms | self.mem_path_condition.atoms
+                          | self.alloc_condition.atoms)
 
 
 def _copy_heap(h: Heap) -> Heap:

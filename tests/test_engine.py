@@ -6,8 +6,11 @@ import random
 import pytest
 
 from specminer.concrete import build_dll, concrete_run
-from specminer.constraints import NULL, SatCache, SatResult, check_sat, conjoin, render_constraint
-from specminer.engine import Limits, se
+from specminer.constraints import (
+    GT, NULL, Atom, SatCache, SatResult, check_sat, conjoin, constraint, negate_atom,
+    render_constraint,
+)
+from specminer.engine import Limits, _Engine, se
 from specminer.frontend import load_program, nodes as N
 from specminer.symstate import (
     Addr,
@@ -15,7 +18,9 @@ from specminer.symstate import (
     CallPattern,
     HeapObject,
     NULL_ADDR,
+    Pattern,
     TypedValue,
+    make_call_pattern,
     render_pattern,
     render_tv,
 )
@@ -41,6 +46,45 @@ def test_branch_has_exactly_two_patterns(branch_index):
            for p in res.final_patterns]
     assert got == [("tv(int, 1)", "?x > ?y"), ("tv(int, 0)", "?x <= ?y")]
     assert [p.provenance_id for p in res.patterns] == ["p0", "p1"]
+
+
+@pytest.mark.parametrize("verdict", [None, SatResult.UNKNOWN, SatResult.UNSAT])
+@pytest.mark.parametrize("holds", [True, False])
+def test_a_recorded_atom_decides_its_branch_with_one_question(
+        branch_index, monkeypatch, holds, verdict):
+    """When the path records `x > y` (or its negation), deciding `x > y`
+    keeps the pattern on that side, clones nothing and asks the cache only
+    for the path's own verdict: Unknown marks it approx, Unsat drops it.
+    `verdict` stubs that answer; None keeps the real (Sat) one."""
+    alloc = Allocator()
+    x, y = alloc.fresh_int("x"), alloc.fresh_int("y")
+    atom = Atom(GT, x, y)
+    recorded = atom if holds else negate_atom(atom)
+    p = make_call_pattern(branch_index, CallPattern(
+        "branch", [TypedValue(N.INT, x), TypedValue(N.INT, y)],
+        initial_constraint=constraint(recorded)), alloc)
+    base = p.combined_condition()
+    asked = []
+    real_check = SatCache.check
+
+    def check(self, b, a):
+        asked.append((b, a))
+        return verdict or real_check(self, b, a)
+
+    def clone(self):
+        raise AssertionError("a recorded atom must not fork the pattern")
+
+    monkeypatch.setattr(SatCache, "check", check)
+    monkeypatch.setattr(Pattern, "clone", clone)
+    eng = _Engine(branch_index, Limits(), alloc, False, SatCache())
+    out = eng._decide(p, atom)
+    assert asked == [(base, recorded)]
+    assert p.combined_condition() == base and eng.split_log == []
+    if verdict == SatResult.UNSAT:
+        assert out == []
+    else:
+        assert out == [(p, holds)]
+        assert p.approx == (verdict == SatResult.UNKNOWN)
 
 
 # ---------------------------------------------------------------- append

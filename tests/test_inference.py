@@ -13,7 +13,9 @@ import pytest
 
 from specminer import inference
 from specminer.concrete import CAddr, CObject, concrete_run
-from specminer.constraints import render_constraint
+from specminer.constraints import (
+    SatCache, check_sat, conjoin, constraint, render_constraint,
+)
 from specminer.engine import Limits, se
 from specminer.frontend import load_program, nodes as N
 from specminer.inference import (
@@ -285,22 +287,25 @@ def test_observer_budget_is_reported_not_fatal():
     assert any("exhausted its budget" in d for d in spec.diagnostics)
 
 
-def _ruled_out(res, sym_map):
+def _ruled_out(res, sym_map, sat):
     """Does a complete replay have a leaf that rules its call out? A
     step-budget leaf is the budget running out, not a ruling."""
-    values = {inference._normalize_return(p, sym_map) for p in res.final_patterns}
+    values = {inference._normalize_return(p, sym_map, sat) for p in res.final_patterns}
     return (res.truncated_paths > 0 or None in values or len(values) > 1
             or any(p.error_reason != "step budget exceeded"
                    for p in res.error_patterns))
 
 
 def _exhaustive_explain(index, heap, condition, args, limits, alloc,
-                        observer_names, *, malloced=frozenset(), post_root=None,
+                        observer_names, *, sat, malloced=frozenset(), post_root=None,
                         lazy_aliasing=False, context=""):
     """The acceptance rule applied after complete replays, as it was before
     replays stopped early. Returns the equations, the budget diagnostics,
-    and the budget diagnostics of calls no leaf rules out."""
+    and the budget diagnostics of calls no leaf rules out. It is an
+    independent oracle: it ignores the invocation's solver cache `sat`, and
+    each replay and return-value test gets a fresh one."""
     sym_map = inference._sym_id_map(args, post_root)
+    own_sat = SatCache()
     equations, diagnostics, unruled = [], [], []
     for oname, call_args in build_universe(index, observer_names, args):
         def replay(limits):
@@ -317,7 +322,8 @@ def _exhaustive_explain(index, heap, condition, args, limits, alloc,
                     f"budget; inconclusive")
             diagnostics.append(note)
             # a pattern budget hides leaves; judge the call on all of them
-            if not _ruled_out(replay(replace(limits, max_patterns=10**6)), sym_map):
+            if not _ruled_out(replay(replace(limits, max_patterns=10**6)), sym_map,
+                              own_sat):
                 unruled.append(note)
             continue
         if res.error_patterns or res.truncated_paths:
@@ -325,7 +331,8 @@ def _exhaustive_explain(index, heap, condition, args, limits, alloc,
         leaves = res.final_patterns
         if not leaves:
             continue
-        values = [inference._normalize_return(leaf, sym_map) for leaf in leaves]
+        values = [inference._normalize_return(leaf, sym_map, own_sat)
+                  for leaf in leaves]
         if any(v is None for v in values):
             continue
         if any(v != values[0] for v in values[1:]):
@@ -374,6 +381,44 @@ def test_early_rejection_never_changes_an_equation(
     infer_spec(dll_index, modifier, Limits(unroll_bound=unroll, **budget),
                lazy_aliasing=lazy_aliasing)
     assert replays
+
+
+def test_one_invocation_asks_one_solver_cache(dll_index, branch_index, setter_index,
+                                             monkeypatch):
+    """`infer_spec` hands one `SatCache` to the modifier run, to every
+    replay and to the return-value test. Each answer must equal `check_sat`
+    on the conjunction, and no two invocations may share a cache."""
+    real_check = SatCache.check
+    asked = []  # (cache, base, atom, verdict), current invocation only
+
+    def checked(self, base, atom):
+        verdict = real_check(self, base, atom)
+        asked.append((self, base, atom, verdict))
+        return verdict
+
+    monkeypatch.setattr(SatCache, "check", checked)
+    cases = [(dll_index, m) for m in
+             ("append", "length", "reverse", "head", "last", "find", "init")]
+    cases += [(branch_index, "branch"), (setter_index, "set_val")]
+    caches = []  # kept alive, so their ids stay distinct
+    for index, modifier in cases:
+        for unroll in (1, 2):
+            for lazy_aliasing in (False, True):
+                asked.clear()
+                # the step cap keeps init's divergent --lazy-aliasing run short
+                infer_spec(index, modifier,
+                           Limits(unroll_bound=unroll, max_steps=2000),
+                           lazy_aliasing=lazy_aliasing)
+                case = (modifier, unroll, lazy_aliasing)
+                assert len({id(c) for c, *_ in asked}) == 1, case
+                caches.append(asked[0][0])
+                want: dict = {}
+                for _c, base, atom, verdict in asked:
+                    key = (base.atoms, atom)
+                    if key not in want:
+                        want[key] = check_sat(conjoin(base, constraint(atom)))
+                    assert verdict == want[key], (case, base, atom)
+    assert len({id(c) for c in caches}) == len(caches)
 
 
 def test_unknown_modifier_and_observer_names(dll_index, setter_index):
