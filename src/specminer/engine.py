@@ -3,6 +3,15 @@
 The machine is a small-step interpreter over a continuation stack (`k`) and
 an expression value stack, exploring branches depth-first with the true
 branch first (the false one first in an all-or-nothing run, see `se`).
+
+Every continuation frame is a `(handler, node)` pair, top last, where `node`
+is the AST node that pushed the frame and the handler reads what it needs
+from it (an operator, a field name, the branches of an `if`). A statement or
+expression is pushed with the handler `_HANDLERS` gives its node class;
+that handler pushes the frames for its operands and for the work after
+them. One step pops and runs one frame, so `Limits.max_steps` counts
+frames. A `return` drops the frames down to its call-boundary frame.
+
 Three mechanisms matter beyond plain evaluation:
 
 * Guard decisions. Branches and dereferences fork in one place,
@@ -36,6 +45,7 @@ Three mechanisms matter beyond plain evaluation:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import constraints as C
@@ -85,112 +95,6 @@ class SEResult:
     @property
     def error_patterns(self) -> list:
         return [p for p in self.patterns if p.status == ERROR]
-
-
-# ---------------------------------------------------------------- k items
-
-@dataclass(frozen=True)
-class KStmt:
-    stmt: object
-
-
-@dataclass(frozen=True)
-class KPop:
-    pass
-
-
-@dataclass(frozen=True)
-class KExpr:
-    expr: object
-    hint: str = ""
-
-
-@dataclass(frozen=True)
-class KBranch:
-    then: object
-    els: object
-
-
-@dataclass(frozen=True)
-class KLoopCheck:
-    node: object
-
-
-@dataclass(frozen=True)
-class KLoopDecide:
-    node: object
-
-
-@dataclass(frozen=True)
-class KCompare:
-    op: str
-
-
-@dataclass(frozen=True)
-class KArith:
-    op: str
-
-
-@dataclass(frozen=True)
-class KTruth:
-    pass
-
-
-@dataclass(frozen=True)
-class KNot:
-    pass
-
-
-@dataclass(frozen=True)
-class KAndRight:
-    expr: object
-
-
-@dataclass(frozen=True)
-class KOrRight:
-    expr: object
-
-
-@dataclass(frozen=True)
-class KField:
-    fname: str
-    struct_name: str
-
-
-@dataclass(frozen=True)
-class KAssignVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class KWriteField:
-    fname: str
-    struct_name: str
-
-
-@dataclass(frozen=True)
-class KInvoke:
-    fname: str
-    argc: int
-    site: int
-
-
-@dataclass(frozen=True)
-class KCallBoundary:
-    pass
-
-
-@dataclass(frozen=True)
-class KReturn:
-    has_value: bool
-
-
-_CMP_TO_ATOM = {"==": C.EQ, "!=": C.NEQ, "<": C.LT, "<=": C.LE, ">": C.GT, ">=": C.GE}
-
-
-def _body(f) -> list:
-    """The continuation that runs `f`'s body up to its return."""
-    return [KStmt(x) for x in f.body] + [KCallBoundary()]
 
 
 # ---------------------------------------------------------------- engine
@@ -394,9 +298,10 @@ class _Engine:
             return v.payload
         return None
 
-    def _push_truth(self, p: Pattern, v):
+    def _truth(self, p: Pattern, node) -> list[Pattern]:
         """Reduce an int value (the resolver admits no other condition) to
         concrete 0/1 on each successor."""
+        v = p.vals.pop()
         if v is UNDEF:
             return [self._error(p, "read of undefined value")]
         if isinstance(v.payload, int):
@@ -411,258 +316,72 @@ class _Engine:
         if p.steps > self.limits.max_steps:
             self.budget_error = True
             return [self._error(p, "step budget exceeded")]
-        item = p.k.pop(0)
-
-        if isinstance(item, KStmt):
-            return self._step_stmt(p, item.stmt)
-        if isinstance(item, KPop):
-            p.vals.pop()
-            return [p]
-        if isinstance(item, KExpr):
-            return self._step_expr(p, item.expr, item.hint)
-        if isinstance(item, KBranch):
-            v = p.vals.pop()
-            taken = item.then if v.payload != 0 else item.els
-            if taken is not None:
-                p.k.insert(0, KStmt(taken))
-            return [p]
-        if isinstance(item, KLoopCheck):
-            p.guard_split = False
-            p.k[:0] = [KExpr(item.node.cond), KTruth(), KLoopDecide(item.node)]
-            return [p]
-        if isinstance(item, KLoopDecide):
-            v = p.vals.pop()
-            if v.payload == 0:
-                return [p]
-            key = id(item.node)
-            if p.guard_split:
-                count = p.loop_counts.get(key, 0) + 1
-                if count > self.limits.unroll_bound:
-                    self.truncated += 1
-                    return []
-                p.loop_counts[key] = count
-            p.k[:0] = [KStmt(item.node.body), KLoopCheck(item.node)]
-            return [p]
-        if isinstance(item, KCompare):
-            return self._step_compare(p, item.op)
-        if isinstance(item, KArith):
-            r = p.vals.pop()
-            l = p.vals.pop()
-            if not (isinstance(l, TypedValue) and isinstance(r, TypedValue)):
-                return [self._error(p, "arithmetic on a non-integer value")]
-            if isinstance(l.payload, int) and isinstance(r.payload, int):
-                n = l.payload + r.payload if item.op == "+" else l.payload - r.payload
-                p.vals.append(TypedValue(nodes.INT, n))
-                return [p]
-            lt, rt = self._value_term(l), self._value_term(r)
-            s = self.alloc.fresh_int(f"i{self.alloc._next}")
-            expr = C.Add(lt, rt) if item.op == "+" else C.Sub(lt, rt)
-            p.add_path_atom(Atom(C.EQ, s, expr))
-            p.vals.append(TypedValue(nodes.INT, s))
-            return [p]
-        if isinstance(item, KTruth):
-            return self._push_truth(p, p.vals.pop())
-        if isinstance(item, KNot):
-            v = p.vals.pop()
-            p.vals.append(TypedValue(nodes.INT, 0 if v.payload != 0 else 1))
-            return [p]
-        if isinstance(item, KAndRight):
-            v = p.vals.pop()
-            if v.payload == 0:
-                p.vals.append(TypedValue(nodes.INT, 0))
-            else:
-                p.k[:0] = [KExpr(item.expr), KTruth()]
-            return [p]
-        if isinstance(item, KOrRight):
-            v = p.vals.pop()
-            if v.payload != 0:
-                p.vals.append(TypedValue(nodes.INT, 1))
-            else:
-                p.k[:0] = [KExpr(item.expr), KTruth()]
-            return [p]
-        if isinstance(item, KField):
-            base = p.vals.pop()
-
-            def read(q: Pattern, addr: SymAddress):
-                obj = q.heap[addr]
-                v = obj.fields.get(item.fname, MISSING)
-                if v is MISSING:
-                    if obj.lazy:
-                        ftype = dict(self.index.structs[item.struct_name].fields)[item.fname]
-                        v = self._fill(q, addr, item.fname, ftype)
-                    else:
-                        self._error(q, f"read of uninitialized field '{item.fname}'")
-                        return
-                q.vals.append(v)
-
-            return self._deref(p, base, item.struct_name, read)
-        if isinstance(item, KAssignVar):
-            v = p.vals[-1]
-            cell = p.env[item.name]
-            p.heap[cell] = v
-            return [p]
-        if isinstance(item, KWriteField):
-            base = p.vals.pop()
-            val = p.vals.pop()
-
-            def write(q: Pattern, addr: SymAddress):
-                q.heap[addr].fields[item.fname] = val
-                q.vals.append(val)
-
-            return self._deref(p, base, item.struct_name, write)
-        if isinstance(item, KInvoke):
-            return self._step_invoke(p, item)
-        if isinstance(item, KCallBoundary):
-            return self._do_return(p, UNDEF, boundary_consumed=True)
-        if isinstance(item, KReturn):
-            rv = p.vals.pop() if item.has_value else UNDEF
-            return self._do_return(p, rv, boundary_consumed=False)
-        raise TypeError(f"unknown continuation item {item!r}")
+        handler, node = p.k.pop()
+        return handler(self, p, node)
 
     # -------------------------------------------------- statements
 
-    def _step_stmt(self, p: Pattern, s) -> list[Pattern]:
-        if isinstance(s, nodes.Block):
-            p.k[:0] = [KStmt(x) for x in s.stmts]
-            return [p]
-        if isinstance(s, nodes.ExprStmt):
-            p.k[:0] = [KExpr(s.expr), KPop()]
-            return [p]
-        if isinstance(s, nodes.If):
-            p.k[:0] = [KExpr(s.cond), KTruth(), KBranch(s.then, s.els)]
-            return [p]
-        if isinstance(s, nodes.While):
-            p.k.insert(0, KLoopCheck(s))
-            return [p]
-        if isinstance(s, nodes.Return):
-            if s.value is not None:
-                p.k[:0] = [KExpr(s.value), KReturn(True)]
-            else:
-                p.k.insert(0, KReturn(False))
-            return [p]
-        raise TypeError(f"unknown statement {s!r}")
-
-    # -------------------------------------------------- expressions
-
-    def _step_expr(self, p: Pattern, e, hint: str) -> list[Pattern]:
-        if isinstance(e, nodes.IntLit):
-            p.vals.append(TypedValue(nodes.INT, e.value))
-            return [p]
-        if isinstance(e, nodes.NullLit):
-            p.vals.append(NULL_ADDR)
-            return [p]
-        if isinstance(e, nodes.Var):
-            cell = p.env.get(e.name)
-            if cell is None:
-                return [self._error(p, f"unbound variable '{e.name}'")]
-            v = p.heap.get(cell, UNDEF)
-            if v is UNDEF:
-                return [self._error(p, f"read of undefined variable '{e.name}'")]
-            p.vals.append(v)
-            return [p]
-        if isinstance(e, nodes.FieldAccess):
-            p.k[:0] = [KExpr(e.base), KField(e.fieldname, e.struct_name)]
-            return [p]
-        if isinstance(e, nodes.Unary):
-            p.k[:0] = [KExpr(e.operand), KTruth(), KNot()]
-            return [p]
-        if isinstance(e, nodes.Binary):
-            if e.op == "&&":
-                p.k[:0] = [KExpr(e.left), KTruth(), KAndRight(e.right)]
-            elif e.op == "||":
-                p.k[:0] = [KExpr(e.left), KTruth(), KOrRight(e.right)]
-            elif e.op in ("+", "-"):
-                p.k[:0] = [KExpr(e.left), KExpr(e.right), KArith(e.op)]
-            else:
-                p.k[:0] = [KExpr(e.left), KExpr(e.right), KCompare(e.op)]
-            return [p]
-        if isinstance(e, nodes.Assign):
-            t = e.target
-            if isinstance(t, nodes.Var):
-                p.k[:0] = [KExpr(e.value, hint=t.name), KAssignVar(t.name)]
-            else:
-                p.k[:0] = [KExpr(e.value), KExpr(t.base),
-                           KWriteField(t.fieldname, t.struct_name)]
-            return [p]
-        if isinstance(e, nodes.Malloc):
-            name = hint or "obj"
-            m = self.alloc.fresh_addr(name)
-            for a, o in list(p.heap.items()):
-                if isinstance(o, HeapObject):
-                    p.add_alloc_atom(Atom(C.NEQ, m.ref, a.ref))
-            p.add_alloc_atom(Atom(C.NEQ, m.ref, NullRef()))
-            p.heap[m] = HeapObject(e.struct, {}, lazy=False)
-            p.malloced = p.malloced | {m}
-            p.vals.append(Addr(m))
-            return [p]
-        if isinstance(e, nodes.Call):
-            items = [KExpr(a) for a in e.args]
-            items.append(KInvoke(e.fname, len(e.args), id(e)))
-            p.k[:0] = items
-            return [p]
-        raise TypeError(f"unknown expression {e!r}")
-
-    # -------------------------------------------------- comparison
-
-    def _step_compare(self, p: Pattern, op: str) -> list[Pattern]:
-        r = p.vals.pop()
-        l = p.vals.pop()
-        if l is UNDEF or r is UNDEF:
-            return [self._error(p, "read of undefined value")]
-        # concrete integer comparison
-        if (isinstance(l, TypedValue) and isinstance(r, TypedValue)
-                and isinstance(l.payload, int) and isinstance(r.payload, int)):
-            res = {
-                "==": l.payload == r.payload, "!=": l.payload != r.payload,
-                "<": l.payload < r.payload, "<=": l.payload <= r.payload,
-                ">": l.payload > r.payload, ">=": l.payload >= r.payload,
-            }[op]
-            p.vals.append(TypedValue(nodes.INT, 1 if res else 0))
-            return [p]
-        # NULL == NULL and same-address fast paths
-        if l is NULL_ADDR and r is NULL_ADDR:
-            res = op in ("==", "<=", ">=")
-            p.vals.append(TypedValue(nodes.INT, 1 if res else 0))
-            return [p]
-        if isinstance(l, Addr):
-            l = Addr(p.resolve(l.target))
-        if isinstance(r, Addr):
-            r = Addr(p.resolve(r.target))
-        if isinstance(l, Addr) and isinstance(r, Addr) and l.target == r.target:
-            res = op in ("==", "<=", ">=")
-            p.vals.append(TypedValue(nodes.INT, 1 if res else 0))
-            return [p]
-        lt = self._value_term(l)
-        rt = self._value_term(r)
-        if lt is None or rt is None:
-            return [self._error(p, "comparison of incomparable values")]
-        return self._binary_split(p, Atom(_CMP_TO_ATOM[op], lt, rt))
-
-    # -------------------------------------------------- calls
-
-    def _step_invoke(self, p: Pattern, item: KInvoke) -> list[Pattern]:
-        f = self.index.functions.get(item.fname)
-        if f is None:
-            return [self._error(p, f"call to unknown function '{item.fname}'")]
-        args = [p.vals.pop() for _ in range(item.argc)][::-1]
-        if len(f.params) != len(args):
-            return [self._error(p, f"arity mismatch calling '{item.fname}'")]
-        active = sum(1 for fr in p.call_stack if fr.call_site == item.site)
-        if active >= self.limits.unroll_bound:
-            self.truncated += 1
-            return []
-        p.call_stack.append(Frame(item.fname, item.site, p.env, p.loop_counts))
-        p.env = bind_frame(f, args, p.heap, self.alloc)
-        p.loop_counts = {}
-        p.k[:0] = _body(f)
+    def _block(self, p: Pattern, s) -> list[Pattern]:
+        p.k += [_frame(x) for x in reversed(s.stmts)]
         return [p]
 
-    def _do_return(self, p: Pattern, rv, boundary_consumed: bool) -> list[Pattern]:
-        if not boundary_consumed:
-            while p.k:
-                top = p.k.pop(0)
-                if isinstance(top, KCallBoundary):
-                    break
+    def _expr_stmt(self, p: Pattern, s) -> list[Pattern]:
+        p.k += [(_Engine._pop, s), _frame(s.expr)]
+        return [p]
+
+    def _pop(self, p: Pattern, s) -> list[Pattern]:
+        p.vals.pop()
+        return [p]
+
+    def _if(self, p: Pattern, s) -> list[Pattern]:
+        p.k += [(_Engine._branch, s), (_Engine._truth, s), _frame(s.cond)]
+        return [p]
+
+    def _branch(self, p: Pattern, s) -> list[Pattern]:
+        taken = s.then if p.vals.pop().payload != 0 else s.els
+        if taken is not None:
+            p.k.append(_frame(taken))
+        return [p]
+
+    def _while(self, p: Pattern, s) -> list[Pattern]:
+        p.k.append((_Engine._loop_check, s))
+        return [p]
+
+    def _loop_check(self, p: Pattern, s) -> list[Pattern]:
+        p.guard_split = False
+        p.k += [(_Engine._loop_decide, s), (_Engine._truth, s), _frame(s.cond)]
+        return [p]
+
+    def _loop_decide(self, p: Pattern, s) -> list[Pattern]:
+        if p.vals.pop().payload == 0:
+            return [p]
+        if p.guard_split:
+            count = p.loop_counts.get(id(s), 0) + 1
+            if count > self.limits.unroll_bound:
+                self.truncated += 1
+                return []
+            p.loop_counts[id(s)] = count
+        p.k += [(_Engine._loop_check, s), _frame(s.body)]
+        return [p]
+
+    def _return(self, p: Pattern, s) -> list[Pattern]:
+        p.k.append((_Engine._leave, s))
+        if s.value is not None:
+            p.k.append(_frame(s.value))
+        return [p]
+
+    def _leave(self, p: Pattern, s) -> list[Pattern]:
+        """Finish a `return`: the frames down to the call-boundary frame
+        are dropped unrun."""
+        rv = p.vals.pop() if s.value is not None else UNDEF
+        while True:
+            handler, f = p.k.pop()
+            if handler is _Engine._call_boundary:
+                return self._call_boundary(p, f, rv)
+
+    def _call_boundary(self, p: Pattern, f, rv=UNDEF) -> list[Pattern]:
+        """Leave the call that runs `f`: off the end of its body, or by a
+        `return` of `rv`."""
         if p.call_stack:
             frame = p.call_stack.pop()
             p.env = frame.saved_env
@@ -673,6 +392,200 @@ class _Engine:
         p.return_value = rv
         p.k = []
         return [p]
+
+    # -------------------------------------------------- expressions
+
+    def _int_lit(self, p: Pattern, e) -> list[Pattern]:
+        p.vals.append(TypedValue(nodes.INT, e.value))
+        return [p]
+
+    def _null_lit(self, p: Pattern, e) -> list[Pattern]:
+        p.vals.append(NULL_ADDR)
+        return [p]
+
+    def _var(self, p: Pattern, e) -> list[Pattern]:
+        cell = p.env.get(e.name)
+        if cell is None:
+            return [self._error(p, f"unbound variable '{e.name}'")]
+        v = p.heap.get(cell, UNDEF)
+        if v is UNDEF:
+            return [self._error(p, f"read of undefined variable '{e.name}'")]
+        p.vals.append(v)
+        return [p]
+
+    def _field_access(self, p: Pattern, e) -> list[Pattern]:
+        p.k += [(_Engine._read_field, e), _frame(e.base)]
+        return [p]
+
+    def _read_field(self, p: Pattern, e) -> list[Pattern]:
+        def read(q: Pattern, addr: SymAddress):
+            obj = q.heap[addr]
+            v = obj.fields.get(e.fieldname, MISSING)
+            if v is MISSING:
+                if not obj.lazy:
+                    self._error(q, f"read of uninitialized field '{e.fieldname}'")
+                    return
+                ftype = self.index.struct_fields(e.struct_name)[e.fieldname]
+                v = self._fill(q, addr, e.fieldname, ftype)
+            q.vals.append(v)
+
+        return self._deref(p, p.vals.pop(), e.struct_name, read)
+
+    def _unary(self, p: Pattern, e) -> list[Pattern]:
+        p.k += [(_Engine._not, e), (_Engine._truth, e), _frame(e.operand)]
+        return [p]
+
+    def _not(self, p: Pattern, e) -> list[Pattern]:
+        v = p.vals.pop()
+        p.vals.append(TypedValue(nodes.INT, 0 if v.payload != 0 else 1))
+        return [p]
+
+    def _binary(self, p: Pattern, e) -> list[Pattern]:
+        if e.op in ("&&", "||"):
+            p.k += [(_Engine._short_circuit, e), (_Engine._truth, e), _frame(e.left)]
+        else:
+            then = _Engine._arith if e.op in ("+", "-") else _Engine._compare
+            p.k += [(then, e), _frame(e.right), _frame(e.left)]
+        return [p]
+
+    def _short_circuit(self, p: Pattern, e) -> list[Pattern]:
+        """The left operand's 0/1 is on the value stack: it is the result
+        unless it is 1 under `&&` or 0 under `||`."""
+        if (p.vals[-1].payload != 0) == (e.op == "&&"):
+            p.vals.pop()
+            p.k += [(_Engine._truth, e), _frame(e.right)]
+        return [p]
+
+    def _arith(self, p: Pattern, e) -> list[Pattern]:
+        r = p.vals.pop()
+        l = p.vals.pop()
+        if not (isinstance(l, TypedValue) and isinstance(r, TypedValue)):
+            return [self._error(p, "arithmetic on a non-integer value")]
+        if isinstance(l.payload, int) and isinstance(r.payload, int):
+            n = l.payload + r.payload if e.op == "+" else l.payload - r.payload
+            p.vals.append(TypedValue(nodes.INT, n))
+            return [p]
+        lt, rt = self._value_term(l), self._value_term(r)
+        s = self.alloc.fresh_int(f"i{self.alloc._next}")
+        expr = C.Add(lt, rt) if e.op == "+" else C.Sub(lt, rt)
+        p.add_path_atom(Atom(C.EQ, s, expr))
+        p.vals.append(TypedValue(nodes.INT, s))
+        return [p]
+
+    def _compare(self, p: Pattern, e) -> list[Pattern]:
+        r = p.vals.pop()
+        l = p.vals.pop()
+        if l is UNDEF or r is UNDEF:
+            return [self._error(p, "read of undefined value")]
+        # concrete integer comparison
+        if (isinstance(l, TypedValue) and isinstance(r, TypedValue)
+                and isinstance(l.payload, int) and isinstance(r.payload, int)):
+            res = _CONCRETE_CMP[e.op](l.payload, r.payload)
+            p.vals.append(TypedValue(nodes.INT, 1 if res else 0))
+            return [p]
+        if isinstance(l, Addr):
+            l = Addr(p.resolve(l.target))
+        if isinstance(r, Addr):
+            r = Addr(p.resolve(r.target))
+        # NULL == NULL and same-address fast paths
+        if (l is NULL_ADDR or isinstance(l, Addr)) and l == r:
+            p.vals.append(TypedValue(nodes.INT, 1 if e.op in ("==", "<=", ">=") else 0))
+            return [p]
+        lt = self._value_term(l)
+        rt = self._value_term(r)
+        if lt is None or rt is None:
+            return [self._error(p, "comparison of incomparable values")]
+        return self._binary_split(p, Atom(_CMP_TO_ATOM[e.op], lt, rt))
+
+    def _assign(self, p: Pattern, e) -> list[Pattern]:
+        if isinstance(e.target, nodes.Var):
+            p.k += [(_Engine._assign_var, e), _frame(e.value)]
+        else:
+            p.k += [(_Engine._write_field, e), _frame(e.target.base), _frame(e.value)]
+        return [p]
+
+    def _assign_var(self, p: Pattern, e) -> list[Pattern]:
+        p.heap[p.env[e.target.name]] = p.vals[-1]
+        return [p]
+
+    def _write_field(self, p: Pattern, e) -> list[Pattern]:
+        base = p.vals.pop()
+        val = p.vals.pop()
+
+        def write(q: Pattern, addr: SymAddress):
+            q.heap[addr].fields[e.target.fieldname] = val
+            q.vals.append(val)
+
+        return self._deref(p, base, e.target.struct_name, write)
+
+    def _malloc(self, p: Pattern, e) -> list[Pattern]:
+        # `x = malloc(...)` names the object after `x`
+        handler, below = p.k[-1]
+        name = below.target.name if handler is _Engine._assign_var else "obj"
+        m = self.alloc.fresh_addr(name)
+        for a, o in p.heap.items():
+            if isinstance(o, HeapObject):
+                p.add_alloc_atom(Atom(C.NEQ, m.ref, a.ref))
+        p.add_alloc_atom(Atom(C.NEQ, m.ref, NullRef()))
+        p.heap[m] = HeapObject(e.struct, {}, lazy=False)
+        p.malloced = p.malloced | {m}
+        p.vals.append(Addr(m))
+        return [p]
+
+    def _call(self, p: Pattern, e) -> list[Pattern]:
+        p.k.append((_Engine._invoke, e))
+        p.k += [_frame(a) for a in reversed(e.args)]
+        return [p]
+
+    def _invoke(self, p: Pattern, e) -> list[Pattern]:
+        f = self.index.functions.get(e.fname)
+        if f is None:
+            return [self._error(p, f"call to unknown function '{e.fname}'")]
+        args = [p.vals.pop() for _ in e.args][::-1]
+        if len(f.params) != len(args):
+            return [self._error(p, f"arity mismatch calling '{e.fname}'")]
+        active = sum(1 for fr in p.call_stack if fr.call_site == id(e))
+        if active >= self.limits.unroll_bound:
+            self.truncated += 1
+            return []
+        p.call_stack.append(Frame(e.fname, id(e), p.env, p.loop_counts))
+        p.env = bind_frame(f, args, p.heap, self.alloc)
+        p.loop_counts = {}
+        p.k += _body(f)
+        return [p]
+
+
+_CMP_TO_ATOM = {"==": C.EQ, "!=": C.NEQ, "<": C.LT, "<=": C.LE, ">": C.GT, ">=": C.GE}
+_CONCRETE_CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+                 "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+# the step that evaluates a statement or expression, by node class
+_HANDLERS = {
+    nodes.Block: _Engine._block,
+    nodes.ExprStmt: _Engine._expr_stmt,
+    nodes.If: _Engine._if,
+    nodes.While: _Engine._while,
+    nodes.Return: _Engine._return,
+    nodes.IntLit: _Engine._int_lit,
+    nodes.NullLit: _Engine._null_lit,
+    nodes.Var: _Engine._var,
+    nodes.FieldAccess: _Engine._field_access,
+    nodes.Unary: _Engine._unary,
+    nodes.Binary: _Engine._binary,
+    nodes.Assign: _Engine._assign,
+    nodes.Malloc: _Engine._malloc,
+    nodes.Call: _Engine._call,
+}
+
+
+def _frame(node) -> tuple:
+    """The frame that evaluates `node`."""
+    return (_HANDLERS[type(node)], node)
+
+
+def _body(f) -> list:
+    """The frames that run `f`'s body up to its return, top last."""
+    return [(_Engine._call_boundary, f)] + [_frame(s) for s in reversed(f.body)]
 
 
 # ---------------------------------------------------------------- API

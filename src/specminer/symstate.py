@@ -1,9 +1,10 @@
 """Symbolic program states: addresses, typed values, heaps, and patterns.
 
-A pattern is one branch of the symbolic execution: a continuation stack, an
-environment mapping variables to heap cells, the heap itself, and the two
-condition cells (one for ordinary branch facts, one for decisions taken
-while materializing unexplored parts of the heap on demand).
+A pattern is one branch of the symbolic execution: a continuation stack of
+engine frames (top last), an environment mapping variables to heap cells,
+the heap itself, and the two condition cells (one for ordinary branch
+facts, one for decisions taken while materializing unexplored parts of the
+heap on demand).
 
 The heap maps symbolic addresses either to a plain value cell (used for
 parameters and locals, one level of indirection like a C lvalue) or to a
@@ -22,6 +23,7 @@ from .constraints import (
     SymAddrRef,
     SymDataRef,
     SymIntRef,
+    render_constraint,
 )
 from .frontend import nodes
 
@@ -168,7 +170,7 @@ ERROR = "error"
 
 @dataclass
 class Pattern:
-    k: list  # continuation stack, top at index 0 (engine-defined items)
+    k: list  # continuation stack of engine frames, top last
     env: dict[str, SymAddress]
     heap: Heap
     entry_heap: Heap  # the input heap as discovered: materializations + fills
@@ -337,7 +339,6 @@ def render_pattern(p: Pattern) -> str:
     for a, o in objs:
         inner = ", ".join(f"{f} |-> {render_value(v)}" for f, v in sorted(o.fields.items()))
         lines.append(f"<heap> {a.display} |-> ({inner}) </heap>")
-    from .constraints import render_constraint
     lines.append(f"<cond> {render_constraint(p.path_condition)} </cond>")
     lines.append(f"<memcond> {render_constraint(p.mem_path_condition)} </memcond>")
     return "\n".join(lines)

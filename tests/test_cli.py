@@ -169,6 +169,29 @@ def test_lazy_aliasing_flag_runs(capsys, tmp_path):
     assert "ret = 1" in out and "ret = 2" in out
 
 
+MALLOC_SRC = (
+    "struct N { int v; struct N* next; };\n"
+    "int getv(struct N* a) { return a->v; }\n"
+    "int take(struct N* a, struct N* b) { return 0; }\n"
+    "int chain(struct N* a) { struct N* x; struct N* y;\n"
+    "  x = y = malloc(sizeof(struct N)); return 0; }\n"
+    "int through_field(struct N* a) { struct N* z;\n"
+    "  z = a->next = malloc(sizeof(struct N)); return 0; }\n"
+    "int as_argument(struct N* a) { return take(a, malloc(sizeof(struct N))); }\n")
+
+
+@pytest.mark.parametrize("fname, name", [
+    ("chain", "y"), ("through_field", "obj"), ("as_argument", "obj")])
+def test_malloc_is_named_after_the_variable_it_is_assigned_to(capsys, tmp_path, fname, name):
+    # only a malloc assigned straight to a variable takes its name
+    src = tmp_path / "malloc.c"
+    src.write_text(MALLOC_SRC)
+    code, out, _err = run(capsys, str(src), "-f", fname, "--dump-patterns",
+                          "--observers", "getv")
+    assert code == EXIT_OK
+    assert set(re.findall(r"^<heap> (\S+) \|->", out, re.M)) - {"a"} == {name}
+
+
 PICK_SRC = (
     "struct N { int v; struct N* next; };\n"
     "int getv(struct N* n) { return n->v; }\n"

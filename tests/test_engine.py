@@ -10,7 +10,7 @@ from specminer.constraints import (
     GT, NULL, Atom, SatCache, SatResult, check_sat, conjoin, constraint, negate_atom,
     render_constraint,
 )
-from specminer.engine import Limits, _Engine, se
+from specminer.engine import _HANDLERS, Limits, _Engine, se
 from specminer.frontend import load_program, nodes as N
 from specminer.symstate import (
     Addr,
@@ -277,6 +277,49 @@ def test_step_budget_catches_divergence():
     res = se(idx, CallPattern("spin", [TypedValue(N.INT, 9)]), Limits(max_steps=500))
     assert res.budget_error
     assert [p.error_reason for p in res.error_patterns] == ["step budget exceeded"]
+
+
+# One step per frame. Counted by hand for `spin_once` below, where `x > 0`
+# splits. The path into the loop: `while` (1), loop check (2), `x > 0` (3),
+# `x` (4), `0` (5), the comparison that splits (6), truth (7), loop decide
+# (8), `x = one(0);` (9), the assignment (10), `one(0)` (11), `0` (12), the
+# invoke (13), `return a;` (14), `a` (15), its return (16), the variable
+# write (17), the statement's pop (18); the second check is concrete: loop
+# check (19), `x > 0` (20), `x` (21), `0` (22), the comparison (23), truth
+# (24), loop decide (25); then `return x;` (26), `x` (27), its return (28).
+# The path that skips the loop shares steps 1-6, then truth (7), loop decide
+# (8), `return x;` (9), `x` (10), its return (11).
+STEP_SRC = ("int one(int a) { return a; }\n"
+            "int spin_once(int x) { while (x > 0) x = one(0); return x; }\n")
+
+
+def test_each_frame_costs_one_step():
+    idx = load_program(STEP_SRC)
+
+    def run(max_steps):
+        alloc = Allocator()
+        return se(idx, _sym_int_call("spin_once", ["x"], alloc), Limits(max_steps=max_steps),
+                  alloc)
+
+    res = run(28)
+    assert not res.budget_error
+    assert [(p.status, p.steps, render_tv(p.return_value)) for p in res.patterns] == \
+        [("final", 28, "tv(int, 0)"), ("final", 11, "tv(int, ?x)")]
+    res = run(27)
+    assert res.budget_error
+    assert [(p.status, p.error_reason) for p in res.patterns] == \
+        [("error", "step budget exceeded"), ("final", "")]
+
+
+def test_every_statement_and_expression_class_has_a_handler():
+    def concrete(base):
+        for sub in base.__subclasses__():
+            yield sub
+            yield from concrete(sub)
+
+    classes = [*concrete(N.Stmt), *concrete(N.Expr)]
+    assert len(classes) >= 14
+    assert [c.__name__ for c in classes if c not in _HANDLERS] == []
 
 
 def test_undefined_variable_read_is_an_error_leaf():
