@@ -5,6 +5,12 @@ Terms cover symbolic addresses, NULL, field paths, integer constants and
 symbols, opaque data tokens, and +/- over integers. A Constraint is a set of
 atoms (conjunction); the empty set is True.
 
+A heap address is a `SymAddrRef`: the `symstate.Allocator` hands it out,
+the heap is keyed by it, and an atom takes it as it is. Terms are frozen
+value objects with structural equality. The three symbol classes hash by
+their `sid`, which one allocator never hands out twice, and `NULL` by a
+constant, so the sets and dicts that hold them hash no strings.
+
 Satisfiability is decided by
   (i)  congruence closure over the equality atoms of the address/data
        universe, with field paths treated as uninterpreted function
@@ -36,55 +42,67 @@ from dataclasses import dataclass
 
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymAddrRef(Term):
+    """A heap address: a pointer argument, a materialized input object, a
+    malloc result or a variable's cell. It is also the heap key."""
     sid: int
     display: str
 
+    def __hash__(self):
+        return self.sid
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class NullRef(Term):
-    pass
+    def __hash__(self):
+        return -3  # a constant no sid takes: sids count up from 0
 
 
 NULL = NullRef()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldPath(Term):
     base: SymAddrRef
     fields: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntConst(Term):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymIntRef(Term):
     sid: int
     display: str
 
+    def __hash__(self):
+        return self.sid
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class SymDataRef(Term):
     sid: int
     display: str
 
+    def __hash__(self):
+        return self.sid
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub(Term):
     left: Term
     right: Term
@@ -94,7 +112,7 @@ EQ, NEQ, LT, LE, GT, GE = "=", "!=", "<", "<=", ">", ">="
 _NEGATION = {EQ: NEQ, NEQ: EQ, LT: GE, GE: LT, LE: GT, GT: LE}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     op: str
     lhs: Term
@@ -105,7 +123,7 @@ def negate_atom(a: Atom) -> Atom:
     return Atom(_NEGATION[a.op], a.lhs, a.rhs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     atoms: frozenset[Atom]
 

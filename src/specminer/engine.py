@@ -21,11 +21,14 @@ Three mechanisms matter beyond plain evaluation:
   against NULL (heap shape discovery), in the ordinary path condition
   otherwise. A decision the conditions already entail takes a single
   successor and records nothing; when they record the atom or its
-  negation, that decides it with one solver question. A branch pushes the
-  outcome as 1 or 0; a dereference turns the NULL outcome into an error
-  leaf. An int is true when it is not 0. The solver's answers come from a
-  `SatCache` the caller may share between runs (`infer_spec` shares one
-  between the modifier run and every observer replay).
+  negation, that decides it with one solver question. The conditions are
+  the pattern's stored conjunction (`Pattern.combined_condition`), and
+  the negation is built only when the atom itself is not recorded. A
+  branch pushes the outcome as the shared 1 or 0; a dereference turns the
+  NULL outcome into an error leaf. An int is true when it is not 0. The
+  solver's answers come from a `SatCache` the caller may share between
+  runs (`infer_spec` shares one between the modifier run and every
+  observer replay).
 
 * Lazy heaps. The input heap starts unknown. Dereferencing an address the
   conditions allow to be non-null conjures an empty object for it; reading
@@ -63,7 +66,6 @@ from .symstate import (
     Frame,
     HeapObject,
     Pattern,
-    SymAddress,
     TypedValue,
     bind_frame,
     make_call_pattern,
@@ -160,15 +162,15 @@ class _Engine:
         p.k = []
         return p
 
-    def _materialize(self, p: Pattern, a: SymAddress, struct_name: str) -> None:
+    def _materialize(self, p: Pattern, a: SymAddrRef, struct_name: str) -> None:
         if a in p.heap:
             return
         p.heap[a] = HeapObject(struct_name, {}, lazy=True)
         p.entry_heap[a] = HeapObject(struct_name, {}, lazy=True)
         for m in sorted(p.malloced, key=lambda x: (x.display, x.sid)):
-            p.add_alloc_atom(Atom(C.NEQ, a.ref, m.ref))
+            p.add_alloc_atom(Atom(C.NEQ, a, m))
 
-    def _fill(self, p: Pattern, a: SymAddress, fname: str, ftype: nodes.CType):
+    def _fill(self, p: Pattern, a: SymAddrRef, fname: str, ftype: nodes.CType):
         display = f"{a.display}.{fname}"
         if ftype.kind == "structptr":
             v = Addr(self.alloc.derived_addr(display))
@@ -194,16 +196,16 @@ class _Engine:
         is marked `approx`. When the conditions record the atom or its
         negation, only their own verdict is asked: Unsat leaves no
         successor, anything else keeps `p` on the recorded side."""
-        neg = C.negate_atom(atom)
         base = p.combined_condition()
-        for recorded, holds in ((atom, True), (neg, False)):
-            if recorded in base.atoms:
-                verdict = self.sat.check(base, recorded)
-                if verdict == SatResult.UNSAT:
-                    return []
-                if verdict == SatResult.UNKNOWN:
-                    p.approx = True
-                return [(p, holds)]
+        # the negation is only built when the atom itself is not recorded
+        neg = None if atom in base.atoms else C.negate_atom(atom)
+        if neg is None or neg in base.atoms:
+            verdict = self.sat.check(base, atom if neg is None else neg)
+            if verdict == SatResult.UNSAT:
+                return []
+            if verdict == SatResult.UNKNOWN:
+                p.approx = True
+            return [(p, neg is None)]
         st = self.sat.check(base, atom)
         sf = self.sat.check(base, neg)
         if st == SatResult.UNSAT and sf == SatResult.UNSAT:
@@ -231,7 +233,7 @@ class _Engine:
         on its value stack."""
         out = []
         for q, holds in self._decide(p, atom):
-            q.vals.append(TypedValue(nodes.INT, 1 if holds else 0))
+            q.vals.append(_ONE if holds else _ZERO)
             out.append(q)
         return out
 
@@ -246,7 +248,7 @@ class _Engine:
         if not isinstance(value, Addr):
             return [self._error(p, "dereference of a non-address value")]
         target = p.resolve(value.target)
-        outcomes = self._decide(p, Atom(C.NEQ, target.ref, NullRef()))
+        outcomes = self._decide(p, Atom(C.NEQ, target, C.NULL))
         succs = []
         for q, is_object in outcomes:
             if not is_object:
@@ -261,7 +263,7 @@ class _Engine:
                 succs.append(w)
         return succs
 
-    def _alias_worlds(self, ok: Pattern, target: SymAddress, struct_name: str):
+    def _alias_worlds(self, ok: Pattern, target: SymAddrRef, struct_name: str):
         """With `target` newly found non-null on `ok`: one (pattern,
         object) per already-discovered object it may be. `ok` itself is
         told that `target` is none of them."""
@@ -276,22 +278,22 @@ class _Engine:
         base = ok.combined_condition()
         worlds = []
         for cand in cands:
-            alias = Atom(C.EQ, target.ref, cand.ref)
+            alias = Atom(C.EQ, target, cand)
             if self.sat.check(base, alias) != SatResult.UNSAT:
                 al = ok.clone()
                 al.add_mem_atom(alias)
                 al.aliases[target] = cand
                 worlds.append((al, cand))
         for cand in cands:
-            ok.add_mem_atom(Atom(C.NEQ, target.ref, cand.ref))
+            ok.add_mem_atom(Atom(C.NEQ, target, cand))
         return worlds
 
     @staticmethod
     def _value_term(v):
         if v is NULL_ADDR:
-            return NullRef()
+            return C.NULL
         if isinstance(v, Addr):
-            return v.target.ref
+            return v.target
         if isinstance(v, TypedValue):
             if isinstance(v.payload, int):
                 return IntConst(v.payload)
@@ -305,7 +307,7 @@ class _Engine:
         if v is UNDEF:
             return [self._error(p, "read of undefined value")]
         if isinstance(v.payload, int):
-            p.vals.append(TypedValue(nodes.INT, 1 if v.payload != 0 else 0))
+            p.vals.append(_ONE if v.payload != 0 else _ZERO)
             return [p]
         return self._binary_split(p, Atom(C.NEQ, v.payload, IntConst(0)))
 
@@ -418,7 +420,7 @@ class _Engine:
         return [p]
 
     def _read_field(self, p: Pattern, e) -> list[Pattern]:
-        def read(q: Pattern, addr: SymAddress):
+        def read(q: Pattern, addr: SymAddrRef):
             obj = q.heap[addr]
             v = obj.fields.get(e.fieldname, MISSING)
             if v is MISSING:
@@ -437,7 +439,7 @@ class _Engine:
 
     def _not(self, p: Pattern, e) -> list[Pattern]:
         v = p.vals.pop()
-        p.vals.append(TypedValue(nodes.INT, 0 if v.payload != 0 else 1))
+        p.vals.append(_ZERO if v.payload != 0 else _ONE)
         return [p]
 
     def _binary(self, p: Pattern, e) -> list[Pattern]:
@@ -481,7 +483,7 @@ class _Engine:
         if (isinstance(l, TypedValue) and isinstance(r, TypedValue)
                 and isinstance(l.payload, int) and isinstance(r.payload, int)):
             res = _CONCRETE_CMP[e.op](l.payload, r.payload)
-            p.vals.append(TypedValue(nodes.INT, 1 if res else 0))
+            p.vals.append(_ONE if res else _ZERO)
             return [p]
         if isinstance(l, Addr):
             l = Addr(p.resolve(l.target))
@@ -489,7 +491,7 @@ class _Engine:
             r = Addr(p.resolve(r.target))
         # NULL == NULL and same-address fast paths
         if (l is NULL_ADDR or isinstance(l, Addr)) and l == r:
-            p.vals.append(TypedValue(nodes.INT, 1 if e.op in ("==", "<=", ">=") else 0))
+            p.vals.append(_ONE if e.op in ("==", "<=", ">=") else _ZERO)
             return [p]
         lt = self._value_term(l)
         rt = self._value_term(r)
@@ -512,7 +514,7 @@ class _Engine:
         base = p.vals.pop()
         val = p.vals.pop()
 
-        def write(q: Pattern, addr: SymAddress):
+        def write(q: Pattern, addr: SymAddrRef):
             q.heap[addr].fields[e.target.fieldname] = val
             q.vals.append(val)
 
@@ -525,8 +527,8 @@ class _Engine:
         m = self.alloc.fresh_addr(name)
         for a, o in p.heap.items():
             if isinstance(o, HeapObject):
-                p.add_alloc_atom(Atom(C.NEQ, m.ref, a.ref))
-        p.add_alloc_atom(Atom(C.NEQ, m.ref, NullRef()))
+                p.add_alloc_atom(Atom(C.NEQ, m, a))
+        p.add_alloc_atom(Atom(C.NEQ, m, C.NULL))
         p.heap[m] = HeapObject(e.struct, {}, lazy=False)
         p.malloced = p.malloced | {m}
         p.vals.append(Addr(m))
@@ -554,6 +556,10 @@ class _Engine:
         p.k += _body(f)
         return [p]
 
+
+# the 0/1 that tests and comparisons push
+_ZERO = TypedValue(nodes.INT, 0)
+_ONE = TypedValue(nodes.INT, 1)
 
 _CMP_TO_ATOM = {"==": C.EQ, "!=": C.NEQ, "<": C.LT, "<=": C.LE, ">": C.GT, ">=": C.GE}
 _CONCRETE_CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,

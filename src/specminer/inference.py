@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from . import constraints as C
-from .constraints import Atom, Constraint, NullRef, SatCache, SatResult
+from .constraints import Atom, Constraint, SatCache, SatResult
 from .engine import Limits, se
 from .symstate import (
     FINAL,
@@ -182,7 +182,7 @@ def _normalize_return(leaf: Pattern, sym_map: dict, sat: SatCache):
         t = leaf.resolve(v.target)
         # a provably-null address is NULL first, whatever else it matches
         if sat.check(leaf.combined_condition(),
-                     Atom(C.NEQ, t.ref, NullRef())) == SatResult.UNSAT:
+                     Atom(C.NEQ, t, C.NULL)) == SatResult.UNSAT:
             return RNull()
         if t.sid in sym_map:
             return sym_map[t.sid]

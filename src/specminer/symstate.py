@@ -1,19 +1,23 @@
-"""Symbolic program states: addresses, typed values, heaps, and patterns.
+"""Symbolic program states: typed values, heaps, and patterns.
 
 A pattern is one branch of the symbolic execution: a continuation stack of
 engine frames (top last), an environment mapping variables to heap cells,
 the heap itself, and the two condition cells (one for ordinary branch
 facts, one for decisions taken while materializing unexplored parts of the
-heap on demand).
+heap on demand), plus a third, undisplayed cell of distinctness facts for
+fresh storage. The pattern also keeps the conjunction of the three, which
+every solver question starts from.
 
-The heap maps symbolic addresses either to a plain value cell (used for
-parameters and locals, one level of indirection like a C lvalue) or to a
-whole struct object. Reads of fields that were never written come back as
+A symbolic address is a `constraints.SymAddrRef`, so a heap key is its own
+condition term. The heap maps addresses either to a plain value cell (used
+for parameters and locals, one level of indirection like a C lvalue) or to
+a whole struct object. Reads of fields that were never written come back as
 `MISSING`, letting the engine decide whether to conjure the field's value.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .constraints import (
@@ -23,26 +27,17 @@ from .constraints import (
     SymAddrRef,
     SymDataRef,
     SymIntRef,
+    conjoin,
     render_constraint,
 )
 from .frontend import nodes
 
 # ---------------------------------------------------------------- values
 
-@dataclass(frozen=True)
-class SymAddress:
-    sid: int
-    display: str
-
-    @property
-    def ref(self) -> SymAddrRef:
-        return SymAddrRef(self.sid, self.display)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Addr:
     """A pointer value aimed at a symbolic address."""
-    target: SymAddress
+    target: SymAddrRef
 
 
 class _NullAddr:
@@ -59,7 +54,7 @@ NULL_ADDR = _NullAddr()
 UNDEF = _Undef()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypedValue:
     """An integer or opaque-data payload tagged with its C type."""
     ctype: nodes.CType
@@ -69,9 +64,12 @@ class TypedValue:
 Value = object  # Addr | NULL_ADDR | UNDEF | TypedValue
 
 
-def render_value(v: Value) -> str:
+def render_value(v: Value, tagged=frozenset()) -> str:
+    """`v` as text; a pointer to an address in `tagged` gets its sid,
+    `name#sid`."""
     if isinstance(v, Addr):
-        return v.target.display.replace(".", "->")
+        name = v.target.display.replace(".", "->")
+        return f"{name}#{v.target.sid}" if v.target in tagged else name
     if v is NULL_ADDR:
         return "NULL"
     if v is UNDEF:
@@ -86,11 +84,11 @@ def render_value(v: Value) -> str:
     raise TypeError(f"not a value: {v!r}")
 
 
-def render_tv(v: Value) -> str:
+def render_tv(v: Value, tagged=frozenset()) -> str:
     """Typed rendering used in result patterns, e.g. tv(int, 1)."""
     if isinstance(v, TypedValue):
         return f"tv({v.ctype.render()}, {render_value(v)})"
-    return render_value(v)
+    return render_value(v, tagged)
 
 
 # ---------------------------------------------------------------- heap
@@ -112,13 +110,16 @@ class MissingField:
 MISSING = MissingField()
 
 
-Heap = dict  # SymAddress -> Value (cell) | HeapObject
+Heap = dict  # SymAddrRef -> Value (cell) | HeapObject
 
 
 # ---------------------------------------------------------------- allocator
 
 class Allocator:
-    """Monotone source of fresh symbolic identities. Sharing one allocator
+    """Monotone source of fresh symbolic identities: addresses
+    (`SymAddrRef`), ints (`SymIntRef`) and data tokens (`SymDataRef`).
+    Each gets the next sid, so no two symbols of one allocator share a sid
+    and a symbol's hash, its sid, is unique too. Sharing one allocator
     across an entire run keeps every emitted name unique and the output
     deterministic."""
 
@@ -131,9 +132,9 @@ class Allocator:
         self._next += 1
         return sid, (f"{self._prefix}:{display}" if self._prefix else display)
 
-    def fresh_addr(self, display: str) -> SymAddress:
+    def fresh_addr(self, display: str) -> SymAddrRef:
         sid, d = self._fresh(display)
-        return SymAddress(sid, d)
+        return SymAddrRef(sid, d)
 
     def fresh_int(self, display: str) -> SymIntRef:
         sid, d = self._fresh(display)
@@ -145,10 +146,10 @@ class Allocator:
 
     # names derived from an existing symbol's display (field fills) already
     # carry any label; these variants allocate an identity without re-prefixing
-    def derived_addr(self, display: str) -> SymAddress:
+    def derived_addr(self, display: str) -> SymAddrRef:
         sid = self._next
         self._next += 1
-        return SymAddress(sid, display)
+        return SymAddrRef(sid, display)
 
     def derived_int(self, display: str) -> SymIntRef:
         sid = self._next
@@ -171,7 +172,7 @@ ERROR = "error"
 @dataclass
 class Pattern:
     k: list  # continuation stack of engine frames, top last
-    env: dict[str, SymAddress]
+    env: dict[str, SymAddrRef]
     heap: Heap
     entry_heap: Heap  # the input heap as discovered: materializations + fills
     call_stack: list
@@ -180,6 +181,9 @@ class Pattern:
     # distinctness facts for fresh storage (malloc results, materialized
     # input objects); consulted by every entailment but not displayed
     alloc_condition: Constraint = TRUE
+    # the conjunction of the three cells above, kept by the add_*_atom
+    # methods; built from them when not given
+    condition: Constraint | None = None
     status: str = RUNNING
     error_reason: str = ""
     return_value: Value = UNDEF
@@ -192,6 +196,11 @@ class Pattern:
     steps: int = 0
     provenance_id: str = ""
 
+    def __post_init__(self):
+        if self.condition is None:
+            self.condition = conjoin(conjoin(self.path_condition, self.mem_path_condition),
+                                     self.alloc_condition)
+
     def clone(self) -> "Pattern":
         return Pattern(
             k=list(self.k),
@@ -202,6 +211,7 @@ class Pattern:
             path_condition=self.path_condition,
             mem_path_condition=self.mem_path_condition,
             alloc_condition=self.alloc_condition,
+            condition=self.condition,
             status=self.status,
             error_reason=self.error_reason,
             return_value=self.return_value,
@@ -215,26 +225,31 @@ class Pattern:
             provenance_id=self.provenance_id,
         )
 
-    def resolve(self, a: SymAddress) -> SymAddress:
+    def resolve(self, a: SymAddrRef) -> SymAddrRef:
         """The object `a` stands for once aliasing decisions are applied.
         An alias maps an unmaterialized address to a lazy heap key, and heap
         keys are never aliased, so the chain is at most one step long."""
-        while a in self.aliases:
-            a = self.aliases[a]
+        aliases = self.aliases
+        if aliases:
+            while a in aliases:
+                a = aliases[a]
         return a
 
     def add_path_atom(self, a: Atom) -> None:
         self.path_condition = self.path_condition.with_atom(a)
+        self.condition = self.condition.with_atom(a)
 
     def add_mem_atom(self, a: Atom) -> None:
         self.mem_path_condition = self.mem_path_condition.with_atom(a)
+        self.condition = self.condition.with_atom(a)
 
     def add_alloc_atom(self, a: Atom) -> None:
         self.alloc_condition = self.alloc_condition.with_atom(a)
+        self.condition = self.condition.with_atom(a)
 
     def combined_condition(self) -> Constraint:
-        return Constraint(self.path_condition.atoms | self.mem_path_condition.atoms
-                          | self.alloc_condition.atoms)
+        """The conjunction of the three condition cells."""
+        return self.condition
 
 
 def _copy_heap(h: Heap) -> Heap:
@@ -252,7 +267,7 @@ class Frame:
     """One pending call: where to put the return value and what to restore."""
     function: str
     call_site: int  # id() of the Call node, for recursion accounting
-    saved_env: dict[str, SymAddress]
+    saved_env: dict[str, SymAddrRef]
     loop_counts: dict
 
     def clone(self) -> "Frame":
@@ -279,10 +294,10 @@ class CallPattern:
     initial_malloced: frozenset = frozenset()
 
 
-def bind_frame(f, args: list, heap: Heap, alloc: Allocator) -> dict[str, SymAddress]:
+def bind_frame(f, args: list, heap: Heap, alloc: Allocator) -> dict[str, SymAddrRef]:
     """Bind `f`'s parameters to fresh cells in `heap` holding `args`, and
     its locals to fresh cells, initially undefined; return the new env."""
-    env: dict[str, SymAddress] = {}
+    env: dict[str, SymAddrRef] = {}
     for (pname, _ptype), v in zip(f.params, args):
         cell = alloc.fresh_addr(f"cell_{pname}")
         heap[cell] = v
@@ -318,7 +333,14 @@ def make_call_pattern(index, cp: CallPattern, alloc: Allocator) -> Pattern:
 
 def render_pattern(p: Pattern) -> str:
     """Human-oriented dump: one cell per line. The env collapses the cell
-    indirection so `x |-> v` shows the value, not the cell address."""
+    indirection so `x |-> v` shows the value, not the cell address. Heap
+    objects that share a display are told apart by their sid,
+    `display#sid`, both as heap keys and as the values that point at
+    them."""
+    objs = sorted(((a, o) for a, o in p.heap.items() if isinstance(o, HeapObject)),
+                  key=lambda kv: (kv[0].display, kv[0].sid))
+    shared = Counter(a.display for a, _o in objs)
+    tagged = frozenset(a for a, _o in objs if shared[a.display] > 1)
     lines = []
     if p.status == ERROR:
         lines.append(f"<k> Error: {p.error_reason} </k>")
@@ -332,13 +354,13 @@ def render_pattern(p: Pattern) -> str:
         if isinstance(v, HeapObject):
             v_str = v.struct_name
         else:
-            v_str = render_tv(v)
+            v_str = render_tv(v, tagged)
         lines.append(f"<env> {name} |-> {v_str} </env>")
-    objs = [(a, o) for a, o in sorted(p.heap.items(), key=lambda kv: kv[0].display)
-            if isinstance(o, HeapObject)]
     for a, o in objs:
-        inner = ", ".join(f"{f} |-> {render_value(v)}" for f, v in sorted(o.fields.items()))
-        lines.append(f"<heap> {a.display} |-> ({inner}) </heap>")
+        inner = ", ".join(f"{f} |-> {render_value(v, tagged)}"
+                          for f, v in sorted(o.fields.items()))
+        key = f"{a.display}#{a.sid}" if a in tagged else a.display
+        lines.append(f"<heap> {key} |-> ({inner}) </heap>")
     lines.append(f"<cond> {render_constraint(p.path_condition)} </cond>")
     lines.append(f"<memcond> {render_constraint(p.mem_path_condition)} </memcond>")
     return "\n".join(lines)

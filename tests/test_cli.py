@@ -192,6 +192,43 @@ def test_malloc_is_named_after_the_variable_it_is_assigned_to(capsys, tmp_path, 
     assert set(re.findall(r"^<heap> (\S+) \|->", out, re.M)) - {"a"} == {name}
 
 
+TWO_OBJ_SRC = (
+    "struct N { int v; struct N* next; };\n"
+    "int take(struct N* a, struct N* b) { return 0; }\n"
+    "int f(struct N* a) { struct N* z;\n"
+    "  z = a->next = malloc(sizeof(struct N));\n"
+    "  take(a, malloc(sizeof(struct N))); return 0; }\n")
+
+
+def _two_obj_keys(block: str) -> list:
+    """The `obj` heap keys of one dumped pattern, checked to name two
+    objects, the first of them reached from `z` and `a->next`."""
+    keys = re.findall(r"^<heap> (obj\S*) \|-> \(\) </heap>$", block, re.M)
+    assert len(keys) == 2 and keys[0] != keys[1]
+    assert all(re.fullmatch(r"obj#\d+", k) for k in keys)
+    assert f"<env> z |-> {keys[0]} </env>" in block
+    assert f"<heap> a |-> (next |-> {keys[0]}) </heap>" in block
+    return keys
+
+
+def test_dump_tells_apart_two_objects_that_share_a_display(capsys, tmp_path):
+    # both mallocs are named `obj`; each prints as obj#sid, also where the
+    # env and a field point at it, while unique displays print as before
+    src = tmp_path / "two.c"
+    src.write_text(TWO_OBJ_SRC)
+    code, out, _err = run(capsys, str(src), "-f", "f", "--dump-patterns")
+    assert code == EXIT_OK
+    p0 = out.split("-- pattern p0\n")[1].split("\n\n")[0]
+    keys = _two_obj_keys(p0)
+    assert "<heap> obj |-> () </heap>" in out  # e0 holds one object only
+    code, out, _err = run(capsys, str(src), "-f", "f", "--dump-patterns",
+                          "--format", "json")
+    assert code == EXIT_OK
+    rendered = {pat["id"]: pat["rendered"] for pat in json.loads(out)["patterns"]}
+    assert _two_obj_keys(rendered["p0"]) == keys
+    assert "<heap> obj |-> () </heap>" in rendered["e0"]
+
+
 PICK_SRC = (
     "struct N { int v; struct N* next; };\n"
     "int getv(struct N* n) { return n->v; }\n"

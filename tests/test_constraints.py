@@ -4,6 +4,7 @@ The solver is deliberately incomplete in one direction only: it may answer
 SAT (or UNKNOWN) for an unsatisfiable conjunction, but an UNSAT answer must
 always be right. Several tests pin that contract.
 """
+import dataclasses
 import random
 
 import pytest
@@ -23,6 +24,40 @@ Z = SymIntRef(3, "z")
 A = SymAddrRef(10, "list")
 B = SymAddrRef(11, "p")
 A_NEXT = FieldPath(A, ("next",))
+
+
+# ---------------------------------------------------------------- value objects
+
+def _build() -> list:
+    """One object of each term class, atoms and a constraint, built afresh."""
+    a = SymAddrRef(10, "list")
+    i = SymIntRef(1, "x")
+    return [a, NullRef(), FieldPath(a, ("next",)), IntConst(3), i,
+            SymDataRef(4, "d"), Add(i, IntConst(1)), Sub(i, IntConst(1)),
+            Atom(NEQ, a, NullRef()), Atom(EQ, Add(i, IntConst(1)), IntConst(3)),
+            constraint(Atom(NEQ, a, NullRef()))]
+
+
+def test_terms_built_twice_are_equal_and_hash_equal():
+    for x, y in zip(_build(), _build()):
+        assert x is not y
+        assert x == y and hash(x) == hash(y)
+
+
+def test_symbols_with_one_sid_and_display_are_pairwise_unequal():
+    syms = [SymAddrRef(7, "v"), SymIntRef(7, "v"), SymDataRef(7, "v")]
+    for i, x in enumerate(syms):
+        for y in syms[i + 1:]:
+            assert x != y
+    assert len(set(syms)) == 3
+
+
+def test_value_objects_are_frozen():
+    for obj, name in ((SymAddrRef(1, "a"), "sid"), (SymIntRef(1, "x"), "display"),
+                      (IntConst(1), "value"), (Atom(EQ, X, Y), "op"),
+                      (FieldPath(A, ("next",)), "base"), (TRUE, "atoms")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
 
 
 # ---------------------------------------------------------------- rendering

@@ -1,6 +1,10 @@
 """Symbolic state model: values, heap, allocator, call patterns."""
+import dataclasses
+
 import pytest
 
+from specminer.constraints import (
+    EQ, NEQ, NULL, Atom, IntConst, SymAddrRef, conjoin, constraint)
 from specminer.frontend import nodes as N
 from specminer.symstate import (
     Addr,
@@ -39,7 +43,9 @@ def test_allocator_is_monotone_and_label_scoped():
     i = alloc.fresh_int("n")
     assert a.sid < b.sid < i.sid
     assert a != b  # same display, distinct identity
-    assert a.ref.sid == a.sid and a.ref.display == "x"
+    # an address is a condition term as it is
+    assert isinstance(a, SymAddrRef)
+    assert Atom(NEQ, a, NULL) == Atom(NEQ, SymAddrRef(a.sid, "x"), NULL)
     labeled = Allocator("run1").fresh_addr("x")
     assert labeled.display == "run1:x"
 
@@ -73,6 +79,42 @@ def test_clone_isolates_heap_env_and_conditions(dll_index):
     assert p.heap[p.env["len"]] is UNDEF
     # lazy flag must survive copying — it drives field materialization
     assert q.heap[root].lazy
+
+
+def test_typed_values_are_frozen():
+    for obj, name in ((Addr(Allocator().fresh_addr("x")), "target"),
+                      (TypedValue(N.INT, 1), "payload")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+
+
+def _union(p):
+    return conjoin(conjoin(p.path_condition, p.mem_path_condition), p.alloc_condition)
+
+
+def test_stored_conjunction_follows_every_cell(dll_index):
+    alloc = Allocator()
+    root = alloc.fresh_addr("list")
+    n = alloc.fresh_int("n")
+    cp = CallPattern("length", [Addr(root)],
+                     initial_constraint=constraint(Atom(EQ, n, IntConst(1))))
+    p = make_call_pattern(dll_index, cp, alloc)
+    assert p.combined_condition() == _union(p) and not p.combined_condition().is_true
+    q = p.clone()
+    assert q.combined_condition() == _union(q) == _union(p)
+    q.add_path_atom(Atom(NEQ, n, IntConst(0)))
+    assert q.combined_condition() == _union(q)
+    q.add_mem_atom(Atom(NEQ, root, NULL))
+    assert q.combined_condition() == _union(q)
+    q.add_alloc_atom(Atom(NEQ, alloc.fresh_addr("m"), NULL))
+    assert q.combined_condition() == _union(q)
+    # an atom already in the conjunction through another cell
+    q.add_path_atom(Atom(NEQ, root, NULL))
+    assert q.combined_condition() == _union(q)
+    assert len(q.combined_condition().atoms) == 4
+    # the clone's updates leave the original alone
+    assert p.combined_condition() == _union(p)
+    assert len(p.combined_condition().atoms) == 1
 
 
 def test_render_pattern_shape(dll_index):
