@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .engine import Limits
 from .frontend import load_program
@@ -36,19 +35,6 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 64
 
 MAX_PATTERNS_ENV = "SPECMINER_MAX_PATTERNS"
-
-
-@dataclass
-class CliConfig:
-    input_path: str
-    modifier_name: str
-    unroll_bound: int = 1
-    format: str = "text"
-    lazy_aliasing: bool = False
-    dump_patterns: bool = False
-    observers_override: list | None = None
-    seed_label: str = ""
-    max_patterns: int = 4096
 
 
 class _UsageError(Exception):
@@ -85,38 +71,35 @@ def _build_parser() -> _Parser:
     return p
 
 
-def parse_args(argv) -> CliConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """The validated arguments. `observers` becomes a list of names (or
+    None), and `max_patterns` comes from the environment."""
     ns = _build_parser().parse_args(argv)
     if ns.unroll < 1:
         raise _UsageError("--unroll must be at least 1")
-    observers = None
     if ns.observers is not None:
-        observers = [s.strip() for s in ns.observers.split(",") if s.strip()]
-        if not observers:
+        ns.observers = [s.strip() for s in ns.observers.split(",") if s.strip()]
+        if not ns.observers:
             raise _UsageError("--observers needs at least one name")
-    max_patterns = 4096
+    ns.max_patterns = 4096
     raw = os.environ.get(MAX_PATTERNS_ENV)
     if raw is not None:
         try:
-            max_patterns = int(raw)
+            ns.max_patterns = int(raw)
         except ValueError:
             raise _UsageError(f"{MAX_PATTERNS_ENV} must be an integer, got {raw!r}")
-        if max_patterns < 1:
+        if ns.max_patterns < 1:
             raise _UsageError(f"{MAX_PATTERNS_ENV} must be positive")
-    return CliConfig(
-        input_path=ns.input,
-        modifier_name=ns.function,
-        unroll_bound=ns.unroll,
-        format=ns.format,
-        lazy_aliasing=ns.lazy_aliasing,
-        dump_patterns=ns.dump_patterns,
-        observers_override=observers,
-        seed_label=ns.seed_label,
-        max_patterns=max_patterns,
-    )
+    return ns
 
 
 # ---------------------------------------------------------------- emitters
+
+def _conjunction(eqs) -> list:
+    """One line per equation, every one after the first led by `/\\`."""
+    return [f"  {e.render()}" if i == 0 else f"  /\\ {e.render()}"
+            for i, e in enumerate(eqs)]
+
 
 def emit_text(spec: SpecSet, patterns=None) -> str:
     out = []
@@ -130,20 +113,12 @@ def emit_text(spec: SpecSet, patterns=None) -> str:
         return "\n".join(out) + "\n"
     blocks = []
     for ax in spec.axioms:
-        lines = []
         if ax.pre:
-            lines.append("(")
-            for i, e in enumerate(ax.pre):
-                lines.append(f"  {e.render()}" if i == 0 else f"  /\\ {e.render()}")
-            lines.append(") => (")
+            lines = ["(", *_conjunction(ax.pre), ") => ("]
         else:
-            lines.append("true => (")
+            lines = ["true => ("]
         tail = list(ax.post) + ([ax.ret] if ax.ret is not None else [])
-        if tail:
-            for i, e in enumerate(tail):
-                lines.append(f"  {e.render()}" if i == 0 else f"  /\\ {e.render()}")
-        else:
-            lines.append("  true")
+        lines += _conjunction(tail) or ["  true"]
         lines.append(")" + (" [approx]" if ax.approx else ""))
         blocks.append("\n".join(lines))
     out.append("\n\n".join(blocks))
@@ -185,42 +160,42 @@ def emit_json(spec: SpecSet, patterns=None) -> str:
 def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
-        cfg = parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except _UsageError as e:
         sys.stderr.write(_build_parser().format_usage())
         print(f"specminer: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
     try:
-        with open(cfg.input_path, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as e:
-        print(f"specminer: error: cannot read {cfg.input_path}: {e}",
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"specminer: error: cannot read {args.input}: {e}",
               file=sys.stderr)
         return EXIT_USAGE
 
     try:
         index = load_program(source)
     except (IllegalCharacter, ParseError, ResolveError) as e:
-        print(f"specminer: {cfg.input_path}: {e}", file=sys.stderr)
+        print(f"specminer: {args.input}: {e}", file=sys.stderr)
         return EXIT_SOURCE
 
-    limits = Limits(unroll_bound=cfg.unroll_bound, max_patterns=cfg.max_patterns)
+    limits = Limits(unroll_bound=args.unroll, max_patterns=args.max_patterns)
     try:
         spec = infer_spec(
             index,
-            cfg.modifier_name,
+            args.function,
             limits,
-            observers_override=cfg.observers_override,
-            lazy_aliasing=cfg.lazy_aliasing,
-            seed_label=cfg.seed_label,
+            observers_override=args.observers,
+            lazy_aliasing=args.lazy_aliasing,
+            seed_label=args.seed_label,
         )
     except (UnknownFunction, NotAnObserver) as e:
         print(f"specminer: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
-    patterns = spec.patterns if cfg.dump_patterns else None
-    if cfg.format == "json":
+    patterns = spec.patterns if args.dump_patterns else None
+    if args.format == "json":
         sys.stdout.write(emit_json(spec, patterns))
     else:
         sys.stdout.write(emit_text(spec, patterns))

@@ -4,13 +4,22 @@ The machine is a small-step interpreter over a continuation stack (`k`) and
 an expression value stack, exploring branches depth-first with the true
 branch first (the false one first in an all-or-nothing run, see `se`).
 
-Every continuation frame is a `(handler, node)` pair, top last, where `node`
-is the AST node that pushed the frame and the handler reads what it needs
+Every continuation frame is a `(handler, data)` pair, top last. The data
+is the AST node that pushed the frame, and the handler reads what it needs
 from it (an operator, a field name, the branches of an `if`). A statement or
 expression is pushed with the handler `_HANDLERS` gives its node class;
 that handler pushes the frames for its operands and for the work after
 them. One step pops and runs one frame, so `Limits.max_steps` counts
-frames. A `return` drops the frames down to its call-boundary frame.
+frames.
+
+The continuation is the only record of pending calls. A call pushes a
+return frame under the callee's body; its data is the call node plus the
+caller's env and loop counts, which the frame restores when the callee
+returns. The entry call's body sits on its exit frame instead, whose data
+is the function and which ends the path. A `return` drops the frames down
+to the nearest return or exit frame, and running off the end of a body
+reaches that frame too. The recursion depth of a call is the number of
+return frames for its call node.
 
 Three mechanisms matter beyond plain evaluation:
 
@@ -63,11 +72,11 @@ from .symstate import (
     Addr,
     Allocator,
     CallPattern,
-    Frame,
     HeapObject,
     Pattern,
     TypedValue,
     bind_frame,
+    fresh_value,
     make_call_pattern,
 )
 
@@ -171,15 +180,8 @@ class _Engine:
             p.add_alloc_atom(Atom(C.NEQ, a, m))
 
     def _fill(self, p: Pattern, a: SymAddrRef, fname: str, ftype: nodes.CType):
-        display = f"{a.display}.{fname}"
-        if ftype.kind == "structptr":
-            v = Addr(self.alloc.derived_addr(display))
-        elif ftype.kind == "voidptr":
-            v = TypedValue(ftype, self.alloc.derived_data(display))
-        elif ftype.kind == "int":
-            v = TypedValue(ftype, self.alloc.derived_int(display))
-        else:
-            v = UNDEF
+        # the display derives from `a`'s, which already carries any label
+        v = fresh_value(self.alloc, ftype, f"{a.display}.{fname}")
         obj = p.heap[a]
         obj.fields[fname] = v
         entry = p.entry_heap.get(a)
@@ -282,7 +284,7 @@ class _Engine:
             if self.sat.check(base, alias) != SatResult.UNSAT:
                 al = ok.clone()
                 al.add_mem_atom(alias)
-                al.aliases[target] = cand
+                al.aliases = {**al.aliases, target: cand}
                 worlds.append((al, cand))
         for cand in cands:
             ok.add_mem_atom(Atom(C.NEQ, target, cand))
@@ -290,15 +292,14 @@ class _Engine:
 
     @staticmethod
     def _value_term(v):
+        """The condition term of a value other than UNDEF."""
         if v is NULL_ADDR:
             return C.NULL
         if isinstance(v, Addr):
             return v.target
-        if isinstance(v, TypedValue):
-            if isinstance(v.payload, int):
-                return IntConst(v.payload)
-            return v.payload
-        return None
+        if isinstance(v.payload, int):
+            return IntConst(v.payload)
+        return v.payload
 
     def _truth(self, p: Pattern, node) -> list[Pattern]:
         """Reduce an int value (the resolver admits no other condition) to
@@ -362,7 +363,7 @@ class _Engine:
             if count > self.limits.unroll_bound:
                 self.truncated += 1
                 return []
-            p.loop_counts[id(s)] = count
+            p.loop_counts = {**p.loop_counts, id(s): count}
         p.k += [(_Engine._loop_check, s), _frame(s.body)]
         return [p]
 
@@ -373,23 +374,23 @@ class _Engine:
         return [p]
 
     def _leave(self, p: Pattern, s) -> list[Pattern]:
-        """Finish a `return`: the frames down to the call-boundary frame
-        are dropped unrun."""
+        """Finish a `return`: the frames down to the nearest return or
+        exit frame are dropped unrun."""
         rv = p.vals.pop() if s.value is not None else UNDEF
         while True:
-            handler, f = p.k.pop()
-            if handler is _Engine._call_boundary:
-                return self._call_boundary(p, f, rv)
+            handler, data = p.k.pop()
+            if handler is _Engine._resume or handler is _Engine._exit:
+                return handler(self, p, data, rv)
 
-    def _call_boundary(self, p: Pattern, f, rv=UNDEF) -> list[Pattern]:
-        """Leave the call that runs `f`: off the end of its body, or by a
-        `return` of `rv`."""
-        if p.call_stack:
-            frame = p.call_stack.pop()
-            p.env = frame.saved_env
-            p.loop_counts = frame.loop_counts
-            p.vals.append(rv)
-            return [p]
+    def _resume(self, p: Pattern, saved, rv=UNDEF) -> list[Pattern]:
+        """Return `rv` from a call (UNDEF off the end of its body) to the
+        caller whose env and loop counts `saved` holds."""
+        _call, p.env, p.loop_counts = saved
+        p.vals.append(rv)
+        return [p]
+
+    def _exit(self, p: Pattern, f, rv=UNDEF) -> list[Pattern]:
+        """End the path with the entry call's return value `rv`."""
         p.status = FINAL
         p.return_value = rv
         p.k = []
@@ -406,10 +407,7 @@ class _Engine:
         return [p]
 
     def _var(self, p: Pattern, e) -> list[Pattern]:
-        cell = p.env.get(e.name)
-        if cell is None:
-            return [self._error(p, f"unbound variable '{e.name}'")]
-        v = p.heap.get(cell, UNDEF)
+        v = p.heap[p.env[e.name]]
         if v is UNDEF:
             return [self._error(p, f"read of undefined variable '{e.name}'")]
         p.vals.append(v)
@@ -493,11 +491,8 @@ class _Engine:
         if (l is NULL_ADDR or isinstance(l, Addr)) and l == r:
             p.vals.append(_ONE if e.op in ("==", "<=", ">=") else _ZERO)
             return [p]
-        lt = self._value_term(l)
-        rt = self._value_term(r)
-        if lt is None or rt is None:
-            return [self._error(p, "comparison of incomparable values")]
-        return self._binary_split(p, Atom(_CMP_TO_ATOM[e.op], lt, rt))
+        return self._binary_split(p, Atom(_CMP_TO_ATOM[e.op], self._value_term(l),
+                                          self._value_term(r)))
 
     def _assign(self, p: Pattern, e) -> list[Pattern]:
         if isinstance(e.target, nodes.Var):
@@ -540,20 +535,16 @@ class _Engine:
         return [p]
 
     def _invoke(self, p: Pattern, e) -> list[Pattern]:
-        f = self.index.functions.get(e.fname)
-        if f is None:
-            return [self._error(p, f"call to unknown function '{e.fname}'")]
-        args = [p.vals.pop() for _ in e.args][::-1]
-        if len(f.params) != len(args):
-            return [self._error(p, f"arity mismatch calling '{e.fname}'")]
-        active = sum(1 for fr in p.call_stack if fr.call_site == id(e))
+        active = sum(1 for h, data in p.k if h is _Engine._resume and data[0] is e)
         if active >= self.limits.unroll_bound:
             self.truncated += 1
             return []
-        p.call_stack.append(Frame(e.fname, id(e), p.env, p.loop_counts))
+        f = self.index.functions[e.fname]
+        args = [p.vals.pop() for _ in e.args][::-1]
+        p.k.append((_Engine._resume, (e, p.env, p.loop_counts)))
+        p.k += [_frame(s) for s in reversed(f.body)]
         p.env = bind_frame(f, args, p.heap, self.alloc)
         p.loop_counts = {}
-        p.k += _body(f)
         return [p]
 
 
@@ -589,11 +580,6 @@ def _frame(node) -> tuple:
     return (_HANDLERS[type(node)], node)
 
 
-def _body(f) -> list:
-    """The frames that run `f`'s body up to its return, top last."""
-    return [(_Engine._call_boundary, f)] + [_frame(s) for s in reversed(f.body)]
-
-
 # ---------------------------------------------------------------- API
 
 def se(
@@ -627,5 +613,5 @@ def se(
     if f is None:
         raise KeyError(f"unknown function '{call_pattern.fname}'")
     p = make_call_pattern(index, call_pattern, alloc)
-    p.k = _body(f)
+    p.k = [(_Engine._exit, f)] + [_frame(s) for s in reversed(f.body)]
     return eng.run(p, reject)

@@ -30,6 +30,7 @@ from .symstate import (
     CallPattern,
     Pattern,
     TypedValue,
+    fresh_value,
 )
 
 
@@ -267,15 +268,8 @@ def explain(
 # ---------------------------------------------------------------- inference
 
 def _seed_args(f, alloc: Allocator):
-    out = []
-    for pname, ptype in f.params:
-        if ptype.kind == "structptr":
-            out.append((pname, Addr(alloc.fresh_addr(pname)), ptype))
-        elif ptype.kind == "voidptr":
-            out.append((pname, TypedValue(ptype, alloc.fresh_data(pname)), ptype))
-        else:
-            out.append((pname, TypedValue(ptype, alloc.fresh_int(pname)), ptype))
-    return out
+    return [(pname, fresh_value(alloc, ptype, alloc.label(pname)), ptype)
+            for pname, ptype in f.params]
 
 
 def infer_spec(
@@ -297,9 +291,8 @@ def infer_spec(
                 raise UnknownFunction(name)
             if g.return_type.kind == "void":
                 raise NotAnObserver(f"{name} returns void")
-        observer_names = [n for n in observers_override if n != modifier]
-    else:
-        observer_names = sorted(n for n in index.observers if n != modifier)
+    observer_names = set(index.observers if observers_override is None
+                         else observers_override) - {modifier}
 
     alloc = Allocator(seed_label)
     # one solver cache for every run below: replays start from the path

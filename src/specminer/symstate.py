@@ -6,7 +6,15 @@ the heap itself, and the two condition cells (one for ordinary branch
 facts, one for decisions taken while materializing unexplored parts of the
 heap on demand), plus a third, undisplayed cell of distinctness facts for
 fresh storage. The pattern also keeps the conjunction of the three, which
-every solver question starts from.
+every solver question starts from. Pending calls live only in the
+continuation: a call's frame holds the caller's env and loop counts.
+
+`Pattern.clone` copies only the containers that are written in place: the
+continuation `k`, the value stack `vals`, and the two heaps with their
+objects. Every other container (`env`, `loop_counts`, `aliases`, and the
+envs and loop counts that call frames saved) is shared between the clones
+and must only ever be replaced, never written in place; that is what makes
+sharing it safe.
 
 A symbolic address is a `constraints.SymAddrRef`, so a heap key is its own
 condition term. The heap maps addresses either to a plain value cell (used
@@ -78,9 +86,7 @@ def render_value(v: Value, tagged=frozenset()) -> str:
         p = v.payload
         if isinstance(p, int):
             return str(p)
-        if isinstance(p, (SymIntRef, SymDataRef)):
-            return "?" + p.display.replace(".", "->")
-        return str(p)
+        return "?" + p.display.replace(".", "->")
     raise TypeError(f"not a value: {v!r}")
 
 
@@ -125,41 +131,35 @@ class Allocator:
 
     def __init__(self, seed_label: str = ""):
         self._next = 0
-        self._prefix = seed_label
+        self._prefix = f"{seed_label}:" if seed_label else ""
 
-    def _fresh(self, display: str) -> tuple[int, str]:
+    def symbol(self, cls, display: str):
+        """A fresh symbol of class `cls` shown as `display`, taken as is."""
         sid = self._next
         self._next += 1
-        return sid, (f"{self._prefix}:{display}" if self._prefix else display)
+        return cls(sid, display)
+
+    def label(self, display: str) -> str:
+        """`display` with the run's seed label, if any, in front."""
+        return self._prefix + display
 
     def fresh_addr(self, display: str) -> SymAddrRef:
-        sid, d = self._fresh(display)
-        return SymAddrRef(sid, d)
+        return self.symbol(SymAddrRef, self.label(display))
 
     def fresh_int(self, display: str) -> SymIntRef:
-        sid, d = self._fresh(display)
-        return SymIntRef(sid, d)
+        return self.symbol(SymIntRef, self.label(display))
 
     def fresh_data(self, display: str) -> SymDataRef:
-        sid, d = self._fresh(display)
-        return SymDataRef(sid, d)
+        return self.symbol(SymDataRef, self.label(display))
 
-    # names derived from an existing symbol's display (field fills) already
-    # carry any label; these variants allocate an identity without re-prefixing
-    def derived_addr(self, display: str) -> SymAddrRef:
-        sid = self._next
-        self._next += 1
-        return SymAddrRef(sid, display)
 
-    def derived_int(self, display: str) -> SymIntRef:
-        sid = self._next
-        self._next += 1
-        return SymIntRef(sid, display)
-
-    def derived_data(self, display: str) -> SymDataRef:
-        sid = self._next
-        self._next += 1
-        return SymDataRef(sid, display)
+def fresh_value(alloc: Allocator, ctype: nodes.CType, display: str) -> Value:
+    """A fresh symbolic value of C type `ctype` (int, void* or a struct
+    pointer) shown as `display`, taken as is."""
+    if ctype.kind == "structptr":
+        return Addr(alloc.symbol(SymAddrRef, display))
+    return TypedValue(ctype, alloc.symbol(
+        SymDataRef if ctype.kind == "voidptr" else SymIntRef, display))
 
 
 # ---------------------------------------------------------------- patterns
@@ -175,7 +175,6 @@ class Pattern:
     env: dict[str, SymAddrRef]
     heap: Heap
     entry_heap: Heap  # the input heap as discovered: materializations + fills
-    call_stack: list
     path_condition: Constraint = TRUE
     mem_path_condition: Constraint = TRUE
     # distinctness facts for fresh storage (malloc results, materialized
@@ -204,10 +203,9 @@ class Pattern:
     def clone(self) -> "Pattern":
         return Pattern(
             k=list(self.k),
-            env=dict(self.env),
+            env=self.env,
             heap=_copy_heap(self.heap),
             entry_heap=_copy_heap(self.entry_heap),
-            call_stack=[frm.clone() for frm in self.call_stack],
             path_condition=self.path_condition,
             mem_path_condition=self.mem_path_condition,
             alloc_condition=self.alloc_condition,
@@ -216,9 +214,9 @@ class Pattern:
             error_reason=self.error_reason,
             return_value=self.return_value,
             malloced=self.malloced,
-            aliases=dict(self.aliases),
+            aliases=self.aliases,
             vals=list(self.vals),
-            loop_counts=dict(self.loop_counts),
+            loop_counts=self.loop_counts,
             approx=self.approx,
             guard_split=self.guard_split,
             steps=self.steps,
@@ -260,19 +258,6 @@ def _copy_heap(h: Heap) -> Heap:
         else:
             out[k] = v
     return out
-
-
-@dataclass
-class Frame:
-    """One pending call: where to put the return value and what to restore."""
-    function: str
-    call_site: int  # id() of the Call node, for recursion accounting
-    saved_env: dict[str, SymAddrRef]
-    loop_counts: dict
-
-    def clone(self) -> "Frame":
-        return Frame(self.function, self.call_site, dict(self.saved_env),
-                     dict(self.loop_counts))
 
 
 # ---------------------------------------------------------------- call shape
@@ -322,7 +307,6 @@ def make_call_pattern(index, cp: CallPattern, alloc: Allocator) -> Pattern:
         env=env,
         heap=heap,
         entry_heap=_copy_heap(cp.initial_heap),
-        call_stack=[],
         path_condition=cp.initial_constraint,
         mem_path_condition=TRUE,
         malloced=cp.initial_malloced,

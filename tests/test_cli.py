@@ -150,6 +150,14 @@ def test_observers_whitelist(capsys):
     assert "find(" not in out and "reverse(" not in out
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_a_repeated_observer_name_counts_once(capsys, fmt):
+    once = run(capsys, DLL, "-f", "append", "--observers", "length", *fmt)
+    twice = run(capsys, DLL, "-f", "append", "--observers", "length,length", *fmt)
+    assert once[0] == twice[0] == EXIT_OK
+    assert twice[1] == once[1]
+
+
 def test_seed_label_prefixes_symbols_once(capsys):
     code, out, _err = run(capsys, DLL, "-f", "append", "--dump-patterns",
                           "--seed-label", "run1")
@@ -305,6 +313,15 @@ def test_resolve_error_exits_2(capsys, tmp_path):
 
 def test_missing_file_exits_64(capsys):
     assert run(capsys, "/nonexistent.c", "-f", "f")[0] == EXIT_USAGE
+
+
+def test_undecodable_file_exits_64(capsys, tmp_path):
+    bad = tmp_path / "bad.c"
+    bad.write_bytes(b"int f(int x) { return x; }\n\xff\n")
+    code, out, err = run(capsys, str(bad), "-f", "f")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"specminer: error: cannot read {bad}: ")
 
 
 def test_unknown_function_exits_64(capsys):

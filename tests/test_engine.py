@@ -253,6 +253,57 @@ def test_recursion_is_cut_at_the_unroll_bound():
         assert res.truncated_paths == 1
 
 
+# `upto` has its own loop and `sum` calls it from inside its loop
+NESTED_LOOPS_SRC = """
+struct N { int v; struct N* next; };
+int upto(int k) { int c; c = 0; while (c < k) c = c + 1; return c; }
+int sum(struct N* n) { int t; t = 0; while (n != NULL) { t = t + upto(n->v); n = n->next; } return t; }
+"""
+
+
+@pytest.mark.parametrize("bound, returns", [
+    # lists of up to `bound` nodes, each node's `v` counted up to `bound`
+    (1, [0, 0, 1]),
+    (2, [0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 4]),
+])
+def test_each_call_counts_its_own_loop_and_restores_the_callers(bound, returns):
+    """A call starts its loops from zero and gives the caller back its own
+    counts, on every path: one path's iterations never use up another's."""
+    idx = load_program(NESTED_LOOPS_SRC)
+    alloc = Allocator()
+    res = se(idx, CallPattern("sum", [Addr(alloc.fresh_addr("n"))]),
+             Limits(unroll_bound=bound), alloc)
+    assert sorted(p.return_value.payload for p in res.final_patterns) == returns
+    # every path that would take one more counted iteration is cut
+    assert res.truncated_paths == len(returns)
+    assert res.error_patterns == []
+
+
+def test_clones_share_only_what_is_replaced_on_write():
+    """`Pattern.clone` shares `loop_counts` and `aliases` with the original,
+    so the engine replaces them and never writes them in place."""
+    idx = load_program(NESTED_LOOPS_SRC)
+    alloc = Allocator()
+    eng = _Engine(idx, Limits(unroll_bound=2), alloc, True, SatCache())
+    p = make_call_pattern(idx, CallPattern("upto", [TypedValue(N.INT, alloc.fresh_int("k"))]),
+                          alloc)
+    loop = idx.functions["upto"].body[1]
+    q = p.clone()
+    q.vals.append(TypedValue(N.INT, 1))
+    q.guard_split = True
+    assert eng._loop_decide(q, loop) == [q]
+    assert q.loop_counts == {id(loop): 1}
+    assert p.loop_counts == {}
+
+    a, b = alloc.fresh_addr("a"), alloc.fresh_addr("b")
+    ok = make_call_pattern(idx, CallPattern("sum", [Addr(b)], initial_heap={
+        a: HeapObject("N", {}, lazy=True)}), alloc)
+    worlds = eng._alias_worlds(ok, b, "N")
+    assert [(w.aliases, obj) for w, obj in worlds] == [({b: a}, a)]
+    assert ok.aliases == {}
+    assert ok.resolve(b) == b
+
+
 def test_concrete_guards_do_not_consume_the_loop_budget():
     # a fully determined loop runs to completion even at unroll 1
     idx = load_program(
