@@ -10,11 +10,11 @@ Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .engine import Limits
 from .frontend import load_program
@@ -37,44 +37,86 @@ EXIT_USAGE = 64
 MAX_PATTERNS_ENV = "SPECMINER_MAX_PATTERNS"
 
 
+USAGE = """\
+usage: specminer [-h] -f NAME [--unroll N] [--format {text,json}]
+                 [--lazy-aliasing] [--dump-patterns] [--observers NAMES]
+                 [--seed-label PREFIX]
+                 input
+"""
+
+HELP = """
+Infer observer-based pre/post axioms for a function in a heap-manipulating C
+fragment.
+
+positional arguments:
+  input                 path to the C source file
+
+options:
+  -h, --help            show this help message and exit
+  -f NAME, --function NAME
+                        the modifier function to analyze
+  --unroll N            loop/recursion unroll bound (default 1)
+  --format {text,json}  output format (default text)
+  --lazy-aliasing       also consider aliasing among discovered input objects
+  --dump-patterns       include the raw result patterns in the output
+  --observers NAMES     comma-separated observer whitelist (default: every
+                        non-void function)
+  --seed-label PREFIX   prefix for generated symbol names
+
+A flag's value is the next argument or follows '=', as in --unroll=2.
+"""
+
+# flag -> the argument it sets; a switch sets True, any other flag takes a value
+_SWITCHES = {"--lazy-aliasing": "lazy_aliasing", "--dump-patterns": "dump_patterns"}
+_VALUED = {"-f": "function", "--function": "function", "--unroll": "unroll",
+           "--format": "format", "--observers": "observers", "--seed-label": "seed_label"}
+
+
 class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); we reserve 2
-        raise _UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    p = _Parser(
-        prog="specminer",
-        description="Infer observer-based pre/post axioms for a function in "
-                    "a heap-manipulating C fragment.",
-    )
-    p.add_argument("input", help="path to the C source file")
-    p.add_argument("-f", "--function", required=True, metavar="NAME",
-                   help="the modifier function to analyze")
-    p.add_argument("--unroll", type=int, default=1, metavar="N",
-                   help="loop/recursion unroll bound (default 1)")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="output format (default text)")
-    p.add_argument("--lazy-aliasing", action="store_true",
-                   help="also consider aliasing among discovered input objects")
-    p.add_argument("--dump-patterns", action="store_true",
-                   help="include the raw result patterns in the output")
-    p.add_argument("--observers", metavar="NAMES",
-                   help="comma-separated observer whitelist (default: every "
-                        "non-void function)")
-    p.add_argument("--seed-label", default="", metavar="PREFIX",
-                   help="prefix for generated symbol names")
-    return p
-
-
-def parse_args(argv) -> argparse.Namespace:
-    """The validated arguments. `observers` becomes a list of names (or
-    None), and `max_patterns` comes from the environment."""
-    ns = _build_parser().parse_args(argv)
+def parse_args(argv) -> SimpleNamespace | None:
+    """The validated arguments, or None when they ask for help. `observers`
+    becomes a list of names (or None), and `max_patterns` comes from the
+    environment. Flags are spelled out in full, and the last one given
+    wins."""
+    ns = SimpleNamespace(function=None, unroll="1", format="text", lazy_aliasing=False,
+                         dump_patterns=False, observers=None, seed_label="")
+    inputs = []
+    rest = iter(argv)
+    for arg in rest:
+        flag, eq, value = arg.partition("=") if arg.startswith("--") else (arg, "", "")
+        if arg in ("-h", "--help"):
+            return None
+        if flag in _SWITCHES and not eq:
+            setattr(ns, _SWITCHES[flag], True)
+        elif flag in _VALUED:
+            if not eq:
+                value = next(rest, None)
+                # a value never looks like a flag; a negative number may be one
+                if value is None or (value[:1] == "-" and len(value) > 1
+                                     and not value[1:].isdigit()):
+                    raise _UsageError(f"argument {flag}: expected one argument")
+            setattr(ns, _VALUED[flag], value)
+        elif arg[:1] == "-" and len(arg) > 1:
+            raise _UsageError(f"unrecognized arguments: {arg}")
+        else:
+            inputs.append(arg)
+    missing = [name for name, absent in (("input", not inputs),
+                                         ("-f/--function", ns.function is None)) if absent]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if len(inputs) > 1:
+        raise _UsageError(f"unrecognized arguments: {' '.join(inputs[1:])}")
+    ns.input = inputs[0]
+    try:
+        ns.unroll = int(ns.unroll)
+    except ValueError:
+        raise _UsageError(f"argument --unroll: invalid int value: {ns.unroll!r}")
+    if ns.format not in ("text", "json"):
+        raise _UsageError(f"argument --format: invalid choice: {ns.format!r} "
+                          f"(choose from 'text', 'json')")
     if ns.unroll < 1:
         raise _UsageError("--unroll must be at least 1")
     if ns.observers is not None:
@@ -162,9 +204,12 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except _UsageError as e:
-        sys.stderr.write(_build_parser().format_usage())
+        sys.stderr.write(USAGE)
         print(f"specminer: error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    if args is None:
+        sys.stdout.write(USAGE + HELP)
+        return EXIT_OK
 
     try:
         with open(args.input, "r", encoding="utf-8") as fh:

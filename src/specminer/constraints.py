@@ -7,9 +7,10 @@ atoms (conjunction); the empty set is True.
 
 A heap address is a `SymAddrRef`: the `symstate.Allocator` hands it out,
 the heap is keyed by it, and an atom takes it as it is. Terms are frozen
-value objects with structural equality. The three symbol classes hash by
-their `sid`, which one allocator never hands out twice, and `NULL` by a
-constant, so the sets and dicts that hold them hash no strings.
+value objects (`record.Frozen`) with structural, class-aware equality. The
+three symbol classes hash by their `sid`, which one allocator never hands
+out twice, and `NULL` by a constant, so the sets and dicts that hold them
+hash no strings.
 
 Satisfiability is decided by
   (i)  congruence closure over the equality atoms of the address/data
@@ -38,28 +39,51 @@ the result, where the path's next question starts. Its answers are
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+
+from .record import Frozen, setfield
 
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    pass
+class Term(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SymAddrRef(Term):
-    """A heap address: a pointer argument, a materialized input object, a
-    malloc result or a variable's cell. It is also the heap key."""
-    sid: int
-    display: str
+class _Symbol(Term):
+    """A symbol: `sid`, which one allocator never hands out twice, is its
+    hash; its class and `display` also take part in equality."""
+    __slots__ = ("sid", "display")
+
+    def __init__(self, sid: int, display: str):
+        setfield(self, "sid", sid)
+        setfield(self, "display", display)
+
+    def _key(self):
+        return (self.sid, self.display)
 
     def __hash__(self):
         return self.sid
 
 
-@dataclass(frozen=True, slots=True)
+class SymAddrRef(_Symbol):
+    """A heap address: a pointer argument, a materialized input object, a
+    malloc result or a variable's cell. It is also the heap key."""
+    __slots__ = ()
+
+
+class SymIntRef(_Symbol):
+    __slots__ = ()
+
+
+class SymDataRef(_Symbol):
+    __slots__ = ()
+
+
 class NullRef(Term):
+    __slots__ = ()
+
+    def _key(self):
+        return ()
+
     def __hash__(self):
         return -3  # a constant no sid takes: sids count up from 0
 
@@ -67,65 +91,74 @@ class NullRef(Term):
 NULL = NullRef()
 
 
-@dataclass(frozen=True, slots=True)
 class FieldPath(Term):
-    base: SymAddrRef
-    fields: tuple[str, ...]
+    __slots__ = ("base", "fields")
+
+    def __init__(self, base: SymAddrRef, fields: tuple[str, ...]):
+        setfield(self, "base", base)
+        setfield(self, "fields", fields)
+
+    def _key(self):
+        return (self.base, self.fields)
 
 
-@dataclass(frozen=True, slots=True)
 class IntConst(Term):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        setfield(self, "value", value)
+
+    def _key(self):
+        return (self.value,)
 
 
-@dataclass(frozen=True, slots=True)
-class SymIntRef(Term):
-    sid: int
-    display: str
+class _Arith(Term):
+    __slots__ = ("left", "right")
 
-    def __hash__(self):
-        return self.sid
+    def __init__(self, left: Term, right: Term):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
-
-@dataclass(frozen=True, slots=True)
-class SymDataRef(Term):
-    sid: int
-    display: str
-
-    def __hash__(self):
-        return self.sid
+    def _key(self):
+        return (self.left, self.right)
 
 
-@dataclass(frozen=True, slots=True)
-class Add(Term):
-    left: Term
-    right: Term
+class Add(_Arith):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Sub(Term):
-    left: Term
-    right: Term
+class Sub(_Arith):
+    __slots__ = ()
 
 
 EQ, NEQ, LT, LE, GT, GE = "=", "!=", "<", "<=", ">", ">="
 _NEGATION = {EQ: NEQ, NEQ: EQ, LT: GE, GE: LT, LE: GT, GT: LE}
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    op: str
-    lhs: Term
-    rhs: Term
+class Atom(Frozen):
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Term, rhs: Term):
+        setfield(self, "op", op)
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
+
+    def _key(self):
+        return (self.op, self.lhs, self.rhs)
 
 
 def negate_atom(a: Atom) -> Atom:
     return Atom(_NEGATION[a.op], a.lhs, a.rhs)
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
-    atoms: frozenset[Atom]
+class Constraint(Frozen):
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms: frozenset[Atom]):
+        setfield(self, "atoms", atoms)
+
+    def _key(self):
+        return (self.atoms,)
 
     @property
     def is_true(self) -> bool:

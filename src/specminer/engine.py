@@ -58,11 +58,11 @@ Three mechanisms matter beyond plain evaluation:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from . import constraints as C
 from .constraints import Atom, IntConst, NullRef, SatResult, SymAddrRef
 from .frontend import nodes
+from .record import Record
 from .symstate import (
     FINAL,
     ERROR,
@@ -82,22 +82,27 @@ from .symstate import (
 
 # ---------------------------------------------------------------- limits
 
-@dataclass
-class Limits:
-    unroll_bound: int = 1
-    max_patterns: int = 4096
-    max_steps: int = 100000
+class Limits(Record):
+    def __init__(self, unroll_bound: int = 1, max_patterns: int = 4096,
+                 max_steps: int = 100000):
+        self.unroll_bound = unroll_bound
+        self.max_patterns = max_patterns
+        self.max_steps = max_steps
+
+    def _key(self):
+        return (self.unroll_bound, self.max_patterns, self.max_steps)
 
 
-@dataclass
 class SEResult:
-    patterns: list  # terminal patterns in emission order
-    truncated_paths: int
-    budget_error: bool
-    split_log: list  # [(Constraint, Constraint)] per genuine split
-    # the run stopped early: `reject` held for its last pattern, or a path
-    # was cut at the unroll bound
-    rejected: bool = False
+    def __init__(self, patterns: list, truncated_paths: int, budget_error: bool,
+                 split_log: list, rejected: bool):
+        self.patterns = patterns  # terminal patterns in emission order
+        self.truncated_paths = truncated_paths
+        self.budget_error = budget_error
+        self.split_log = split_log  # [(Constraint, Constraint)] per genuine split
+        # the run stopped early: `reject` held for its last pattern, or a path
+        # was cut at the unroll bound
+        self.rejected = rejected
 
     @property
     def final_patterns(self) -> list:

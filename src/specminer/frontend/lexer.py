@@ -4,7 +4,7 @@ Comments (// and /* */) and preprocessor lines (#...) are skipped; every
 token keeps its 1-based line/column for diagnostics.
 """
 
-from dataclasses import dataclass
+from ..record import Frozen, setfield
 
 KEYWORDS = {"int", "void", "struct", "if", "else", "while", "return", "NULL"}
 
@@ -23,12 +23,17 @@ class IllegalCharacter(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "int" | "kw" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+class Token(Frozen):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        setfield(self, "kind", kind)  # "ident" | "int" | "kw" | "punct" | "eof"
+        setfield(self, "text", text)
+        setfield(self, "line", line)
+        setfield(self, "col", col)
+
+    def _key(self):
+        return (self.kind, self.text, self.line, self.col)
 
     def __repr__(self):
         return f"{self.kind}({self.text})@{self.line}:{self.col}"

@@ -1,22 +1,27 @@
 """AST node types plus the pretty-printer used for the round-trip check.
 
-Type annotations added by the resolver live in `ctype` fields that are
-excluded from structural equality, so two independent parses of the same
-source compare equal.
+Type annotations added by the resolver live in `ctype` (and, on a field
+access, `struct_name`) attributes that each node's equality key leaves
+out, so two independent parses of the same source compare equal, whether
+or not the resolver has annotated them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from ..record import Frozen, Record, setfield
 
 # ---- types ----
 
 
-@dataclass(frozen=True)
-class CType:
-    kind: str  # "int" | "void" | "voidptr" | "structptr"
-    struct: Optional[str] = None
+class CType(Frozen):
+    __slots__ = ("kind", "struct")
+
+    def __init__(self, kind: str, struct: str | None = None):
+        setfield(self, "kind", kind)  # "int" | "void" | "voidptr" | "structptr"
+        setfield(self, "struct", struct)
+
+    def _key(self):
+        return (self.kind, self.struct)
 
     def render(self) -> str:
         if self.kind == "int":
@@ -44,133 +49,170 @@ def structptr(name: str) -> CType:
 # ---- expressions ----
 
 
-@dataclass(eq=True)
-class Expr:
-    pass
+class Expr(Record):
+    # the resolver's annotation: the expression's C type
+    ctype: CType | None = None
 
 
-def _anno():
-    return field(default=None, compare=False, repr=False)
-
-
-@dataclass
 class IntLit(Expr):
-    value: int
-    ctype: Optional[CType] = _anno()
+    def __init__(self, value: int):
+        self.value = value
+
+    def _key(self):
+        return (self.value,)
 
 
-@dataclass
 class NullLit(Expr):
-    ctype: Optional[CType] = _anno()
+    def _key(self):
+        return ()
 
 
-@dataclass
 class Var(Expr):
-    name: str
-    ctype: Optional[CType] = _anno()
+    def __init__(self, name: str):
+        self.name = name
+
+    def _key(self):
+        return (self.name,)
 
 
-@dataclass
 class FieldAccess(Expr):
-    base: Expr
-    fieldname: str
-    ctype: Optional[CType] = _anno()
-    struct_name: Optional[str] = _anno()  # struct of the base pointer
+    struct_name: str | None = None  # the resolver's annotation: the base's struct
+
+    def __init__(self, base: Expr, fieldname: str):
+        self.base = base
+        self.fieldname = fieldname
+
+    def _key(self):
+        return (self.base, self.fieldname)
 
 
-@dataclass
 class Unary(Expr):
-    op: str  # "!"
-    operand: Expr
-    ctype: Optional[CType] = _anno()
+    def __init__(self, op: str, operand: Expr):
+        self.op = op  # "!"
+        self.operand = operand
+
+    def _key(self):
+        return (self.op, self.operand)
 
 
-@dataclass
 class Binary(Expr):
-    op: str  # == != < <= > >= + - && ||
-    left: Expr
-    right: Expr
-    ctype: Optional[CType] = _anno()
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op  # == != < <= > >= + - && ||
+        self.left = left
+        self.right = right
+
+    def _key(self):
+        return (self.op, self.left, self.right)
 
 
-@dataclass
 class Assign(Expr):
-    target: Expr  # Var or FieldAccess
-    value: Expr
-    ctype: Optional[CType] = _anno()
+    def __init__(self, target: Expr, value: Expr):
+        self.target = target  # Var or FieldAccess
+        self.value = value
+
+    def _key(self):
+        return (self.target, self.value)
 
 
-@dataclass
 class Call(Expr):
-    fname: str
-    args: list[Expr]
-    ctype: Optional[CType] = _anno()
+    def __init__(self, fname: str, args: list[Expr]):
+        self.fname = fname
+        self.args = args
+
+    def _key(self):
+        return (self.fname, self.args)
 
 
-@dataclass
 class Malloc(Expr):
-    struct: str  # malloc(sizeof(struct S)); any (struct S*) cast is discarded
-    ctype: Optional[CType] = _anno()
+    def __init__(self, struct: str):
+        self.struct = struct  # malloc(sizeof(struct S)); any (struct S*) cast is discarded
+
+    def _key(self):
+        return (self.struct,)
 
 
 # ---- statements ----
 
 
-@dataclass
-class Stmt:
+class Stmt(Record):
     pass
 
 
-@dataclass
 class ExprStmt(Stmt):
-    expr: Expr
+    def __init__(self, expr: Expr):
+        self.expr = expr
+
+    def _key(self):
+        return (self.expr,)
 
 
-@dataclass
 class If(Stmt):
-    cond: Expr
-    then: Stmt
-    els: Optional[Stmt]
+    def __init__(self, cond: Expr, then: Stmt, els: Stmt | None):
+        self.cond = cond
+        self.then = then
+        self.els = els
+
+    def _key(self):
+        return (self.cond, self.then, self.els)
 
 
-@dataclass
 class While(Stmt):
-    cond: Expr
-    body: Stmt
+    def __init__(self, cond: Expr, body: Stmt):
+        self.cond = cond
+        self.body = body
+
+    def _key(self):
+        return (self.cond, self.body)
 
 
-@dataclass
 class Return(Stmt):
-    value: Optional[Expr]
+    def __init__(self, value: Expr | None):
+        self.value = value
+
+    def _key(self):
+        return (self.value,)
 
 
-@dataclass
 class Block(Stmt):
-    stmts: list[Stmt]
+    def __init__(self, stmts: list[Stmt]):
+        self.stmts = stmts
+
+    def _key(self):
+        return (self.stmts,)
 
 
 # ---- top level ----
 
 
-@dataclass
-class StructDef:
-    name: str
-    fields: list[tuple[str, CType]]
+class StructDef(Record):
+    def __init__(self, name: str, fields: list[tuple[str, CType]]):
+        self.name = name
+        self.fields = fields
+
+    def _key(self):
+        return (self.name, self.fields)
 
 
-@dataclass
-class FunctionDef:
-    name: str
-    return_type: CType
-    params: list[tuple[str, CType]]
-    locals: list[tuple[str, CType]]
-    body: list[Stmt]
+class FunctionDef(Record):
+    def __init__(self, name: str, return_type: CType, params: list[tuple[str, CType]],
+                 locals: list[tuple[str, CType]], body: list[Stmt]):
+        self.name = name
+        self.return_type = return_type
+        self.params = params
+        self.locals = locals
+        self.body = body
+
+    def _key(self):
+        return (self.name, self.return_type, self.params, self.locals, self.body)
 
 
-@dataclass
-class Program:
-    structs: list[StructDef]
-    functions: list[FunctionDef]
+class Program(Record):
+    def __init__(self, structs: list[StructDef], functions: list[FunctionDef]):
+        self.structs = structs
+        self.functions = functions
+
+    def _key(self):
+        return (self.structs, self.functions)
 
 
 # ---- pretty printer ----

@@ -9,8 +9,6 @@ pointer type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import nodes as N
 
 
@@ -34,13 +32,14 @@ class DuplicateDefinition(ResolveError):
     pass
 
 
-@dataclass
 class ProgramIndex:
-    structs: dict[str, N.StructDef]
-    functions: dict[str, N.FunctionDef]
-    observers: set[str]
-    modifiers: set[str]
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self, structs: dict[str, N.StructDef], functions: dict[str, N.FunctionDef],
+                 observers: set[str], modifiers: set[str]):
+        self.structs = structs
+        self.functions = functions
+        self.observers = observers
+        self.modifiers = modifiers
+        self.warnings: list[str] = []
 
     def struct_fields(self, sname: str) -> dict[str, N.CType]:
         return dict(self.structs[sname].fields)

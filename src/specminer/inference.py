@@ -15,12 +15,12 @@ premises; same premises — union conclusions) and canonically ordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 
 from . import constraints as C
 from .constraints import Atom, Constraint, SatCache, SatResult
 from .engine import Limits, se
+from .record import Frozen, setfield
 from .symstate import (
     FINAL,
     NULL_ADDR,
@@ -46,9 +46,14 @@ class NotAnObserver(Exception):
 
 # ---------------------------------------------------------------- rhs
 
-@dataclass(frozen=True)
-class RInt:
-    value: int
+class RInt(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        setfield(self, "value", value)
+
+    def _key(self):
+        return (self.value,)
 
     def render(self) -> str:
         return str(self.value)
@@ -57,8 +62,12 @@ class RInt:
         return {"kind": "int", "value": self.value}
 
 
-@dataclass(frozen=True)
-class RNull:
+class RNull(Frozen):
+    __slots__ = ()
+
+    def _key(self):
+        return ()
+
     def render(self) -> str:
         return "NULL"
 
@@ -66,9 +75,14 @@ class RNull:
         return {"kind": "null"}
 
 
-@dataclass(frozen=True)
-class RArg:
-    name: str
+class RArg(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
+
+    def _key(self):
+        return (self.name,)
 
     def render(self) -> str:
         return self.name
@@ -77,19 +91,19 @@ class RArg:
         return {"kind": "arg", "value": self.name}
 
 
-@dataclass(frozen=True)
-class RPostRoot:
-    name: str
-
-    def render(self) -> str:
-        return self.name
+class RPostRoot(RArg):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"kind": "postRoot", "value": self.name}
 
 
-@dataclass(frozen=True)
-class RVoid:
+class RVoid(Frozen):
+    __slots__ = ()
+
+    def _key(self):
+        return ()
+
     def render(self) -> str:
         return "void"
 
@@ -100,13 +114,19 @@ class RVoid:
 RET = "ret"
 
 
-@dataclass(frozen=True)
-class Equation:
-    """observer(args...) = rhs, or ret = rhs when observer is RET."""
-    observer: str
-    args: tuple
-    rhs: object
-    approx: bool = field(default=False, compare=False)
+class Equation(Frozen):
+    """observer(args...) = rhs, or ret = rhs when observer is RET. `approx`
+    takes no part in equality or hashing."""
+    __slots__ = ("observer", "args", "rhs", "approx")
+
+    def __init__(self, observer: str, args: tuple, rhs, approx: bool = False):
+        setfield(self, "observer", observer)
+        setfield(self, "args", args)
+        setfield(self, "rhs", rhs)
+        setfield(self, "approx", approx)
+
+    def _key(self):
+        return (self.observer, self.args, self.rhs)
 
     def render(self) -> str:
         if self.observer == RET:
@@ -119,25 +139,27 @@ class Equation:
         return {"lhs": lhs, "rhs": self.rhs.to_json(), "rendered": self.render()}
 
 
-@dataclass
 class Axiom:
-    pre: tuple  # tuple[Equation]
-    post: tuple  # tuple[Equation]
-    ret: Equation | None
-    provenance: str
-    approx: bool = False
+    def __init__(self, pre: tuple, post: tuple, ret: Equation | None, provenance: str,
+                 approx: bool = False):
+        self.pre = pre  # tuple[Equation]
+        self.post = post  # tuple[Equation]
+        self.ret = ret
+        self.provenance = provenance
+        self.approx = approx
 
 
-@dataclass
 class SpecSet:
-    modifier: str
-    axioms: list
-    limits: Limits
-    patterns: list  # the modifier's terminal patterns the axioms came from
-    stats: dict
-    diagnostics: list
-    split_log: list
-    budget_error: bool = False
+    def __init__(self, modifier: str, axioms: list, limits: Limits, patterns: list,
+                 stats: dict, diagnostics: list, split_log: list, budget_error: bool):
+        self.modifier = modifier
+        self.axioms = axioms
+        self.limits = limits
+        self.patterns = patterns  # the modifier's terminal patterns the axioms came from
+        self.stats = stats
+        self.diagnostics = diagnostics
+        self.split_log = split_log
+        self.budget_error = budget_error
 
 
 # ---------------------------------------------------------------- universe

@@ -26,7 +26,6 @@ a whole struct object. Reads of fields that were never written come back as
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .constraints import (
     TRUE,
@@ -39,13 +38,19 @@ from .constraints import (
     render_constraint,
 )
 from .frontend import nodes
+from .record import Frozen, setfield
 
 # ---------------------------------------------------------------- values
 
-@dataclass(frozen=True, slots=True)
-class Addr:
+class Addr(Frozen):
     """A pointer value aimed at a symbolic address."""
-    target: SymAddrRef
+    __slots__ = ("target",)
+
+    def __init__(self, target: SymAddrRef):
+        setfield(self, "target", target)
+
+    def _key(self):
+        return (self.target,)
 
 
 class _NullAddr:
@@ -62,11 +67,16 @@ NULL_ADDR = _NullAddr()
 UNDEF = _Undef()
 
 
-@dataclass(frozen=True, slots=True)
-class TypedValue:
+class TypedValue(Frozen):
     """An integer or opaque-data payload tagged with its C type."""
-    ctype: nodes.CType
-    payload: object  # int | SymIntRef | SymDataRef
+    __slots__ = ("ctype", "payload")
+
+    def __init__(self, ctype: nodes.CType, payload):
+        setfield(self, "ctype", ctype)
+        setfield(self, "payload", payload)  # int | SymIntRef | SymDataRef
+
+    def _key(self):
+        return (self.ctype, self.payload)
 
 
 Value = object  # Addr | NULL_ADDR | UNDEF | TypedValue
@@ -99,13 +109,15 @@ def render_tv(v: Value, tagged=frozenset()) -> str:
 
 # ---------------------------------------------------------------- heap
 
-@dataclass
 class HeapObject:
-    struct_name: str
-    fields: dict[str, Value] = field(default_factory=dict)
-    # lazily discovered input objects answer missing fields with fresh
-    # symbols; freshly malloc'd memory answers with an undefined-read error
-    lazy: bool = False
+    __slots__ = ("struct_name", "fields", "lazy")
+
+    def __init__(self, struct_name: str, fields: dict[str, Value], lazy: bool = False):
+        self.struct_name = struct_name
+        self.fields = fields
+        # lazily discovered input objects answer missing fields with fresh
+        # symbols; freshly malloc'd memory answers with an undefined-read error
+        self.lazy = lazy
 
 
 class MissingField:
@@ -169,36 +181,39 @@ FINAL = "final"
 ERROR = "error"
 
 
-@dataclass
 class Pattern:
-    k: list  # continuation stack of engine frames, top last
-    env: dict[str, SymAddrRef]
-    heap: Heap
-    entry_heap: Heap  # the input heap as discovered: materializations + fills
-    path_condition: Constraint = TRUE
-    mem_path_condition: Constraint = TRUE
-    # distinctness facts for fresh storage (malloc results, materialized
-    # input objects); consulted by every entailment but not displayed
-    alloc_condition: Constraint = TRUE
-    # the conjunction of the three cells above, kept by the add_*_atom
-    # methods; built from them when not given
-    condition: Constraint | None = None
-    status: str = RUNNING
-    error_reason: str = ""
-    return_value: Value = UNDEF
-    malloced: frozenset = frozenset()
-    aliases: dict = field(default_factory=dict)
-    vals: list = field(default_factory=list)  # expression value stack
-    loop_counts: dict = field(default_factory=dict)
-    approx: bool = False
-    guard_split: bool = False
-    steps: int = 0
-    provenance_id: str = ""
-
-    def __post_init__(self):
-        if self.condition is None:
-            self.condition = conjoin(conjoin(self.path_condition, self.mem_path_condition),
-                                     self.alloc_condition)
+    def __init__(self, k: list, env: dict[str, SymAddrRef], heap: Heap, entry_heap: Heap,
+                 path_condition: Constraint = TRUE, mem_path_condition: Constraint = TRUE,
+                 alloc_condition: Constraint = TRUE, condition: Constraint | None = None,
+                 status: str = RUNNING, error_reason: str = "", return_value: Value = UNDEF,
+                 malloced: frozenset = frozenset(), aliases: dict | None = None,
+                 vals: list | None = None, loop_counts: dict | None = None,
+                 approx: bool = False, guard_split: bool = False, steps: int = 0,
+                 provenance_id: str = ""):
+        self.k = k  # continuation stack of engine frames, top last
+        self.env = env
+        self.heap = heap
+        self.entry_heap = entry_heap  # the input heap as discovered: materializations + fills
+        self.path_condition = path_condition
+        self.mem_path_condition = mem_path_condition
+        # distinctness facts for fresh storage (malloc results, materialized
+        # input objects); consulted by every entailment but not displayed
+        self.alloc_condition = alloc_condition
+        # the conjunction of the three cells above, kept by the add_*_atom
+        # methods; built from them when not given
+        self.condition = (conjoin(conjoin(path_condition, mem_path_condition), alloc_condition)
+                          if condition is None else condition)
+        self.status = status
+        self.error_reason = error_reason
+        self.return_value = return_value
+        self.malloced = malloced
+        self.aliases = {} if aliases is None else aliases
+        self.vals = [] if vals is None else vals  # expression value stack
+        self.loop_counts = {} if loop_counts is None else loop_counts
+        self.approx = approx
+        self.guard_split = guard_split
+        self.steps = steps
+        self.provenance_id = provenance_id
 
     def clone(self) -> "Pattern":
         return Pattern(
@@ -266,17 +281,19 @@ class ArityMismatch(Exception):
     pass
 
 
-@dataclass
 class CallPattern:
     """Entry point description: run `fname` on `args` against `initial_heap`
     under `initial_constraint`."""
-    fname: str
-    args: list  # list[Value]
-    initial_constraint: Constraint = TRUE
-    initial_heap: Heap = field(default_factory=dict)
-    # addresses already known to be freshly allocated (kept distinct from
-    # any input object discovered later in this run)
-    initial_malloced: frozenset = frozenset()
+
+    def __init__(self, fname: str, args: list, initial_constraint: Constraint = TRUE,
+                 initial_heap: Heap | None = None, initial_malloced: frozenset = frozenset()):
+        self.fname = fname
+        self.args = args  # list[Value]
+        self.initial_constraint = initial_constraint
+        self.initial_heap = {} if initial_heap is None else initial_heap
+        # addresses already known to be freshly allocated (kept distinct from
+        # any input object discovered later in this run)
+        self.initial_malloced = initial_malloced
 
 
 def bind_frame(f, args: list, heap: Heap, alloc: Allocator) -> dict[str, SymAddrRef]:

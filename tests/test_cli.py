@@ -26,6 +26,7 @@ from specminer.frontend import load_program
 from specminer.symstate import Addr, Allocator, CallPattern, TypedValue, render_pattern
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 DLL = str(CORPUS / "dll.c")
 BRANCH = str(CORPUS / "branch.c")
 
@@ -285,6 +286,57 @@ def test_no_axioms_message(capsys, tmp_path):
     code, out, _err = run(capsys, str(src), "-f", "nop")
     assert code == EXIT_OK
     assert "ret = void" in out
+
+
+# ---------------------------------------------------------------- arguments
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage_and_flags(capsys, flag):
+    code, out, err = run(capsys, DLL, flag)
+    assert code == EXIT_OK
+    assert err == ""
+    assert out.startswith("usage: specminer")
+    for option in ("-h, --help", "-f NAME, --function NAME", "--unroll N",
+                   "--format {text,json}", "--lazy-aliasing", "--dump-patterns",
+                   "--observers NAMES", "--seed-label PREFIX"):
+        assert option in out
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    ([DLL, "-f", "append", "--unroll=2"], [DLL, "-f", "append", "--unroll", "2"]),
+    ([DLL, "--function", "append"], [DLL, "-f", "append"]),
+    ([DLL, "-f", "append", "--unroll"], None),
+    ([DLL, "-f", "append", "--unroll", "x"], None),
+    ([DLL, "-f", "append", "--format", "xml"], None),
+    ([DLL, BRANCH, "-f", "append"], None),
+    ([DLL, "-f", "append", "--nope"], None),
+])
+def test_argument_contract(capsys, argv, same_as):
+    # `same_as` is an equivalent spelling; None marks a usage error
+    code, out, err = run(capsys, *argv)
+    if same_as is None:
+        assert code == EXIT_USAGE and out == ""
+        assert err.splitlines()[0].startswith("usage: specminer")
+    else:
+        assert code == EXIT_OK
+        assert (code, out) == run(capsys, *same_as)[:2]
+
+
+def test_flags_are_not_abbreviated(capsys):
+    code, _out, err = run(capsys, DLL, "-f", "append", "--unr", "2")
+    assert code == EXIT_USAGE
+    assert "unrecognized arguments: --unr" in err
+
+
+def test_import_loads_no_code_generating_or_locale_modules():
+    # start-up cost: each of these takes milliseconds to import, and
+    # dataclasses pulls in inspect; `-S` keeps site hooks out of the count
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import specminer.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}"
+            " & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
 
 
 # ---------------------------------------------------------------- exit 2

@@ -14,6 +14,7 @@ from specminer.frontend import (
     load_program,
     nodes as N,
     parse,
+    resolve,
     tokenize,
 )
 
@@ -119,6 +120,15 @@ def test_corpus_round_trips(corpus_dir):
         prog = parse(src)
         again = parse(N.render_program(prog))
         assert again == prog, name
+
+
+def test_resolver_annotations_take_no_part_in_equality():
+    src = "struct S { int a; };\nint f(struct S* p) { return p->a + 1; }\n"
+    resolved = parse(src)
+    resolve(resolved)
+    access = resolved.functions[0].body[0].value.left
+    assert access.ctype == N.INT and access.struct_name == "S"
+    assert resolved == parse(src)
 
 
 def _rand_expr(rng, depth):

@@ -7,7 +7,6 @@ interpreter on real heaps. Axiom comparisons are order-agnostic (sets),
 with the canonical output order pinned separately.
 """
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -231,6 +230,12 @@ def _ax(pre, post, ret):
     return Axiom(tuple(pre), tuple(post), ret, provenance="t")
 
 
+def test_approx_takes_no_part_in_equation_equality():
+    exact, approx = _eq("length", ["l"], RInt(1)), Equation("length", ("l",), RInt(1), True)
+    assert exact == approx and hash(exact) == hash(approx)
+    assert len({exact, approx}) == 1
+
+
 def test_simplify_merges_subset_pres_with_equal_posts():
     post = (_eq("length", ["l'"], RInt(1)),)
     ret = Equation(RET, (), RNull())
@@ -322,7 +327,7 @@ def _exhaustive_explain(index, heap, condition, args, limits, alloc,
                     f"budget; inconclusive")
             diagnostics.append(note)
             # a pattern budget hides leaves; judge the call on all of them
-            if not _ruled_out(replay(replace(limits, max_patterns=10**6)), sym_map,
+            if not _ruled_out(replay(Limits(limits.unroll_bound, 10**6, limits.max_steps)), sym_map,
                               own_sat):
                 unruled.append(note)
             continue
