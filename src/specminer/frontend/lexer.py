@@ -1,18 +1,41 @@
-"""Tokenizer for the C fragment accepted by the tool.
+"""Tokenizer for the C fragment accepted by the tool (see docs/grammar.md).
 
-Comments (// and /* */) and preprocessor lines (#...) are skipped; every
-token keeps its 1-based line/column for diagnostics.
+One compiled regex scans the source. Whitespace is space, tab, CR and LF.
+Comments (`//` to end of line, `/* */`, which runs to end of file when
+unterminated) and preprocessor lines (first non-whitespace character `#`)
+are skipped. Identifiers, integer literals and punctuation are ASCII only;
+any other character raises `IllegalCharacter`.
+
+`scan` gives each token as a plain `(kind, text, line, col)` tuple, which
+the parser reads. The position is 1-based, and a column is one character
+(a tab counts as 1). `tokenize` wraps the same tuples as `Token`s.
 """
+
+import re
 
 from ..record import Frozen, setfield
 
-KEYWORDS = {"int", "void", "struct", "if", "else", "while", "return", "NULL"}
+KEYWORDS = ("int", "void", "struct", "if", "else", "while", "return", "NULL")
 
-# longest-match first
-PUNCTS = [
-    "->", "==", "!=", "<=", ">=", "&&", "||",
-    "(", ")", "{", "}", ";", ",", "*", "=", "<", ">", "+", "-", "!",
-]
+# Each match skips blanks, `//` comments and a preprocessor line at the
+# start of the file, none of which holds a newline, then takes one
+# alternative. A newline also takes the indentation after it and the
+# preprocessor line that it starts, so `#` is skipped only where it leads
+# its line. The group that matched says what it was; at end of input none
+# does.
+_SCAN = re.compile(r"""
+    (?: \A[ \t\r]*\#[^\n]* | [ \t\r]+ | //[^\n]* )*
+    (?: ((?:%s)(?![A-Za-z0-9_]))              # 1 keyword
+      | ([A-Za-z_][A-Za-z0-9_]*)              # 2 identifier
+      | ([0-9]+)                              # 3 integer literal
+      | (->|==|!=|<=|>=|&&|\|\||[(){};,*=<>+\-!])   # 4 punctuation, longest first
+      | (\n[ \t\r]*(?:\#[^\n]*)?)             # 5 newline
+      | (/\*(?s:.*?)(?:\*/|\Z))               # 6 block comment
+      | \Z
+      | (.)                                   # 7 illegal character
+    )""" % "|".join(KEYWORDS), re.X)
+
+_KINDS = (None, "kw", "ident", "int", "punct")
 
 
 class IllegalCharacter(Exception):
@@ -39,65 +62,33 @@ class Token(Frozen):
         return f"{self.kind}({self.text})@{self.line}:{self.col}"
 
 
-def tokenize(src: str) -> list[Token]:
-    toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if src[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if c == "#":  # preprocessor line, e.g. #include — ignored wholesale
-            while i < n and src[i] != "\n":
-                advance(1)
-            continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                advance(1)
-            continue
-        if src.startswith("/*", i):
-            advance(2)
-            while i < n and not src.startswith("*/", i):
-                advance(1)
-            if i < n:
-                advance(2)
-            continue
-        if c.isdigit():
-            l0, c0 = line, col
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], l0, c0))
-            advance(j - i)
-            continue
-        if c.isalpha() or c == "_":
-            l0, c0 = line, col
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            text = src[i:j]
-            kind = "kw" if text in KEYWORDS else "ident"
-            toks.append(Token(kind, text, l0, c0))
-            advance(j - i)
-            continue
-        for p in PUNCTS:
-            if src.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                advance(len(p))
-                break
+def scan(src: str) -> list[tuple]:
+    """The tokens of `src` as `(kind, text, line, col)` tuples, ending with
+    one `("eof", "", line, col)` at the end of the input."""
+    toks = []
+    append = toks.append
+    line = 1
+    base = -1  # offset of the last newline: a token at offset i is in column i - base
+    for m in _SCAN.finditer(src):
+        g = m.lastindex
+        if g is None:
+            break
+        if g < 5:
+            append((_KINDS[g], m.group(g), line, m.start(g) - base))
+        elif g == 5:
+            line += 1
+            base = m.start(5)
+        elif g == 6:
+            text = m.group(6)
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                base = m.start(6) + text.rindex("\n")
         else:
-            raise IllegalCharacter(c, line, col)
-    toks.append(Token("eof", "", line, col))
+            raise IllegalCharacter(m.group(7), line, m.start(7) - base)
+    append(("eof", "", line, len(src) - base))
     return toks
+
+
+def tokenize(src: str) -> list[Token]:
+    return [Token(*t) for t in scan(src)]

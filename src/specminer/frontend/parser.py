@@ -1,5 +1,7 @@
 """Recursive-descent parser for the C fragment (see docs/grammar.md).
 
+It reads the `(kind, text, line, col)` tuples of `lexer.scan`; a
+`ParseError` carries the line and column of the token it stopped at.
 Precedence, tightest first: unary ! > + - > comparisons > && > ||;
 assignment is a (right-associative) expression and binds loosest. Local
 declarations must precede statements in a function body. A single-statement
@@ -8,7 +10,7 @@ brace block is unwrapped to the statement itself.
 
 from __future__ import annotations
 
-from .lexer import Token, tokenize
+from .lexer import scan
 from . import nodes as N
 
 
@@ -21,37 +23,41 @@ class ParseError(Exception):
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    # Tokens are `lexer.scan` tuples (kind, text, line, col). Two extra eof
+    # entries pad the end, so a look-ahead of up to two never runs past it.
+    # A keyword or punctuation token is tested by its text alone: no other
+    # kind of token is spelled `if` or `{`.
+    def __init__(self, toks: list[tuple]):
+        self.toks = toks + toks[-1:] * 2
         self.pos = 0
 
     # -- token helpers --
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> tuple:
+        return self.toks[self.pos]
 
-    def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == kind and (text is None or t.text == text)
+    def at(self, text: str, ahead: int = 0) -> bool:
+        return self.toks[self.pos + ahead][1] == text
 
-    def take(self) -> Token:
+    def take(self) -> tuple:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, text):
+    def expect(self, kind: str, text: str | None = None) -> tuple:
+        t = self.toks[self.pos]
+        if t[0] != kind or (text is not None and t[1] != text):
             want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.col, [want])
-        return self.take()
+            raise ParseError(f"expected {want!r}, found {t[1] or t[0]!r}", t[2], t[3], [want])
+        self.pos += 1
+        return t
 
     # -- top level --
 
     def program(self) -> N.Program:
         structs, functions = [], []
-        while not self.at("eof"):
-            if self.at("kw", "struct") and self.at("punct", "{", ahead=2):
+        while self.peek()[0] != "eof":
+            if self.at("struct") and self.at("{", ahead=2):
                 structs.append(self.struct_def())
             else:
                 functions.append(self.function_def())
@@ -59,67 +65,68 @@ class _Parser:
 
     def struct_def(self) -> N.StructDef:
         self.expect("kw", "struct")
-        name = self.expect("ident").text
+        name = self.expect("ident")[1]
         self.expect("punct", "{")
         fields = []
-        while not self.at("punct", "}"):
+        while not self.at("}"):
             ftype = self.type_name(allow_void=False)
-            fname = self.expect("ident").text
+            fname = self.expect("ident")[1]
             self.expect("punct", ";")
             fields.append((fname, ftype))
         if not fields:
             t = self.peek()
-            raise ParseError(f"struct {name} must declare at least one field", t.line, t.col)
+            raise ParseError(f"struct {name} must declare at least one field", t[2], t[3])
         self.expect("punct", "}")
         self.expect("punct", ";")
         return N.StructDef(name, fields)
 
     def type_name(self, allow_void: bool) -> N.CType:
         t = self.peek()
-        if self.at("kw", "int"):
+        text = t[1]
+        if text == "int":
             self.take()
             return N.INT
-        if self.at("kw", "void"):
+        if text == "void":
             self.take()
-            if self.at("punct", "*"):
+            if self.at("*"):
                 self.take()
                 return N.VOIDPTR
             if allow_void:
                 return N.VOID
-            raise ParseError("plain void is only a return type", t.line, t.col)
-        if self.at("kw", "struct"):
+            raise ParseError("plain void is only a return type", t[2], t[3])
+        if text == "struct":
             self.take()
-            sname = self.expect("ident").text
+            sname = self.expect("ident")[1]
             self.expect("punct", "*")
             return N.structptr(sname)
-        raise ParseError(f"expected a type, found {t.text!r}", t.line, t.col, ["int", "void", "struct"])
+        raise ParseError(f"expected a type, found {t[1]!r}", t[2], t[3], ["int", "void", "struct"])
 
     def function_def(self) -> N.FunctionDef:
         rtype = self.type_name(allow_void=True)
-        name = self.expect("ident").text
+        name = self.expect("ident")[1]
         self.expect("punct", "(")
         params = []
-        if not self.at("punct", ")"):
+        if not self.at(")"):
             while True:
                 ptype = self.type_name(allow_void=False)
-                pname = self.expect("ident").text
+                pname = self.expect("ident")[1]
                 params.append((pname, ptype))
-                if self.at("punct", ","):
+                if self.at(","):
                     self.take()
                     continue
                 break
         self.expect("punct", ")")
         self.expect("punct", "{")
         locals_ = []
-        while self.at("kw", "int") or self.at("kw", "void") or (
-            self.at("kw", "struct") and not self.at("punct", "{", ahead=2)
+        while self.peek()[1] in ("int", "void") or (
+            self.at("struct") and not self.at("{", ahead=2)
         ):
             ltype = self.type_name(allow_void=False)
-            lname = self.expect("ident").text
+            lname = self.expect("ident")[1]
             self.expect("punct", ";")
             locals_.append((lname, ltype))
         body = []
-        while not self.at("punct", "}"):
+        while not self.at("}"):
             body.append(self.statement())
         self.expect("punct", "}")
         return N.FunctionDef(name, rtype, params, locals_, body)
@@ -127,36 +134,37 @@ class _Parser:
     # -- statements --
 
     def statement(self) -> N.Stmt:
-        if self.at("punct", "{"):
+        text = self.peek()[1]
+        if text == "{":
             self.take()
             stmts = []
-            while not self.at("punct", "}"):
+            while not self.at("}"):
                 stmts.append(self.statement())
             self.expect("punct", "}")
             if len(stmts) == 1:
                 return stmts[0]
             return N.Block(stmts)
-        if self.at("kw", "if"):
+        if text == "if":
             self.take()
             self.expect("punct", "(")
             cond = self.expression()
             self.expect("punct", ")")
             then = self.statement()
             els = None
-            if self.at("kw", "else"):
+            if self.at("else"):
                 self.take()
                 els = self.statement()
             return N.If(cond, then, els)
-        if self.at("kw", "while"):
+        if text == "while":
             self.take()
             self.expect("punct", "(")
             cond = self.expression()
             self.expect("punct", ")")
             body = self.statement()
             return N.While(cond, body)
-        if self.at("kw", "return"):
+        if text == "return":
             self.take()
-            if self.at("punct", ";"):
+            if self.at(";"):
                 self.take()
                 return N.Return(None)
             value = self.expression()
@@ -173,120 +181,118 @@ class _Parser:
 
     def assignment(self) -> N.Expr:
         left = self.logical_or()
-        if self.at("punct", "="):
+        if self.at("="):
             t = self.peek()
             self.take()
             if not isinstance(left, (N.Var, N.FieldAccess)):
-                raise ParseError("assignment target must be a variable or field", t.line, t.col)
+                raise ParseError("assignment target must be a variable or field", t[2], t[3])
             value = self.assignment()
             return N.Assign(left, value)
         return left
 
     def logical_or(self) -> N.Expr:
         e = self.logical_and()
-        while self.at("punct", "||"):
+        while self.at("||"):
             self.take()
             e = N.Binary("||", e, self.logical_and())
         return e
 
     def logical_and(self) -> N.Expr:
         e = self.comparison()
-        while self.at("punct", "&&"):
+        while self.at("&&"):
             self.take()
             e = N.Binary("&&", e, self.comparison())
         return e
 
     def comparison(self) -> N.Expr:
         e = self.arith()
-        while self.peek().kind == "punct" and self.peek().text in ("==", "!=", "<", "<=", ">", ">="):
-            op = self.take().text
+        while self.peek()[1] in ("==", "!=", "<", "<=", ">", ">="):
+            op = self.take()[1]
             e = N.Binary(op, e, self.arith())
         return e
 
     def arith(self) -> N.Expr:
         e = self.unary()
-        while self.peek().kind == "punct" and self.peek().text in ("+", "-"):
-            op = self.take().text
+        while self.peek()[1] in ("+", "-"):
+            op = self.take()[1]
             e = N.Binary(op, e, self.unary())
         return e
 
     def unary(self) -> N.Expr:
-        if self.at("punct", "!"):
+        if self.at("!"):
             self.take()
             return N.Unary("!", self.unary())
         return self.postfix()
 
     def postfix(self) -> N.Expr:
         e = self.primary()
-        while self.at("punct", "->"):
+        while self.at("->"):
             self.take()
-            fname = self.expect("ident").text
+            fname = self.expect("ident")[1]
             e = N.FieldAccess(e, fname)
         return e
 
     def primary(self) -> N.Expr:
         t = self.peek()
-        if t.kind == "int":
+        kind, text = t[0], t[1]
+        if kind == "int":
             self.take()
-            return N.IntLit(int(t.text))
-        if self.at("kw", "NULL"):
+            return N.IntLit(int(text))
+        if text == "NULL":
             self.take()
             return N.NullLit()
-        if self.at("punct", "("):
+        if text == "(":
             # "(struct S*) malloc(sizeof(struct S))" — cast parsed, discarded
-            if self.at("kw", "struct", ahead=1):
+            if self.at("struct", ahead=1):
                 self.take()
                 self.expect("kw", "struct")
-                cast_struct = self.expect("ident").text
+                cast_struct = self.expect("ident")[1]
                 self.expect("punct", "*")
                 self.expect("punct", ")")
                 m = self.malloc_expr()
                 if m.struct != cast_struct:
                     raise ParseError(
                         f"malloc cast (struct {cast_struct}*) does not match sizeof(struct {m.struct})",
-                        t.line, t.col,
+                        t[2], t[3],
                     )
                 return m
             self.take()
             e = self.expression()
             self.expect("punct", ")")
             return e
-        if t.kind == "ident":
-            if t.text == "malloc":
+        if kind == "ident":
+            if text == "malloc":
                 return self.malloc_expr()
-            if self.at("punct", "(", ahead=1):
+            if self.at("(", ahead=1):
                 self.take()
                 self.take()
                 args = []
-                if not self.at("punct", ")"):
+                if not self.at(")"):
                     while True:
                         args.append(self.expression())
-                        if self.at("punct", ","):
+                        if self.at(","):
                             self.take()
                             continue
                         break
                 self.expect("punct", ")")
-                return N.Call(t.text, args)
+                return N.Call(text, args)
             self.take()
-            return N.Var(t.text)
-        raise ParseError(f"unexpected token {t.text or t.kind!r}", t.line, t.col)
+            return N.Var(text)
+        raise ParseError(f"unexpected token {t[1] or t[0]!r}", t[2], t[3])
 
     def malloc_expr(self) -> N.Malloc:
         self.expect("ident", "malloc")
         self.expect("punct", "(")
         tok = self.expect("ident")
-        if tok.text != "sizeof":
-            raise ParseError("malloc argument must be sizeof(struct S)", tok.line, tok.col)
+        if tok[1] != "sizeof":
+            raise ParseError("malloc argument must be sizeof(struct S)", tok[2], tok[3])
         self.expect("punct", "(")
         self.expect("kw", "struct")
-        sname = self.expect("ident").text
+        sname = self.expect("ident")[1]
         self.expect("punct", ")")
         self.expect("punct", ")")
         return N.Malloc(sname)
 
 
 def parse(src: str) -> N.Program:
-    toks = tokenize(src)
-    if all(t.kind == "eof" for t in toks):
-        return N.Program([], [])
-    return _Parser(toks).program()
+    return _Parser(scan(src)).program()

@@ -334,7 +334,8 @@ def test_import_loads_no_code_generating_or_locale_modules():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import specminer.cli; "
             "print(*sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}"
             " & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
+    # `-I` ignores PYTHONDONTWRITEBYTECODE; `-B` keeps bytecode out of src/
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(SRC)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == []
 
@@ -353,6 +354,19 @@ def test_lex_error_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.c"
     bad.write_text("int f(int a) { return a $ 1; }\n")
     assert run(capsys, str(bad), "-f", "f")[0] == EXIT_SOURCE
+
+
+@pytest.mark.parametrize("source, where", [
+    ("int f(int a) { return ²; }\n", "'²' at 1:23"),  # a digit to str.isdigit
+    ("int f(int é) { return é; }\n", "'é' at 1:11"),
+    ("int f(int a) { return a; # junk\n}\n", "'#' at 1:26"),
+], ids=["superscript-digit", "non-ascii-ident", "mid-line-hash"])
+def test_non_grammar_characters_exit_2(capsys, tmp_path, source, where):
+    bad = tmp_path / "bad.c"
+    bad.write_text(source, encoding="utf-8")
+    code, out, err = run(capsys, str(bad), "-f", "f")
+    assert (code, out) == (EXIT_SOURCE, "")
+    assert err == f"specminer: {bad}: illegal character {where}\n"
 
 
 def test_resolve_error_exits_2(capsys, tmp_path):

@@ -64,6 +64,80 @@ def test_illegal_character():
     assert ei.value.ch == "$"
 
 
+def _positions(src):
+    return [(t.text, t.line, t.col) for t in tokenize(src)]
+
+
+@pytest.mark.parametrize("src, want", [
+    # a block comment over two lines
+    ("/* one\n   two */ int x", [("int", 2, 11), ("x", 2, 15), ("", 2, 16)]),
+    ("#include <stdlib.h>\nint x", [("int", 2, 1), ("x", 2, 5), ("", 2, 6)]),
+    # a tab is one column
+    ("int\tx;\t\ty", [("int", 1, 1), ("x", 1, 5), (";", 1, 6), ("y", 1, 9), ("", 1, 10)]),
+    # CR is one more column before its LF
+    ("int x;\r\nint y;\r\n",
+     [("int", 1, 1), ("x", 1, 5), (";", 1, 6),
+      ("int", 2, 1), ("y", 2, 5), (";", 2, 6), ("", 3, 1)]),
+    # an unterminated block comment runs to the end of the file
+    ("int x /* never closed\n\n", [("int", 1, 1), ("x", 1, 5), ("", 3, 1)]),
+    ("int x\n  /* never\n closed", [("int", 1, 1), ("x", 1, 5), ("", 3, 8)]),
+])
+def test_token_positions(src, want):
+    assert _positions(src) == want
+
+
+@pytest.mark.parametrize("src, error, where", [
+    ("int f(int a) {\r\n\treturn a $ 1;\r\n}", IllegalCharacter, "'$' at 2:11"),
+    ("int f(int a) {\n\treturn a\t@;\n}", IllegalCharacter, "'@' at 2:11"),
+    ("int f(int a) {\n  return a\n}\n", ParseError, "expected ';', found '}' at 3:1"),
+    ("/* one\n   two */ int x", ParseError, "found 'eof' at 2:16"),
+    ("int x\n  /* never\n closed", ParseError, "found 'eof' at 3:8"),
+])
+def test_error_positions(src, error, where):
+    with pytest.raises(error) as ei:
+        parse(src)
+    assert str(ei.value).endswith(where)
+
+
+@pytest.mark.parametrize("src, ch, where", [
+    # str.isdigit accepts "²", int() does not
+    ("int f(int a) { return ²; }", "²", (1, 23)),
+    ("int f(int a) { return 3²; }", "²", (1, 24)),
+    # identifiers are ASCII
+    ("int f(int é) { return é; }", "é", (1, 11)),
+    # "#" is skipped only where it leads its line
+    ("int f(int a) { return a; # junk\n}", "#", (1, 26)),
+    ("/* a\n */ #x\n", "#", (2, 5)),
+    # whitespace is space, tab, CR and LF only
+    ("int\fx;", "\f", (1, 4)),
+    ("int\vx;", "\v", (1, 4)),
+], ids=["superscript-digit", "digits-then-superscript", "non-ascii-ident", "mid-line-hash",
+        "hash-after-comment", "form-feed", "vertical-tab"])
+def test_characters_outside_the_grammar_are_illegal(src, ch, where):
+    with pytest.raises(IllegalCharacter) as ei:
+        load_program(src)
+    assert (ei.value.ch, ei.value.line, ei.value.col) == (ch, *where)
+
+
+def test_indented_preprocessor_lines_are_skipped():
+    src = "int x;\n  #include <a.h>\n\t#define Y 1\nint y;"
+    assert _positions(src)[3:] == [("int", 4, 1), ("y", 4, 5), (";", 4, 6), ("", 4, 7)]
+    assert _positions("  #include <a.h>\nint")[0] == ("int", 2, 1)
+
+
+def test_corpus_token_counts_and_ends(corpus_dir):
+    want = {
+        "branch.c": (25, "kw(int)@1:1", "punct(})@4:1", "eof()@5:1"),
+        "dll.c": (430, "kw(struct)@3:1", "punct(})@101:1", "eof()@102:1"),
+        "setter.c": (33, "kw(struct)@1:1", "punct(})@8:1", "eof()@9:1"),
+    }
+    assert sorted(p.name for p in corpus_dir.glob("*.c")) == sorted(want)
+    for name, (count, first, last, eof) in want.items():
+        toks = tokenize((corpus_dir / name).read_text())
+        got = (len(toks), repr(toks[0]), repr(toks[-2]), repr(toks[-1]))
+        assert got == (count, first, last, eof), name
+
+
 def test_local_declarations_must_lead_the_body():
     with pytest.raises(ParseError):
         parse("int f(int a) { a = a + 1; int t; return a; }")
