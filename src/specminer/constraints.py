@@ -5,12 +5,15 @@ Terms cover symbolic addresses, NULL, field paths, integer constants and
 symbols, opaque data tokens, and +/- over integers. A Constraint is a set of
 atoms (conjunction); the empty set is True.
 
-A heap address is a `SymAddrRef`: the `symstate.Allocator` hands it out,
-the heap is keyed by it, and an atom takes it as it is. Terms are frozen
-value objects (`record.Frozen`) with structural, class-aware equality. The
-three symbol classes hash by their `sid`, which one allocator never hands
-out twice, and `NULL` by a constant, so the sets and dicts that hold them
-hash no strings.
+Five of the terms are also the engine's values: a pointer is a
+`SymAddrRef` or `NULL`, an int an `IntConst` or a `SymIntRef`, a void*
+payload a `SymDataRef`. Atoms take values as they are; field paths and
+`+`/`-` only occur inside atoms. A heap address is a `SymAddrRef`: the
+`symstate.Allocator` hands it out, and the heap is keyed by it. Terms are
+frozen value objects (`record.Frozen`) with structural, class-aware
+equality. The three symbol classes hash by their `sid`, which one
+allocator never hands out twice, and `NULL` by a constant, so the sets and
+dicts that hold them hash no strings.
 
 Satisfiability is decided by
   (i)  congruence closure over the equality atoms of the address/data

@@ -21,6 +21,10 @@ to the nearest return or exit frame, and running off the end of a body
 reaches that frame too. The recursion depth of a call is the number of
 return frames for its call node.
 
+A value is its own condition term (see `symstate`), so a comparison puts
+its operands into the atom it decides as they are, and symbolic `+`/`-`
+records `s = l + r` for a fresh int `s` over the operands themselves.
+
 Three mechanisms matter beyond plain evaluation:
 
 * Guard decisions. Branches and dereferences fork in one place,
@@ -31,7 +35,7 @@ Three mechanisms matter beyond plain evaluation:
   otherwise. A decision the conditions already entail takes a single
   successor and records nothing; when they record the atom or its
   negation, that decides it with one solver question. The conditions are
-  the pattern's stored conjunction (`Pattern.combined_condition`), and
+  the pattern's stored conjunction (`Pattern.condition`), and
   the negation is built only when the atom itself is not recorded. A
   branch pushes the outcome as the shared 1 or 0; a dereference turns the
   NULL outcome into an error leaf. An int is true when it is not 0. The
@@ -67,14 +71,11 @@ from .symstate import (
     FINAL,
     ERROR,
     MISSING,
-    NULL_ADDR,
     UNDEF,
-    Addr,
     Allocator,
     CallPattern,
     HeapObject,
     Pattern,
-    TypedValue,
     bind_frame,
     fresh_value,
     make_call_pattern,
@@ -203,7 +204,7 @@ class _Engine:
         is marked `approx`. When the conditions record the atom or its
         negation, only their own verdict is asked: Unsat leaves no
         successor, anything else keeps `p` on the recorded side."""
-        base = p.combined_condition()
+        base = p.condition
         # the negation is only built when the atom itself is not recorded
         neg = None if atom in base.atoms else C.negate_atom(atom)
         if neg is None or neg in base.atoms:
@@ -232,7 +233,7 @@ class _Engine:
             if verdict == SatResult.UNKNOWN:
                 r.approx = True
             r.guard_split = True
-        self.split_log.append((p.combined_condition(), q.combined_condition()))
+        self.split_log.append((p.condition, q.condition))
         return [(p, True), (q, False)]
 
     def _binary_split(self, p: Pattern, atom: Atom) -> list[Pattern]:
@@ -250,11 +251,11 @@ class _Engine:
         as [object, aliases..., NULL error]."""
         if value is UNDEF:
             return [self._error(p, "read of undefined value")]
-        if value is NULL_ADDR:
+        if value is C.NULL:
             return [self._error(p, "NULL dereference")]
-        if not isinstance(value, Addr):
+        if not isinstance(value, SymAddrRef):
             return [self._error(p, "dereference of a non-address value")]
-        target = p.resolve(value.target)
+        target = p.resolve(value)
         outcomes = self._decide(p, Atom(C.NEQ, target, C.NULL))
         succs = []
         for q, is_object in outcomes:
@@ -282,7 +283,7 @@ class _Engine:
         )
         if not cands:
             return []
-        base = ok.combined_condition()
+        base = ok.condition
         worlds = []
         for cand in cands:
             alias = Atom(C.EQ, target, cand)
@@ -295,27 +296,16 @@ class _Engine:
             ok.add_mem_atom(Atom(C.NEQ, target, cand))
         return worlds
 
-    @staticmethod
-    def _value_term(v):
-        """The condition term of a value other than UNDEF."""
-        if v is NULL_ADDR:
-            return C.NULL
-        if isinstance(v, Addr):
-            return v.target
-        if isinstance(v.payload, int):
-            return IntConst(v.payload)
-        return v.payload
-
     def _truth(self, p: Pattern, node) -> list[Pattern]:
         """Reduce an int value (the resolver admits no other condition) to
         concrete 0/1 on each successor."""
         v = p.vals.pop()
         if v is UNDEF:
             return [self._error(p, "read of undefined value")]
-        if isinstance(v.payload, int):
-            p.vals.append(_ONE if v.payload != 0 else _ZERO)
+        if isinstance(v, IntConst):
+            p.vals.append(_ONE if v.value != 0 else _ZERO)
             return [p]
-        return self._binary_split(p, Atom(C.NEQ, v.payload, IntConst(0)))
+        return self._binary_split(p, Atom(C.NEQ, v, _ZERO))
 
     # -------------------------------------------------- stepping
 
@@ -346,7 +336,7 @@ class _Engine:
         return [p]
 
     def _branch(self, p: Pattern, s) -> list[Pattern]:
-        taken = s.then if p.vals.pop().payload != 0 else s.els
+        taken = s.then if p.vals.pop().value != 0 else s.els
         if taken is not None:
             p.k.append(_frame(taken))
         return [p]
@@ -361,7 +351,7 @@ class _Engine:
         return [p]
 
     def _loop_decide(self, p: Pattern, s) -> list[Pattern]:
-        if p.vals.pop().payload == 0:
+        if p.vals.pop().value == 0:
             return [p]
         if p.guard_split:
             count = p.loop_counts.get(id(s), 0) + 1
@@ -404,11 +394,11 @@ class _Engine:
     # -------------------------------------------------- expressions
 
     def _int_lit(self, p: Pattern, e) -> list[Pattern]:
-        p.vals.append(TypedValue(nodes.INT, e.value))
+        p.vals.append(IntConst(e.value))
         return [p]
 
     def _null_lit(self, p: Pattern, e) -> list[Pattern]:
-        p.vals.append(NULL_ADDR)
+        p.vals.append(C.NULL)
         return [p]
 
     def _var(self, p: Pattern, e) -> list[Pattern]:
@@ -441,8 +431,7 @@ class _Engine:
         return [p]
 
     def _not(self, p: Pattern, e) -> list[Pattern]:
-        v = p.vals.pop()
-        p.vals.append(_ZERO if v.payload != 0 else _ONE)
+        p.vals.append(_ZERO if p.vals.pop().value != 0 else _ONE)
         return [p]
 
     def _binary(self, p: Pattern, e) -> list[Pattern]:
@@ -456,7 +445,7 @@ class _Engine:
     def _short_circuit(self, p: Pattern, e) -> list[Pattern]:
         """The left operand's 0/1 is on the value stack: it is the result
         unless it is 1 under `&&` or 0 under `||`."""
-        if (p.vals[-1].payload != 0) == (e.op == "&&"):
+        if (p.vals[-1].value != 0) == (e.op == "&&"):
             p.vals.pop()
             p.k += [(_Engine._truth, e), _frame(e.right)]
         return [p]
@@ -464,17 +453,14 @@ class _Engine:
     def _arith(self, p: Pattern, e) -> list[Pattern]:
         r = p.vals.pop()
         l = p.vals.pop()
-        if not (isinstance(l, TypedValue) and isinstance(r, TypedValue)):
+        if l is UNDEF or r is UNDEF:
             return [self._error(p, "arithmetic on a non-integer value")]
-        if isinstance(l.payload, int) and isinstance(r.payload, int):
-            n = l.payload + r.payload if e.op == "+" else l.payload - r.payload
-            p.vals.append(TypedValue(nodes.INT, n))
+        if isinstance(l, IntConst) and isinstance(r, IntConst):
+            p.vals.append(IntConst(l.value + r.value if e.op == "+" else l.value - r.value))
             return [p]
-        lt, rt = self._value_term(l), self._value_term(r)
         s = self.alloc.fresh_int(f"i{self.alloc._next}")
-        expr = C.Add(lt, rt) if e.op == "+" else C.Sub(lt, rt)
-        p.add_path_atom(Atom(C.EQ, s, expr))
-        p.vals.append(TypedValue(nodes.INT, s))
+        p.add_path_atom(Atom(C.EQ, s, C.Add(l, r) if e.op == "+" else C.Sub(l, r)))
+        p.vals.append(s)
         return [p]
 
     def _compare(self, p: Pattern, e) -> list[Pattern]:
@@ -483,21 +469,19 @@ class _Engine:
         if l is UNDEF or r is UNDEF:
             return [self._error(p, "read of undefined value")]
         # concrete integer comparison
-        if (isinstance(l, TypedValue) and isinstance(r, TypedValue)
-                and isinstance(l.payload, int) and isinstance(r.payload, int)):
-            res = _CONCRETE_CMP[e.op](l.payload, r.payload)
+        if isinstance(l, IntConst) and isinstance(r, IntConst):
+            res = _CONCRETE_CMP[e.op](l.value, r.value)
             p.vals.append(_ONE if res else _ZERO)
             return [p]
-        if isinstance(l, Addr):
-            l = Addr(p.resolve(l.target))
-        if isinstance(r, Addr):
-            r = Addr(p.resolve(r.target))
+        if isinstance(l, SymAddrRef):
+            l = p.resolve(l)
+        if isinstance(r, SymAddrRef):
+            r = p.resolve(r)
         # NULL == NULL and same-address fast paths
-        if (l is NULL_ADDR or isinstance(l, Addr)) and l == r:
+        if (l is C.NULL or isinstance(l, SymAddrRef)) and l == r:
             p.vals.append(_ONE if e.op in ("==", "<=", ">=") else _ZERO)
             return [p]
-        return self._binary_split(p, Atom(_CMP_TO_ATOM[e.op], self._value_term(l),
-                                          self._value_term(r)))
+        return self._binary_split(p, Atom(_CMP_TO_ATOM[e.op], l, r))
 
     def _assign(self, p: Pattern, e) -> list[Pattern]:
         if isinstance(e.target, nodes.Var):
@@ -531,7 +515,7 @@ class _Engine:
         p.add_alloc_atom(Atom(C.NEQ, m, C.NULL))
         p.heap[m] = HeapObject(e.struct, {}, lazy=False)
         p.malloced = p.malloced | {m}
-        p.vals.append(Addr(m))
+        p.vals.append(m)
         return [p]
 
     def _call(self, p: Pattern, e) -> list[Pattern]:
@@ -554,8 +538,8 @@ class _Engine:
 
 
 # the 0/1 that tests and comparisons push
-_ZERO = TypedValue(nodes.INT, 0)
-_ONE = TypedValue(nodes.INT, 1)
+_ZERO = IntConst(0)
+_ONE = IntConst(1)
 
 _CMP_TO_ATOM = {"==": C.EQ, "!=": C.NEQ, "<": C.LT, "<=": C.LE, ">": C.GT, ">=": C.GE}
 _CONCRETE_CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,

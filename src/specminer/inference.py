@@ -18,18 +18,16 @@ from __future__ import annotations
 from itertools import permutations
 
 from . import constraints as C
-from .constraints import Atom, Constraint, SatCache, SatResult
+from .constraints import (Atom, Constraint, IntConst, SatCache, SatResult, SymAddrRef,
+                          SymDataRef, SymIntRef)
 from .engine import Limits, se
 from .record import Frozen, setfield
 from .symstate import (
     FINAL,
-    NULL_ADDR,
     UNDEF,
-    Addr,
     Allocator,
     CallPattern,
     Pattern,
-    TypedValue,
     fresh_value,
 )
 
@@ -182,14 +180,15 @@ def build_universe(index, observer_names, args):
 
 # ---------------------------------------------------------------- explain
 
+_SYMBOLS = (SymAddrRef, SymIntRef, SymDataRef)
+
+
 def _sym_id_map(args, post_root):
     """Map symbol ids appearing in argument values to their rhs form."""
     m: dict[int, object] = {}
     for display, value, _t in args:
-        if isinstance(value, Addr):
-            m.setdefault(value.target.sid, RArg(display))
-        elif isinstance(value, TypedValue) and not isinstance(value.payload, int):
-            m.setdefault(value.payload.sid, RArg(display))
+        if isinstance(value, _SYMBOLS):
+            m.setdefault(value.sid, RArg(display))
     if post_root is not None:
         sid, name = post_root
         m[sid] = RPostRoot(name)
@@ -199,24 +198,16 @@ def _sym_id_map(args, post_root):
 def _normalize_return(leaf: Pattern, sym_map: dict, sat: SatCache):
     """The leaf's return value as an expressible rhs, or None."""
     v = leaf.return_value
-    if v is NULL_ADDR:
+    if v is C.NULL:
         return RNull()
-    if isinstance(v, Addr):
-        t = leaf.resolve(v.target)
+    if isinstance(v, IntConst):
+        return RInt(v.value)
+    if isinstance(v, SymAddrRef):
+        v = leaf.resolve(v)
         # a provably-null address is NULL first, whatever else it matches
-        if sat.check(leaf.combined_condition(),
-                     Atom(C.NEQ, t, C.NULL)) == SatResult.UNSAT:
+        if sat.check(leaf.condition, Atom(C.NEQ, v, C.NULL)) == SatResult.UNSAT:
             return RNull()
-        if t.sid in sym_map:
-            return sym_map[t.sid]
-        return None
-    if isinstance(v, TypedValue):
-        if isinstance(v.payload, int):
-            return RInt(v.payload)
-        if v.payload.sid in sym_map:
-            return sym_map[v.payload.sid]
-        return None
-    return None
+    return sym_map.get(v.sid) if isinstance(v, _SYMBOLS) else None
 
 
 def explain(
@@ -341,7 +332,7 @@ def infer_spec(
     for p in res.patterns:
         if p.status != "final":
             continue
-        cond = p.combined_condition()
+        cond = p.condition
         pre_eqs, hit = explain(
             index, p.entry_heap, cond, seeded, limits, alloc, observer_names,
             sat=sat, malloced=p.malloced, lazy_aliasing=lazy_aliasing,
@@ -354,12 +345,12 @@ def infer_spec(
         for pname, seed_v, ptype in seeded:
             if pname == root_param:
                 cell_v = p.heap.get(p.env[pname], UNDEF)
-                root_v = ret_v if isinstance(ret_v, Addr) or ret_v is NULL_ADDR \
+                root_v = ret_v if isinstance(ret_v, SymAddrRef) or ret_v is C.NULL \
                     else cell_v
                 display = pname + "'"
                 post_args.append((display, root_v, ptype))
-                if isinstance(root_v, Addr):
-                    post_root = (p.resolve(root_v.target).sid, display)
+                if isinstance(root_v, SymAddrRef):
+                    post_root = (p.resolve(root_v).sid, display)
             else:
                 post_args.append((pname, p.heap.get(p.env[pname], UNDEF), ptype))
         post_eqs, hit = explain(

@@ -1,12 +1,18 @@
-"""Symbolic program states: typed values, heaps, and patterns.
+"""Symbolic program states: values, heaps, and patterns.
+
+A value is its own condition term: a pointer is a `SymAddrRef` or `NULL`,
+an int an `IntConst` or a `SymIntRef`, a void* payload a `SymDataRef`.
+Atoms take values as they are, and `render_value` is `render_term` plus a
+`name#sid` tag for heap objects that share a display. `UNDEF` marks a cell
+that holds no value yet.
 
 A pattern is one branch of the symbolic execution: a continuation stack of
 engine frames (top last), an environment mapping variables to heap cells,
 the heap itself, and the two condition cells (one for ordinary branch
 facts, one for decisions taken while materializing unexplored parts of the
-heap on demand), plus a third, undisplayed cell of distinctness facts for
-fresh storage. The pattern also keeps the conjunction of the three, which
-every solver question starts from. Pending calls live only in the
+heap on demand). The pattern also keeps `condition`, the conjunction of the
+two cells and of the undisplayed distinctness facts for fresh storage,
+which every solver question starts from. Pending calls live only in the
 continuation: a call's frame holds the caller's env and loop counts.
 
 `Pattern.clone` copies only the containers that are written in place: the
@@ -22,7 +28,6 @@ for parameters and locals, one level of indirection like a C lvalue) or to
 a whole struct object. Reads of fields that were never written come back as
 `MISSING`, letting the engine decide whether to conjure the field's value.
 """
-
 from __future__ import annotations
 
 from collections import Counter
@@ -31,79 +36,46 @@ from .constraints import (
     TRUE,
     Atom,
     Constraint,
+    IntConst,
     SymAddrRef,
     SymDataRef,
     SymIntRef,
     conjoin,
     render_constraint,
+    render_term,
 )
 from .frontend import nodes
-from .record import Frozen, setfield
 
 # ---------------------------------------------------------------- values
-
-class Addr(Frozen):
-    """A pointer value aimed at a symbolic address."""
-    __slots__ = ("target",)
-
-    def __init__(self, target: SymAddrRef):
-        setfield(self, "target", target)
-
-    def _key(self):
-        return (self.target,)
-
-
-class _NullAddr:
-    def __repr__(self):
-        return "NULL_ADDR"
-
 
 class _Undef:
     def __repr__(self):
         return "UNDEF"
 
 
-NULL_ADDR = _NullAddr()
 UNDEF = _Undef()
 
 
-class TypedValue(Frozen):
-    """An integer or opaque-data payload tagged with its C type."""
-    __slots__ = ("ctype", "payload")
-
-    def __init__(self, ctype: nodes.CType, payload):
-        setfield(self, "ctype", ctype)
-        setfield(self, "payload", payload)  # int | SymIntRef | SymDataRef
-
-    def _key(self):
-        return (self.ctype, self.payload)
-
-
-Value = object  # Addr | NULL_ADDR | UNDEF | TypedValue
+Value = object  # SymAddrRef | NULL | IntConst | SymIntRef | SymDataRef | UNDEF
 
 
 def render_value(v: Value, tagged=frozenset()) -> str:
     """`v` as text; a pointer to an address in `tagged` gets its sid,
     `name#sid`."""
-    if isinstance(v, Addr):
-        name = v.target.display.replace(".", "->")
-        return f"{name}#{v.target.sid}" if v.target in tagged else name
-    if v is NULL_ADDR:
-        return "NULL"
     if v is UNDEF:
         return "undef"
-    if isinstance(v, TypedValue):
-        p = v.payload
-        if isinstance(p, int):
-            return str(p)
-        return "?" + p.display.replace(".", "->")
-    raise TypeError(f"not a value: {v!r}")
+    text = render_term(v)
+    return f"{text}#{v.sid}" if v in tagged else text
 
 
 def render_tv(v: Value, tagged=frozenset()) -> str:
-    """Typed rendering used in result patterns, e.g. tv(int, 1)."""
-    if isinstance(v, TypedValue):
-        return f"tv({v.ctype.render()}, {render_value(v)})"
+    """Typed rendering used in result patterns, e.g. tv(int, 1). Ints and
+    data tokens are the only typed values: plain `void` is only a return
+    type."""
+    if isinstance(v, (IntConst, SymIntRef)):
+        return f"tv(int, {render_value(v)})"
+    if isinstance(v, SymDataRef):
+        return f"tv(void*, {render_value(v)})"
     return render_value(v, tagged)
 
 
@@ -165,13 +137,13 @@ class Allocator:
         return self.symbol(SymDataRef, self.label(display))
 
 
+_SYMBOL_OF_KIND = {"int": SymIntRef, "voidptr": SymDataRef, "structptr": SymAddrRef}
+
+
 def fresh_value(alloc: Allocator, ctype: nodes.CType, display: str) -> Value:
-    """A fresh symbolic value of C type `ctype` (int, void* or a struct
-    pointer) shown as `display`, taken as is."""
-    if ctype.kind == "structptr":
-        return Addr(alloc.symbol(SymAddrRef, display))
-    return TypedValue(ctype, alloc.symbol(
-        SymDataRef if ctype.kind == "voidptr" else SymIntRef, display))
+    """A fresh symbol for a value of C type `ctype` (int, void* or a
+    struct pointer) shown as `display`, taken as is."""
+    return alloc.symbol(_SYMBOL_OF_KIND[ctype.kind], display)
 
 
 # ---------------------------------------------------------------- patterns
@@ -184,7 +156,7 @@ ERROR = "error"
 class Pattern:
     def __init__(self, k: list, env: dict[str, SymAddrRef], heap: Heap, entry_heap: Heap,
                  path_condition: Constraint = TRUE, mem_path_condition: Constraint = TRUE,
-                 alloc_condition: Constraint = TRUE, condition: Constraint | None = None,
+                 condition: Constraint | None = None,
                  status: str = RUNNING, error_reason: str = "", return_value: Value = UNDEF,
                  malloced: frozenset = frozenset(), aliases: dict | None = None,
                  vals: list | None = None, loop_counts: dict | None = None,
@@ -196,12 +168,11 @@ class Pattern:
         self.entry_heap = entry_heap  # the input heap as discovered: materializations + fills
         self.path_condition = path_condition
         self.mem_path_condition = mem_path_condition
-        # distinctness facts for fresh storage (malloc results, materialized
-        # input objects); consulted by every entailment but not displayed
-        self.alloc_condition = alloc_condition
-        # the conjunction of the three cells above, kept by the add_*_atom
-        # methods; built from them when not given
-        self.condition = (conjoin(conjoin(path_condition, mem_path_condition), alloc_condition)
+        # the conjunction of the two cells above and of the distinctness
+        # facts for fresh storage (malloc results, materialized input
+        # objects), which only it holds; kept by the add_*_atom methods,
+        # built from the two cells when not given
+        self.condition = (conjoin(path_condition, mem_path_condition)
                           if condition is None else condition)
         self.status = status
         self.error_reason = error_reason
@@ -223,7 +194,6 @@ class Pattern:
             entry_heap=_copy_heap(self.entry_heap),
             path_condition=self.path_condition,
             mem_path_condition=self.mem_path_condition,
-            alloc_condition=self.alloc_condition,
             condition=self.condition,
             status=self.status,
             error_reason=self.error_reason,
@@ -257,12 +227,9 @@ class Pattern:
         self.condition = self.condition.with_atom(a)
 
     def add_alloc_atom(self, a: Atom) -> None:
-        self.alloc_condition = self.alloc_condition.with_atom(a)
+        """Record a distinctness fact for fresh storage: every solver
+        question sees it, the dump does not."""
         self.condition = self.condition.with_atom(a)
-
-    def combined_condition(self) -> Constraint:
-        """The conjunction of the three condition cells."""
-        return self.condition
 
 
 def _copy_heap(h: Heap) -> Heap:

@@ -29,10 +29,10 @@ from specminer.constraints import (
     check_sat, conjoin, constraint,
 )
 from specminer.engine import Limits, se
-from specminer.frontend import load_program, nodes as N
+from specminer.frontend import load_program
 from specminer.inference import RET, infer_spec
 from specminer.modelsearch import find_model
-from specminer.symstate import Addr, Allocator, CallPattern, TypedValue, render_tv
+from specminer.symstate import Allocator, CallPattern, render_tv
 from specminer.constraints import render_constraint
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -45,8 +45,7 @@ def _line(capsys, n, ok, detail):
 
 
 def _append_call(alloc):
-    return CallPattern("append", [Addr(alloc.fresh_addr("list")),
-                                  TypedValue(N.VOIDPTR, alloc.fresh_data("d"))])
+    return CallPattern("append", [alloc.fresh_addr("list"), alloc.fresh_data("d")])
 
 
 # ------------------------------------------------------------ criterion 1
@@ -113,8 +112,7 @@ def test_criterion_2_append_axioms(dll_index, capsys):
 
 def test_criterion_3_branch_patterns(branch_index, capsys):
     alloc = Allocator()
-    cp = CallPattern("branch", [TypedValue(N.INT, alloc.fresh_int("x")),
-                                TypedValue(N.INT, alloc.fresh_int("y"))])
+    cp = CallPattern("branch", [alloc.fresh_int("x"), alloc.fresh_int("y")])
     res = se(branch_index, cp, Limits(), alloc)
     got = [(render_tv(p.return_value), render_constraint(p.path_condition))
            for p in res.final_patterns]

@@ -23,7 +23,7 @@ from specminer.cli import (
 )
 from specminer.engine import Limits, se
 from specminer.frontend import load_program
-from specminer.symstate import Addr, Allocator, CallPattern, TypedValue, render_pattern
+from specminer.symstate import Allocator, CallPattern, fresh_value, render_pattern
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -111,28 +111,124 @@ def test_dump_patterns_json(capsys):
     assert doc["patterns"][0]["rendered"].startswith("<k>")
 
 
+# value kinds the corpus lacks: a void* tested against NULL, a void* field
+# returned, and symbolic + and -
+KINDS_SRC = (
+    "struct N { void* d; int v; struct N* next; };\n"
+    "int isnull(void* d) { if (d == NULL) return 1; return 0; }\n"
+    "void* getd(struct N* n) { return n->d; }\n"
+    "int addv(struct N* n, int k) { return n->v + k; }\n"
+    "int subv(struct N* n, int k) { return n->v - k; }\n")
+
+KINDS_DUMPS = {
+    "addv": (
+        "-- pattern p0\n"
+        "<k> return tv(int, ?i5) </k>\n"
+        "<env> k |-> tv(int, ?k) </env>\n"
+        "<env> n |-> n </env>\n"
+        "<heap> n |-> (v |-> ?n->v) </heap>\n"
+        "<cond> ?i5 = ?n->v + ?k </cond>\n"
+        "<memcond> n != NULL </memcond>\n"
+        "\n"
+        "-- pattern e0\n"
+        "<k> Error: NULL dereference </k>\n"
+        "<env> k |-> tv(int, ?k) </env>\n"
+        "<env> n |-> n </env>\n"
+        "<cond> true </cond>\n"
+        "<memcond> n = NULL </memcond>\n"
+        "\n"
+        "true => (\n"
+        "  true\n"
+        ")\n"),
+    "getd": (
+        "-- pattern p0\n"
+        "<k> return tv(void*, ?n->d) </k>\n"
+        "<env> n |-> n </env>\n"
+        "<heap> n |-> (d |-> ?n->d) </heap>\n"
+        "<cond> true </cond>\n"
+        "<memcond> n != NULL </memcond>\n"
+        "\n"
+        "-- pattern e0\n"
+        "<k> Error: NULL dereference </k>\n"
+        "<env> n |-> n </env>\n"
+        "<cond> true </cond>\n"
+        "<memcond> n = NULL </memcond>\n"
+        "\n"
+        "true => (\n"
+        "  true\n"
+        ")\n"),
+    "isnull": (
+        "-- pattern p0\n"
+        "<k> return tv(int, 1) </k>\n"
+        "<env> d |-> tv(void*, ?d) </env>\n"
+        "<cond> ?d = NULL </cond>\n"
+        "<memcond> true </memcond>\n"
+        "\n"
+        "-- pattern p1\n"
+        "<k> return tv(int, 0) </k>\n"
+        "<env> d |-> tv(void*, ?d) </env>\n"
+        "<cond> ?d != NULL </cond>\n"
+        "<memcond> true </memcond>\n"
+        "\n"
+        "true => (\n"
+        "  ret = 0\n"
+        ")\n"
+        "\n"
+        "true => (\n"
+        "  ret = 1\n"
+        ")\n"),
+    "subv": (
+        "-- pattern p0\n"
+        "<k> return tv(int, ?i5) </k>\n"
+        "<env> k |-> tv(int, ?k) </env>\n"
+        "<env> n |-> n </env>\n"
+        "<heap> n |-> (v |-> ?n->v) </heap>\n"
+        "<cond> ?i5 = ?n->v - ?k </cond>\n"
+        "<memcond> n != NULL </memcond>\n"
+        "\n"
+        "-- pattern e0\n"
+        "<k> Error: NULL dereference </k>\n"
+        "<env> k |-> tv(int, ?k) </env>\n"
+        "<env> n |-> n </env>\n"
+        "<cond> true </cond>\n"
+        "<memcond> n = NULL </memcond>\n"
+        "\n"
+        "true => (\n"
+        "  true\n"
+        ")\n"),
+}
+
+
+@pytest.mark.parametrize("fname", sorted(KINDS_DUMPS))
+def test_dump_patterns_of_value_kinds_the_corpus_lacks(capsys, tmp_path, fname):
+    src = tmp_path / "kinds.c"
+    src.write_text(KINDS_SRC)
+    code, out, _err = run(capsys, str(src), "-f", fname, "--dump-patterns")
+    assert code == EXIT_OK
+    assert out == KINDS_DUMPS[fname]
+
+
 def _standalone_patterns(source, fname, unroll, lazy_aliasing, seed_label):
     """The modifier's terminal patterns from its own `se` run, seeded as
     inference seeds it: one fresh symbol per parameter, in order."""
     index = load_program(source)
     alloc = Allocator(seed_label)
-    args = []
-    for pname, ptype in index.functions[fname].params:
-        if ptype.kind == "structptr":
-            args.append(Addr(alloc.fresh_addr(pname)))
-        else:
-            args.append(TypedValue(ptype, alloc.fresh_data(pname)))
+    args = [fresh_value(alloc, ptype, alloc.label(pname))
+            for pname, ptype in index.functions[fname].params]
     return se(index, CallPattern(fname, args), Limits(unroll_bound=unroll),
               alloc, lazy_aliasing).patterns
 
 
-@pytest.mark.parametrize("case", ["append-unroll2", "touch-lazy"])
+@pytest.mark.parametrize("case", ["append-unroll2", "touch-lazy", *sorted(KINDS_DUMPS)])
 def test_dumped_patterns_are_the_ones_the_axioms_came_from(capsys, tmp_path, case):
     if case == "append-unroll2":
         path, fname, unroll, flags = DLL, "append", 2, ["--unroll", "2"]
-    else:
+    elif case == "touch-lazy":
         path, fname, unroll, flags = tmp_path / "touch.c", "touch", 1, ["--lazy-aliasing"]
         path.write_text(TOUCH_SRC)
+    else:
+        path, fname, unroll, flags = tmp_path / "kinds.c", case, 1, []
+        path.write_text(KINDS_SRC)
     argv = [str(path), "-f", fname, "--seed-label", "run1", *flags]
     code, dumped, _err = run(capsys, *argv, "--dump-patterns")
     assert code == EXIT_OK

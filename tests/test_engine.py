@@ -7,19 +7,18 @@ import pytest
 
 from specminer.concrete import build_dll, concrete_run
 from specminer.constraints import (
-    GT, NULL, Atom, SatCache, SatResult, check_sat, conjoin, constraint, negate_atom,
-    render_constraint,
+    GT, NULL, Atom, IntConst, NullRef, SatCache, SatResult, SymAddrRef, SymDataRef, SymIntRef,
+    check_sat, conjoin, constraint, negate_atom, render_constraint,
 )
 from specminer.engine import _HANDLERS, Limits, _Engine, se
 from specminer.frontend import load_program, nodes as N
 from specminer.symstate import (
-    Addr,
     Allocator,
     CallPattern,
     HeapObject,
-    NULL_ADDR,
     Pattern,
-    TypedValue,
+    UNDEF,
+    fresh_value,
     make_call_pattern,
     render_pattern,
     render_tv,
@@ -27,12 +26,11 @@ from specminer.symstate import (
 
 
 def _sym_append_call(alloc):
-    return CallPattern("append", [Addr(alloc.fresh_addr("list")),
-                                  TypedValue(N.VOIDPTR, alloc.fresh_data("d"))])
+    return CallPattern("append", [alloc.fresh_addr("list"), alloc.fresh_data("d")])
 
 
 def _sym_int_call(fname, names, alloc):
-    return CallPattern(fname, [TypedValue(N.INT, alloc.fresh_int(n)) for n in names])
+    return CallPattern(fname, [alloc.fresh_int(n) for n in names])
 
 
 # ---------------------------------------------------------------- branch
@@ -61,9 +59,9 @@ def test_a_recorded_atom_decides_its_branch_with_one_question(
     atom = Atom(GT, x, y)
     recorded = atom if holds else negate_atom(atom)
     p = make_call_pattern(branch_index, CallPattern(
-        "branch", [TypedValue(N.INT, x), TypedValue(N.INT, y)],
+        "branch", [x, y],
         initial_constraint=constraint(recorded)), alloc)
-    base = p.combined_condition()
+    base = p.condition
     asked = []
     real_check = SatCache.check
 
@@ -79,7 +77,7 @@ def test_a_recorded_atom_decides_its_branch_with_one_question(
     eng = _Engine(branch_index, Limits(), alloc, False, SatCache())
     out = eng._decide(p, atom)
     assert asked == [(base, recorded)]
-    assert p.combined_condition() == base and eng.split_log == []
+    assert p.condition == base and eng.split_log == []
     if verdict == SatResult.UNSAT:
         assert out == []
     else:
@@ -127,8 +125,8 @@ def test_append_emission_order_is_depth_first_true_first(dll_index):
     # fresh-node facts stay out of the displayed conditions but are part of
     # what entailment sees
     p2 = res.patterns[2]
-    assert not p2.alloc_condition.is_true
-    assert len(p2.combined_condition().atoms) > len(p2.mem_path_condition.atoms)
+    assert p2.condition.atoms - conjoin(p2.path_condition, p2.mem_path_condition).atoms
+    assert len(p2.condition.atoms) > len(p2.mem_path_condition.atoms)
 
 
 def test_split_log_pairs_are_mutually_unsat(dll_index):
@@ -152,7 +150,7 @@ def test_all_or_nothing_run_stops_at_the_shallow_rejected_leaf(dll_index):
     the run ends at the first leaf `reject` holds for."""
     def run(reject):
         alloc = Allocator()
-        res = se(dll_index, CallPattern("length", [Addr(alloc.fresh_addr("list"))]),
+        res = se(dll_index, CallPattern("length", [alloc.fresh_addr("list")]),
                  Limits(), alloc, reject=reject)
         return res, [(render_tv(p.return_value), render_constraint(p.mem_path_condition))
                      for p in res.patterns]
@@ -184,8 +182,7 @@ def test_lazy_aliasing_adds_the_overlap_world():
 
     def run(flag):
         alloc = Allocator()
-        cp = CallPattern("touch", [Addr(alloc.fresh_addr("a")),
-                                   Addr(alloc.fresh_addr("b"))])
+        cp = CallPattern("touch", [alloc.fresh_addr("a"), alloc.fresh_addr("b")])
         return se(idx, cp, Limits(), alloc, lazy_aliasing=flag)
 
     plain = run(False)
@@ -212,8 +209,7 @@ def test_alias_worlds_inherit_an_unknown_non_null_verdict(monkeypatch):
 
     monkeypatch.setattr(SatCache, "check", unknown_b_non_null)
     alloc = Allocator()
-    cp = CallPattern("touch", [Addr(alloc.fresh_addr("a")),
-                               Addr(alloc.fresh_addr("b"))])
+    cp = CallPattern("touch", [alloc.fresh_addr("a"), alloc.fresh_addr("b")])
     res = se(load_program(ALIAS_SRC), cp, Limits(), alloc, lazy_aliasing=True)
     assert sorted(render_tv(p.return_value) for p in res.final_patterns) == \
         ["tv(int, 1)", "tv(int, 2)"]
@@ -229,8 +225,8 @@ def test_aliases_map_undiscovered_addresses_to_lazy_objects(dll_index):
     aliases = 0
     for index, fname in runs:
         alloc = Allocator()
-        args = [Addr(alloc.fresh_addr(pname)) if ptype.kind == "structptr"
-                else TypedValue(ptype, alloc.fresh_data(pname))
+        args = [alloc.fresh_addr(pname) if ptype.kind == "structptr"
+                else alloc.fresh_data(pname)
                 for pname, ptype in index.functions[fname].params]
         res = se(index, CallPattern(fname, args), Limits(), alloc, lazy_aliasing=True)
         for p in res.patterns:
@@ -271,9 +267,9 @@ def test_each_call_counts_its_own_loop_and_restores_the_callers(bound, returns):
     counts, on every path: one path's iterations never use up another's."""
     idx = load_program(NESTED_LOOPS_SRC)
     alloc = Allocator()
-    res = se(idx, CallPattern("sum", [Addr(alloc.fresh_addr("n"))]),
+    res = se(idx, CallPattern("sum", [alloc.fresh_addr("n")]),
              Limits(unroll_bound=bound), alloc)
-    assert sorted(p.return_value.payload for p in res.final_patterns) == returns
+    assert sorted(p.return_value.value for p in res.final_patterns) == returns
     # every path that would take one more counted iteration is cut
     assert res.truncated_paths == len(returns)
     assert res.error_patterns == []
@@ -285,18 +281,18 @@ def test_clones_share_only_what_is_replaced_on_write():
     idx = load_program(NESTED_LOOPS_SRC)
     alloc = Allocator()
     eng = _Engine(idx, Limits(unroll_bound=2), alloc, True, SatCache())
-    p = make_call_pattern(idx, CallPattern("upto", [TypedValue(N.INT, alloc.fresh_int("k"))]),
+    p = make_call_pattern(idx, CallPattern("upto", [alloc.fresh_int("k")]),
                           alloc)
     loop = idx.functions["upto"].body[1]
     q = p.clone()
-    q.vals.append(TypedValue(N.INT, 1))
+    q.vals.append(IntConst(1))
     q.guard_split = True
     assert eng._loop_decide(q, loop) == [q]
     assert q.loop_counts == {id(loop): 1}
     assert p.loop_counts == {}
 
     a, b = alloc.fresh_addr("a"), alloc.fresh_addr("b")
-    ok = make_call_pattern(idx, CallPattern("sum", [Addr(b)], initial_heap={
+    ok = make_call_pattern(idx, CallPattern("sum", [b], initial_heap={
         a: HeapObject("N", {}, lazy=True)}), alloc)
     worlds = eng._alias_worlds(ok, b, "N")
     assert [(w.aliases, obj) for w, obj in worlds] == [({b: a}, a)]
@@ -308,7 +304,7 @@ def test_concrete_guards_do_not_consume_the_loop_budget():
     # a fully determined loop runs to completion even at unroll 1
     idx = load_program(
         "int summ(int n) { int s; s = 0; while (n > 0) { s = s + n; n = n - 1; } return s; }")
-    res = se(idx, CallPattern("summ", [TypedValue(N.INT, 5)]), Limits(unroll_bound=1))
+    res = se(idx, CallPattern("summ", [IntConst(5)]), Limits(unroll_bound=1))
     assert res.truncated_paths == 0
     assert [render_tv(p.return_value) for p in res.final_patterns] == ["tv(int, 15)"]
 
@@ -325,7 +321,7 @@ def test_pattern_budget(branch_index):
 
 def test_step_budget_catches_divergence():
     idx = load_program("int spin(int x) { while (0 < 1) x = x + 1; return x; }")
-    res = se(idx, CallPattern("spin", [TypedValue(N.INT, 9)]), Limits(max_steps=500))
+    res = se(idx, CallPattern("spin", [IntConst(9)]), Limits(max_steps=500))
     assert res.budget_error
     assert [p.error_reason for p in res.error_patterns] == ["step budget exceeded"]
 
@@ -373,9 +369,45 @@ def test_every_statement_and_expression_class_has_a_handler():
     assert [c.__name__ for c in classes if c not in _HANDLERS] == []
 
 
+@pytest.mark.parametrize("lazy_aliasing", [False, True])
+def test_a_value_is_undef_or_its_own_term(dll_index, lazy_aliasing):
+    """Every env cell, object field and return value of every dll.c
+    modifier's terminal patterns is UNDEF or one of the five value terms,
+    never a compound term such as `Add`, `Sub` or `FieldPath`."""
+    value_terms = (SymAddrRef, NullRef, IntConst, SymIntRef, SymDataRef)
+    seen = set()
+    for fname in sorted(dll_index.modifiers):
+        alloc = Allocator()
+        args = [fresh_value(alloc, ptype, pname)
+                for pname, ptype in dll_index.functions[fname].params]
+        res = se(dll_index, CallPattern(fname, args), Limits(unroll_bound=1), alloc,
+                 lazy_aliasing)
+        for p in res.patterns:
+            values = [p.return_value, *(p.heap[cell] for cell in p.env.values())]
+            for heap in (p.heap, p.entry_heap):
+                for obj in heap.values():
+                    if isinstance(obj, HeapObject):
+                        values += obj.fields.values()
+            for v in values:
+                assert v is UNDEF or type(v) in value_terms, (fname, p.provenance_id, v)
+                seen.add(type(v))
+    # dll.c has no int field or parameter, so no symbolic int shows up
+    assert seen == {type(UNDEF), SymAddrRef, NullRef, IntConst, SymDataRef}
+
+
+def test_arithmetic_on_an_undefined_call_result_is_an_error_leaf():
+    # `g` runs off its end when `a <= 0`, and `f` adds to what it returns
+    idx = load_program("int g(int a) { if (a > 0) return 1; }\n"
+                       "int f(int x) { return g(x) + 1; }\n")
+    alloc = Allocator()
+    res = se(idx, _sym_int_call("f", ["x"], alloc), Limits(), alloc)
+    assert [(p.status, p.error_reason or render_tv(p.return_value)) for p in res.patterns] == \
+        [("final", "tv(int, 2)"), ("error", "arithmetic on a non-integer value")]
+
+
 def test_undefined_variable_read_is_an_error_leaf():
     idx = load_program("int f(int a) { int t; return t; }")
-    res = se(idx, CallPattern("f", [TypedValue(N.INT, 1)]))
+    res = se(idx, CallPattern("f", [IntConst(1)]))
     assert [(p.status, p.error_reason) for p in res.patterns] == \
         [("error", "read of undefined variable 't'")]
 
@@ -398,10 +430,10 @@ def test_engine_agrees_with_concrete_interpreter_on_closed_int_programs():
         for _ in range(25):
             args = [rng.randrange(0, 12) for _ in f.params]
             want, _h = concrete_run(idx, name, {}, list(args))
-            res = se(idx, CallPattern(name, [TypedValue(N.INT, a) for a in args]))
+            res = se(idx, CallPattern(name, [IntConst(a) for a in args]))
             assert res.truncated_paths == 0 and not res.split_log
             [p] = res.final_patterns
-            assert p.return_value.payload == want, (name, args)
+            assert p.return_value.value == want, (name, args)
 
 
 def test_engine_agrees_with_concrete_append_via_pattern_selection(dll_index):
@@ -422,8 +454,8 @@ def test_engine_agrees_with_concrete_append_via_pattern_selection(dll_index):
         assert len(spine) == want_spine == len(values) + 1, values
         # the appended cell carries the fresh data symbol and sits last
         last = matches[0].heap[spine[-1]]
-        assert isinstance(last.fields["data"], TypedValue)
-        assert last.fields["next"] is NULL_ADDR
+        assert isinstance(last.fields["data"], SymDataRef)
+        assert last.fields["next"] is NULL
 
 
 def _concrete_spine_len(head, heap):
@@ -446,13 +478,13 @@ def _covers_concrete_list(p, n):
 
 def _symbolic_spine(p):
     ret = p.return_value
-    addr = ret.target if isinstance(ret, Addr) else None
+    addr = ret if isinstance(ret, SymAddrRef) else None
     spine = []
     while addr is not None:
         spine.append(addr)
         assert len(spine) < 10, "cycle"
         nxt = p.heap[addr].fields.get("next")
-        addr = nxt.target if isinstance(nxt, Addr) else None
+        addr = nxt if isinstance(nxt, SymAddrRef) else None
     return spine
 
 

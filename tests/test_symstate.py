@@ -4,17 +4,15 @@ import dataclasses
 import pytest
 
 from specminer.constraints import (
-    EQ, NEQ, NULL, Atom, IntConst, SymAddrRef, conjoin, constraint)
+    EQ, NEQ, NULL, Atom, IntConst, SymAddrRef, SymDataRef, SymIntRef, conjoin, constraint)
 from specminer.frontend import nodes as N
 from specminer.symstate import (
-    Addr,
     Allocator,
     ArityMismatch,
     CallPattern,
     HeapObject,
-    NULL_ADDR,
-    TypedValue,
     UNDEF,
+    fresh_value,
     make_call_pattern,
     render_pattern,
     render_tv,
@@ -23,17 +21,25 @@ from specminer.symstate import (
 
 
 def test_render_typed_values():
-    assert render_tv(TypedValue(N.INT, 1)) == "tv(int, 1)"
+    assert render_tv(IntConst(1)) == "tv(int, 1)"
     alloc = Allocator()
-    assert render_tv(TypedValue(N.VOIDPTR, alloc.fresh_data("d"))) == "tv(void*, ?d)"
-    assert render_value(NULL_ADDR) == "NULL"
+    assert render_tv(alloc.fresh_data("d")) == "tv(void*, ?d)"
+    assert render_value(NULL) == "NULL"
     assert render_value(UNDEF) == "undef"
+
+
+def test_fresh_values_are_symbols_of_their_c_kind():
+    alloc = Allocator()
+    for ctype, cls in ((N.INT, SymIntRef), (N.VOIDPTR, SymDataRef),
+                       (N.structptr("List"), SymAddrRef)):
+        v = fresh_value(alloc, ctype, "v")
+        assert type(v) is cls and v.display == "v"
 
 
 def test_render_address_uses_arrow_for_path_names():
     alloc = Allocator()
     a = alloc.fresh_addr("list.next")
-    assert render_value(Addr(a)) == "list->next"
+    assert render_value(a) == "list->next"
 
 
 def test_allocator_is_monotone_and_label_scoped():
@@ -53,10 +59,10 @@ def test_allocator_is_monotone_and_label_scoped():
 def test_make_call_pattern_binds_params_and_locals(dll_index):
     alloc = Allocator()
     root = alloc.fresh_addr("list")
-    cp = CallPattern("append", [Addr(root), TypedValue(N.VOIDPTR, alloc.fresh_data("d"))])
+    cp = CallPattern("append", [root, alloc.fresh_data("d")])
     p = make_call_pattern(dll_index, cp, alloc)
     assert sorted(p.env) == ["d", "final", "list", "new_node"]
-    assert p.heap[p.env["list"]] == Addr(root)
+    assert p.heap[p.env["list"]] == root
     assert p.heap[p.env["final"]] is UNDEF
     assert p.status == "running"
 
@@ -69,58 +75,63 @@ def test_make_call_pattern_checks_arity(dll_index):
 def test_clone_isolates_heap_env_and_conditions(dll_index):
     alloc = Allocator()
     root = alloc.fresh_addr("list")
-    obj = HeapObject("List", {"data": NULL_ADDR}, lazy=True)
-    cp = CallPattern("length", [Addr(root)], initial_heap={root: obj})
+    obj = HeapObject("List", {"data": NULL}, lazy=True)
+    cp = CallPattern("length", [root], initial_heap={root: obj})
     p = make_call_pattern(dll_index, cp, alloc)
     q = p.clone()
-    q.heap[root].fields["data"] = TypedValue(N.INT, 9)
-    q.heap[q.env["len"]] = TypedValue(N.INT, 3)
-    assert p.heap[root].fields["data"] is NULL_ADDR
+    q.heap[root].fields["data"] = IntConst(9)
+    q.heap[q.env["len"]] = IntConst(3)
+    assert p.heap[root].fields["data"] is NULL
     assert p.heap[p.env["len"]] is UNDEF
     # lazy flag must survive copying — it drives field materialization
     assert q.heap[root].lazy
 
 
 def test_typed_values_are_frozen():
-    for obj, name in ((Addr(Allocator().fresh_addr("x")), "target"),
-                      (TypedValue(N.INT, 1), "payload")):
+    alloc = Allocator()
+    for obj, name in ((alloc.fresh_addr("x"), "sid"), (alloc.fresh_int("n"), "sid"),
+                      (alloc.fresh_data("d"), "display"), (IntConst(1), "value")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, None)
 
 
-def _union(p):
-    return conjoin(conjoin(p.path_condition, p.mem_path_condition), p.alloc_condition)
+def _union(p, *alloc_atoms):
+    """The two displayed cells plus the distinctness facts `alloc_atoms`."""
+    return conjoin(conjoin(p.path_condition, p.mem_path_condition), constraint(*alloc_atoms))
 
 
 def test_stored_conjunction_follows_every_cell(dll_index):
     alloc = Allocator()
     root = alloc.fresh_addr("list")
     n = alloc.fresh_int("n")
-    cp = CallPattern("length", [Addr(root)],
+    cp = CallPattern("length", [root],
                      initial_constraint=constraint(Atom(EQ, n, IntConst(1))))
     p = make_call_pattern(dll_index, cp, alloc)
-    assert p.combined_condition() == _union(p) and not p.combined_condition().is_true
+    assert p.condition == _union(p) and not p.condition.is_true
     q = p.clone()
-    assert q.combined_condition() == _union(q) == _union(p)
+    assert q.condition == _union(q) == _union(p)
     q.add_path_atom(Atom(NEQ, n, IntConst(0)))
-    assert q.combined_condition() == _union(q)
+    assert q.condition == _union(q)
     q.add_mem_atom(Atom(NEQ, root, NULL))
-    assert q.combined_condition() == _union(q)
-    q.add_alloc_atom(Atom(NEQ, alloc.fresh_addr("m"), NULL))
-    assert q.combined_condition() == _union(q)
+    assert q.condition == _union(q)
+    fresh = Atom(NEQ, alloc.fresh_addr("m"), NULL)
+    q.add_alloc_atom(fresh)
+    assert q.condition == _union(q, fresh)
+    # a distinctness fact stays out of both displayed cells
+    assert fresh not in _union(q).atoms
     # an atom already in the conjunction through another cell
     q.add_path_atom(Atom(NEQ, root, NULL))
-    assert q.combined_condition() == _union(q)
-    assert len(q.combined_condition().atoms) == 4
+    assert q.condition == _union(q, fresh)
+    assert len(q.condition.atoms) == 4
     # the clone's updates leave the original alone
-    assert p.combined_condition() == _union(p)
-    assert len(p.combined_condition().atoms) == 1
+    assert p.condition == _union(p)
+    assert len(p.condition.atoms) == 1
 
 
 def test_render_pattern_shape(dll_index):
     alloc = Allocator()
     root = alloc.fresh_addr("list")
-    cp = CallPattern("length", [Addr(root)])
+    cp = CallPattern("length", [root])
     p = make_call_pattern(dll_index, cp, alloc)
     dump = render_pattern(p)
     assert "<env> list |-> list </env>" in dump
