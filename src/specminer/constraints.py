@@ -35,8 +35,15 @@ replay, which start from the modifier's path conditions), keeping the
 closure of every atom set it has seen. A question extends the path
 condition's closure by one atom (a copied union-find re-closed over field
 paths, or a re-run of the interval check on the integer atoms) and keeps
-the result, where the path's next question starts. Its answers are
-`check_sat`'s, so the one-sided Unsat contract holds for them too.
+the result, where the path's next question starts. An atom a path records
+without asking gets its closure the same way, so `Closure.of` runs once
+per invocation, on the empty condition. Its answers are `check_sat`'s, so
+the one-sided Unsat contract holds for them too.
+
+The cache also interns the invocation's atoms: one `Atom` object per
+`(op, lhs, rhs)`. Each atom stores its hash, so the atom sets that key the
+closures, and the membership tests on them, match atoms by identity
+instead of comparing their terms.
 """
 
 from __future__ import annotations
@@ -139,15 +146,23 @@ _NEGATION = {EQ: NEQ, NEQ: EQ, LT: GE, GE: LT, LE: GT, GT: LE}
 
 
 class Atom(Frozen):
-    __slots__ = ("op", "lhs", "rhs")
+    """`lhs op rhs`. Its hash, that of `(op, lhs, rhs)`, is stored when it
+    is built. Atoms compare by structure, but the engine's atoms come from
+    a `SatCache`, which hands out one object per structure, so sets of them
+    match by identity."""
+    __slots__ = ("op", "lhs", "rhs", "_hash")
 
     def __init__(self, op: str, lhs: Term, rhs: Term):
         setfield(self, "op", op)
         setfield(self, "lhs", lhs)
         setfield(self, "rhs", rhs)
+        setfield(self, "_hash", hash((op, lhs, rhs)))
 
     def _key(self):
         return (self.op, self.lhs, self.rhs)
+
+    def __hash__(self):
+        return self._hash
 
 
 def negate_atom(a: Atom) -> Atom:
@@ -550,15 +565,34 @@ def check_sat(c: Constraint) -> SatResult:
 
 
 class SatCache:
-    """Memo for the questions one inference invocation asks: "is `base`
-    plus one atom satisfiable?". It maps atom sets to their closures. A
-    question extends the closure of `base` by the atom and keeps the
-    result, which is the base of the next question on that path. Answers
-    equal `check_sat` on the conjunction, which depends on the atom set
-    alone, so runs may share one cache."""
+    """Memo for one inference invocation: its atoms and the closures of
+    the atom sets its runs hold.
+
+    `atom` hands out one `Atom` object per `(op, lhs, rhs)`, and
+    `negation` that of an atom's negation, so the sets that hold them,
+    and the closure table keyed by those sets, match atoms by identity.
+
+    `extend(base, atom)` is the closure of `base` plus one atom: it
+    extends the closure of `base` by the atom and keeps the result, which
+    is where the path's next question starts. Every atom a run records
+    goes through it, whether or not a question decided it, so only the
+    closure a run starts from may need building from scratch; every later
+    one of its paths is an extension. `check` is its verdict. Answers equal `check_sat` on the conjunction, which
+    depends on the atom set alone, so runs may share one cache."""
 
     def __init__(self):
+        self.interned: dict[tuple, Atom] = {}
         self.closures: dict[frozenset, Closure] = {}
+
+    def atom(self, op: str, lhs: Term, rhs: Term) -> Atom:
+        key = (op, lhs, rhs)
+        a = self.interned.get(key)
+        if a is None:
+            a = self.interned[key] = Atom(op, lhs, rhs)
+        return a
+
+    def negation(self, a: Atom) -> Atom:
+        return self.atom(_NEGATION[a.op], a.lhs, a.rhs)
 
     def _closure(self, atoms: frozenset) -> Closure:
         closure = self.closures.get(atoms)
@@ -566,14 +600,17 @@ class SatCache:
             closure = self.closures[atoms] = Closure.of(atoms)
         return closure
 
-    def check(self, base: Constraint, atom: Atom) -> SatResult:
+    def extend(self, base: Constraint, atom: Atom) -> Closure:
         if atom in base.atoms:
-            return self._closure(base.atoms).verdict
+            return self._closure(base.atoms)
         key = base.atoms | {atom}
         closure = self.closures.get(key)
         if closure is None:
             closure = self.closures[key] = self._closure(base.atoms).extended(atom)
-        return closure.verdict
+        return closure
+
+    def check(self, base: Constraint, atom: Atom) -> SatResult:
+        return self.extend(base, atom).verdict
 
 
 class Entailment(enum.Enum):

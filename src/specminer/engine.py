@@ -10,7 +10,9 @@ from it (an operator, a field name, the branches of an `if`). A statement or
 expression is pushed with the handler `_HANDLERS` gives its node class;
 that handler pushes the frames for its operands and for the work after
 them. One step pops and runs one frame, so `Limits.max_steps` counts
-frames.
+frames. `_Engine.run` steps one pattern until it forks or ends: a handler
+that keeps its pattern returns None, and any other returns the successors
+(none when the path is dropped), which go on the work stack.
 
 The continuation is the only record of pending calls. A call pushes a
 return frame under the callee's body; its data is the call node plus the
@@ -24,6 +26,12 @@ return frames for its call node.
 A value is its own condition term (see `symstate`), so a comparison puts
 its operands into the atom it decides as they are, and symbolic `+`/`-`
 records `s = l + r` for a fresh int `s` over the operands themselves.
+Every atom comes from the run's `SatCache` (`atom`, `negation`), which
+hands out one object per `(op, lhs, rhs)`. An atom recorded without a
+question — `s = l + r`, the distinctness facts for fresh storage, the
+separate alias world's disequalities — still goes through the cache
+(`_Engine._record`), so every closure a path needs is built by extending
+the one before it.
 
 Three mechanisms matter beyond plain evaluation:
 
@@ -70,6 +78,7 @@ from .record import Record
 from .symstate import (
     FINAL,
     ERROR,
+    RUNNING,
     MISSING,
     UNDEF,
     Allocator,
@@ -136,36 +145,49 @@ class _Engine:
         out: list[Pattern] = []
         finals = errors = 0
         rejected = False
+        max_steps = self.limits.max_steps
         stack = [start]
         while stack:
             p = stack.pop()
-            if p.status != "running":
-                if p.status == FINAL:
-                    p.provenance_id = f"p{finals}"
-                    finals += 1
-                else:
-                    p.provenance_id = f"e{errors}"
-                    errors += 1
-                if reject is not None and reject(p):
-                    out.append(p)
+            # Step `p` until it forks or ends. Each step pops and runs one
+            # frame; a handler that keeps `p` returns None, any other its
+            # successors (none when the path is dropped).
+            succs = None
+            while succs is None and p.status == RUNNING:
+                p.steps += 1
+                if p.steps > max_steps:
+                    self.budget_error = True
+                    self._error(p, "step budget exceeded")
+                    break
+                handler, node = p.k.pop()
+                succs = handler(self, p, node)
+            if succs is not None:
+                if reject is not None and self.truncated:
                     rejected = True
                     break
-                # out of budget only when a leaf the run keeps does not fit;
-                # work left that is cut at the bound loses nothing
-                if len(out) >= self.limits.max_patterns:
-                    self.budget_error = True
-                    break
-                out.append(p)
+                # Without `reject`, the first successor (true branch,
+                # object) is explored first, which fixes the pN numbering.
+                # With it, the last one (loop exit, NULL error) is: shallow
+                # leaves that rule the run out show up before the deep walk
+                # to the bound.
+                stack.extend(succs if reject is not None else reversed(succs))
                 continue
-            succs = self.step(p)
-            if reject is not None and self.truncated:
+            if p.status == FINAL:
+                p.provenance_id = f"p{finals}"
+                finals += 1
+            else:
+                p.provenance_id = f"e{errors}"
+                errors += 1
+            if reject is not None and reject(p):
+                out.append(p)
                 rejected = True
                 break
-            # Without `reject`, the first successor (true branch, object)
-            # is explored first, which fixes the pN numbering. With it, the
-            # last one (loop exit, NULL error) is: shallow leaves that rule
-            # the run out show up before the deep walk to the bound.
-            stack.extend(succs if reject is not None else reversed(succs))
+            # out of budget only when a leaf the run keeps does not fit;
+            # work left that is cut at the bound loses nothing
+            if len(out) >= self.limits.max_patterns:
+                self.budget_error = True
+                break
+            out.append(p)
         return SEResult(out, self.truncated, self.budget_error, self.split_log,
                         rejected)
 
@@ -177,22 +199,33 @@ class _Engine:
         p.k = []
         return p
 
+    def _record(self, p: Pattern, add, atom: Atom) -> None:
+        """Record `atom`, which no question decided, on `p` with `add`, one
+        of `p`'s `add_*_atom` methods. The cache extends the closure of
+        `p`'s conditions by it, as it does for a decided atom."""
+        self.sat.extend(p.condition, atom)
+        add(atom)
+
     def _materialize(self, p: Pattern, a: SymAddrRef, struct_name: str) -> None:
         if a in p.heap:
             return
-        p.heap[a] = HeapObject(struct_name, {}, lazy=True)
-        p.entry_heap[a] = HeapObject(struct_name, {}, lazy=True)
+        # both heaps hold the one new object until a write replaces it
+        p.heap[a] = p.entry_heap[a] = HeapObject(struct_name, {}, lazy=True)
         for m in sorted(p.malloced, key=lambda x: (x.display, x.sid)):
-            p.add_alloc_atom(Atom(C.NEQ, a, m))
+            self._record(p, p.add_alloc_atom, self.sat.atom(C.NEQ, a, m))
 
     def _fill(self, p: Pattern, a: SymAddrRef, fname: str, ftype: nodes.CType):
+        """Give the object at `a` a fresh value for its missing field
+        `fname`, in the heap and in the entry heap."""
         # the display derives from `a`'s, which already carries any label
         v = fresh_value(self.alloc, ftype, f"{a.display}.{fname}")
         obj = p.heap[a]
-        obj.fields[fname] = v
+        p.heap[a] = filled = obj.with_field(fname, v)
         entry = p.entry_heap.get(a)
-        if isinstance(entry, HeapObject) and fname not in entry.fields:
-            entry.fields[fname] = v
+        if entry is obj:
+            p.entry_heap[a] = filled
+        elif isinstance(entry, HeapObject) and fname not in entry.fields:
+            p.entry_heap[a] = entry.with_field(fname, v)
         return v
 
     def _decide(self, p: Pattern, atom: Atom) -> list[tuple[Pattern, bool]]:
@@ -205,8 +238,8 @@ class _Engine:
         negation, only their own verdict is asked: Unsat leaves no
         successor, anything else keeps `p` on the recorded side."""
         base = p.condition
-        # the negation is only built when the atom itself is not recorded
-        neg = None if atom in base.atoms else C.negate_atom(atom)
+        # the negation is only looked up when the atom itself is not recorded
+        neg = None if atom in base.atoms else self.sat.negation(atom)
         if neg is None or neg in base.atoms:
             verdict = self.sat.check(base, atom if neg is None else neg)
             if verdict == SatResult.UNSAT:
@@ -236,27 +269,32 @@ class _Engine:
         self.split_log.append((p.condition, q.condition))
         return [(p, True), (q, False)]
 
-    def _binary_split(self, p: Pattern, atom: Atom) -> list[Pattern]:
+    def _binary_split(self, p: Pattern, atom: Atom) -> list[Pattern] | None:
         """Decide `atom`; each successor gets its outcome, 1 or 0, pushed
-        on its value stack."""
-        out = []
-        for q, holds in self._decide(p, atom):
+        on its value stack. None when `p` is the only one."""
+        outcomes = self._decide(p, atom)
+        for q, holds in outcomes:
             q.vals.append(_ONE if holds else _ZERO)
-            out.append(q)
-        return out
+        if len(outcomes) == 1:
+            return None
+        return [q for q, _holds in outcomes]
 
-    def _deref(self, p: Pattern, value, struct_name: str, then):
+    def _deref(self, p: Pattern, value, struct_name: str, then) -> list[Pattern] | None:
         """Dereference a pointer value; `then(pattern, address)` continues
         the work on each successor that reached an object. Successors come
-        as [object, aliases..., NULL error]."""
+        as [object, aliases..., NULL error], or None when `p` is the only
+        one."""
         if value is UNDEF:
-            return [self._error(p, "read of undefined value")]
+            self._error(p, "read of undefined value")
+            return None
         if value is C.NULL:
-            return [self._error(p, "NULL dereference")]
+            self._error(p, "NULL dereference")
+            return None
         if not isinstance(value, SymAddrRef):
-            return [self._error(p, "dereference of a non-address value")]
+            self._error(p, "dereference of a non-address value")
+            return None
         target = p.resolve(value)
-        outcomes = self._decide(p, Atom(C.NEQ, target, C.NULL))
+        outcomes = self._decide(p, self.sat.atom(C.NEQ, target, C.NULL))
         succs = []
         for q, is_object in outcomes:
             if not is_object:
@@ -269,7 +307,8 @@ class _Engine:
             for w, obj in worlds:
                 then(w, obj)
                 succs.append(w)
-        return succs
+        # one outcome is `p` on its own side, with no alias worlds
+        return None if len(outcomes) == 1 else succs
 
     def _alias_worlds(self, ok: Pattern, target: SymAddrRef, struct_name: str):
         """With `target` newly found non-null on `ok`: one (pattern,
@@ -286,73 +325,57 @@ class _Engine:
         base = ok.condition
         worlds = []
         for cand in cands:
-            alias = Atom(C.EQ, target, cand)
+            alias = self.sat.atom(C.EQ, target, cand)
             if self.sat.check(base, alias) != SatResult.UNSAT:
                 al = ok.clone()
                 al.add_mem_atom(alias)
                 al.aliases = {**al.aliases, target: cand}
                 worlds.append((al, cand))
         for cand in cands:
-            ok.add_mem_atom(Atom(C.NEQ, target, cand))
+            self._record(ok, ok.add_mem_atom, self.sat.atom(C.NEQ, target, cand))
         return worlds
 
-    def _truth(self, p: Pattern, node) -> list[Pattern]:
+    def _truth(self, p: Pattern, node) -> list[Pattern] | None:
         """Reduce an int value (the resolver admits no other condition) to
         concrete 0/1 on each successor."""
         v = p.vals.pop()
         if v is UNDEF:
-            return [self._error(p, "read of undefined value")]
+            self._error(p, "read of undefined value")
+            return None
         if isinstance(v, IntConst):
             p.vals.append(_ONE if v.value != 0 else _ZERO)
-            return [p]
-        return self._binary_split(p, Atom(C.NEQ, v, _ZERO))
-
-    # -------------------------------------------------- stepping
-
-    def step(self, p: Pattern) -> list[Pattern]:
-        p.steps += 1
-        if p.steps > self.limits.max_steps:
-            self.budget_error = True
-            return [self._error(p, "step budget exceeded")]
-        handler, node = p.k.pop()
-        return handler(self, p, node)
+            return None
+        return self._binary_split(p, self.sat.atom(C.NEQ, v, _ZERO))
 
     # -------------------------------------------------- statements
 
-    def _block(self, p: Pattern, s) -> list[Pattern]:
+    def _block(self, p: Pattern, s) -> list[Pattern] | None:
         p.k += [_frame(x) for x in reversed(s.stmts)]
-        return [p]
 
-    def _expr_stmt(self, p: Pattern, s) -> list[Pattern]:
+    def _expr_stmt(self, p: Pattern, s) -> list[Pattern] | None:
         p.k += [(_Engine._pop, s), _frame(s.expr)]
-        return [p]
 
-    def _pop(self, p: Pattern, s) -> list[Pattern]:
+    def _pop(self, p: Pattern, s) -> list[Pattern] | None:
         p.vals.pop()
-        return [p]
 
-    def _if(self, p: Pattern, s) -> list[Pattern]:
+    def _if(self, p: Pattern, s) -> list[Pattern] | None:
         p.k += [(_Engine._branch, s), (_Engine._truth, s), _frame(s.cond)]
-        return [p]
 
-    def _branch(self, p: Pattern, s) -> list[Pattern]:
+    def _branch(self, p: Pattern, s) -> list[Pattern] | None:
         taken = s.then if p.vals.pop().value != 0 else s.els
         if taken is not None:
             p.k.append(_frame(taken))
-        return [p]
 
-    def _while(self, p: Pattern, s) -> list[Pattern]:
+    def _while(self, p: Pattern, s) -> list[Pattern] | None:
         p.k.append((_Engine._loop_check, s))
-        return [p]
 
-    def _loop_check(self, p: Pattern, s) -> list[Pattern]:
+    def _loop_check(self, p: Pattern, s) -> list[Pattern] | None:
         p.guard_split = False
         p.k += [(_Engine._loop_decide, s), (_Engine._truth, s), _frame(s.cond)]
-        return [p]
 
-    def _loop_decide(self, p: Pattern, s) -> list[Pattern]:
+    def _loop_decide(self, p: Pattern, s) -> list[Pattern] | None:
         if p.vals.pop().value == 0:
-            return [p]
+            return None
         if p.guard_split:
             count = p.loop_counts.get(id(s), 0) + 1
             if count > self.limits.unroll_bound:
@@ -360,15 +383,13 @@ class _Engine:
                 return []
             p.loop_counts = {**p.loop_counts, id(s): count}
         p.k += [(_Engine._loop_check, s), _frame(s.body)]
-        return [p]
 
-    def _return(self, p: Pattern, s) -> list[Pattern]:
+    def _return(self, p: Pattern, s) -> list[Pattern] | None:
         p.k.append((_Engine._leave, s))
         if s.value is not None:
             p.k.append(_frame(s.value))
-        return [p]
 
-    def _leave(self, p: Pattern, s) -> list[Pattern]:
+    def _leave(self, p: Pattern, s) -> list[Pattern] | None:
         """Finish a `return`: the frames down to the nearest return or
         exit frame are dropped unrun."""
         rv = p.vals.pop() if s.value is not None else UNDEF
@@ -377,42 +398,37 @@ class _Engine:
             if handler is _Engine._resume or handler is _Engine._exit:
                 return handler(self, p, data, rv)
 
-    def _resume(self, p: Pattern, saved, rv=UNDEF) -> list[Pattern]:
+    def _resume(self, p: Pattern, saved, rv=UNDEF) -> list[Pattern] | None:
         """Return `rv` from a call (UNDEF off the end of its body) to the
         caller whose env and loop counts `saved` holds."""
         _call, p.env, p.loop_counts = saved
         p.vals.append(rv)
-        return [p]
 
-    def _exit(self, p: Pattern, f, rv=UNDEF) -> list[Pattern]:
+    def _exit(self, p: Pattern, f, rv=UNDEF) -> list[Pattern] | None:
         """End the path with the entry call's return value `rv`."""
         p.status = FINAL
         p.return_value = rv
         p.k = []
-        return [p]
 
     # -------------------------------------------------- expressions
 
-    def _int_lit(self, p: Pattern, e) -> list[Pattern]:
+    def _int_lit(self, p: Pattern, e) -> list[Pattern] | None:
         p.vals.append(IntConst(e.value))
-        return [p]
 
-    def _null_lit(self, p: Pattern, e) -> list[Pattern]:
+    def _null_lit(self, p: Pattern, e) -> list[Pattern] | None:
         p.vals.append(C.NULL)
-        return [p]
 
-    def _var(self, p: Pattern, e) -> list[Pattern]:
+    def _var(self, p: Pattern, e) -> list[Pattern] | None:
         v = p.heap[p.env[e.name]]
         if v is UNDEF:
-            return [self._error(p, f"read of undefined variable '{e.name}'")]
+            self._error(p, f"read of undefined variable '{e.name}'")
+            return
         p.vals.append(v)
-        return [p]
 
-    def _field_access(self, p: Pattern, e) -> list[Pattern]:
+    def _field_access(self, p: Pattern, e) -> list[Pattern] | None:
         p.k += [(_Engine._read_field, e), _frame(e.base)]
-        return [p]
 
-    def _read_field(self, p: Pattern, e) -> list[Pattern]:
+    def _read_field(self, p: Pattern, e) -> list[Pattern] | None:
         def read(q: Pattern, addr: SymAddrRef):
             obj = q.heap[addr]
             v = obj.fields.get(e.fieldname, MISSING)
@@ -426,53 +442,51 @@ class _Engine:
 
         return self._deref(p, p.vals.pop(), e.struct_name, read)
 
-    def _unary(self, p: Pattern, e) -> list[Pattern]:
+    def _unary(self, p: Pattern, e) -> list[Pattern] | None:
         p.k += [(_Engine._not, e), (_Engine._truth, e), _frame(e.operand)]
-        return [p]
 
-    def _not(self, p: Pattern, e) -> list[Pattern]:
+    def _not(self, p: Pattern, e) -> list[Pattern] | None:
         p.vals.append(_ZERO if p.vals.pop().value != 0 else _ONE)
-        return [p]
 
-    def _binary(self, p: Pattern, e) -> list[Pattern]:
+    def _binary(self, p: Pattern, e) -> list[Pattern] | None:
         if e.op in ("&&", "||"):
             p.k += [(_Engine._short_circuit, e), (_Engine._truth, e), _frame(e.left)]
         else:
             then = _Engine._arith if e.op in ("+", "-") else _Engine._compare
             p.k += [(then, e), _frame(e.right), _frame(e.left)]
-        return [p]
 
-    def _short_circuit(self, p: Pattern, e) -> list[Pattern]:
+    def _short_circuit(self, p: Pattern, e) -> list[Pattern] | None:
         """The left operand's 0/1 is on the value stack: it is the result
         unless it is 1 under `&&` or 0 under `||`."""
         if (p.vals[-1].value != 0) == (e.op == "&&"):
             p.vals.pop()
             p.k += [(_Engine._truth, e), _frame(e.right)]
-        return [p]
 
-    def _arith(self, p: Pattern, e) -> list[Pattern]:
+    def _arith(self, p: Pattern, e) -> list[Pattern] | None:
         r = p.vals.pop()
         l = p.vals.pop()
         if l is UNDEF or r is UNDEF:
-            return [self._error(p, "arithmetic on a non-integer value")]
+            self._error(p, "read of undefined value")
+            return
         if isinstance(l, IntConst) and isinstance(r, IntConst):
             p.vals.append(IntConst(l.value + r.value if e.op == "+" else l.value - r.value))
-            return [p]
+            return
         s = self.alloc.fresh_int(f"i{self.alloc._next}")
-        p.add_path_atom(Atom(C.EQ, s, C.Add(l, r) if e.op == "+" else C.Sub(l, r)))
+        self._record(p, p.add_path_atom,
+                     self.sat.atom(C.EQ, s, C.Add(l, r) if e.op == "+" else C.Sub(l, r)))
         p.vals.append(s)
-        return [p]
 
-    def _compare(self, p: Pattern, e) -> list[Pattern]:
+    def _compare(self, p: Pattern, e) -> list[Pattern] | None:
         r = p.vals.pop()
         l = p.vals.pop()
         if l is UNDEF or r is UNDEF:
-            return [self._error(p, "read of undefined value")]
+            self._error(p, "read of undefined value")
+            return None
         # concrete integer comparison
         if isinstance(l, IntConst) and isinstance(r, IntConst):
             res = _CONCRETE_CMP[e.op](l.value, r.value)
             p.vals.append(_ONE if res else _ZERO)
-            return [p]
+            return None
         if isinstance(l, SymAddrRef):
             l = p.resolve(l)
         if isinstance(r, SymAddrRef):
@@ -480,50 +494,46 @@ class _Engine:
         # NULL == NULL and same-address fast paths
         if (l is C.NULL or isinstance(l, SymAddrRef)) and l == r:
             p.vals.append(_ONE if e.op in ("==", "<=", ">=") else _ZERO)
-            return [p]
-        return self._binary_split(p, Atom(_CMP_TO_ATOM[e.op], l, r))
+            return None
+        return self._binary_split(p, self.sat.atom(_CMP_TO_ATOM[e.op], l, r))
 
-    def _assign(self, p: Pattern, e) -> list[Pattern]:
+    def _assign(self, p: Pattern, e) -> list[Pattern] | None:
         if isinstance(e.target, nodes.Var):
             p.k += [(_Engine._assign_var, e), _frame(e.value)]
         else:
             p.k += [(_Engine._write_field, e), _frame(e.target.base), _frame(e.value)]
-        return [p]
 
-    def _assign_var(self, p: Pattern, e) -> list[Pattern]:
+    def _assign_var(self, p: Pattern, e) -> list[Pattern] | None:
         p.heap[p.env[e.target.name]] = p.vals[-1]
-        return [p]
 
-    def _write_field(self, p: Pattern, e) -> list[Pattern]:
+    def _write_field(self, p: Pattern, e) -> list[Pattern] | None:
         base = p.vals.pop()
         val = p.vals.pop()
 
         def write(q: Pattern, addr: SymAddrRef):
-            q.heap[addr].fields[e.target.fieldname] = val
+            q.heap[addr] = q.heap[addr].with_field(e.target.fieldname, val)
             q.vals.append(val)
 
         return self._deref(p, base, e.target.struct_name, write)
 
-    def _malloc(self, p: Pattern, e) -> list[Pattern]:
+    def _malloc(self, p: Pattern, e) -> list[Pattern] | None:
         # `x = malloc(...)` names the object after `x`
         handler, below = p.k[-1]
         name = below.target.name if handler is _Engine._assign_var else "obj"
         m = self.alloc.fresh_addr(name)
         for a, o in p.heap.items():
             if isinstance(o, HeapObject):
-                p.add_alloc_atom(Atom(C.NEQ, m, a))
-        p.add_alloc_atom(Atom(C.NEQ, m, C.NULL))
+                self._record(p, p.add_alloc_atom, self.sat.atom(C.NEQ, m, a))
+        self._record(p, p.add_alloc_atom, self.sat.atom(C.NEQ, m, C.NULL))
         p.heap[m] = HeapObject(e.struct, {}, lazy=False)
         p.malloced = p.malloced | {m}
         p.vals.append(m)
-        return [p]
 
-    def _call(self, p: Pattern, e) -> list[Pattern]:
+    def _call(self, p: Pattern, e) -> list[Pattern] | None:
         p.k.append((_Engine._invoke, e))
         p.k += [_frame(a) for a in reversed(e.args)]
-        return [p]
 
-    def _invoke(self, p: Pattern, e) -> list[Pattern]:
+    def _invoke(self, p: Pattern, e) -> list[Pattern] | None:
         active = sum(1 for h, data in p.k if h is _Engine._resume and data[0] is e)
         if active >= self.limits.unroll_bound:
             self.truncated += 1
@@ -534,7 +544,6 @@ class _Engine:
         p.k += [_frame(s) for s in reversed(f.body)]
         p.env = bind_frame(f, args, p.heap, self.alloc)
         p.loop_counts = {}
-        return [p]
 
 
 # the 0/1 that tests and comparisons push

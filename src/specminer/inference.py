@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from . import constraints as C
-from .constraints import (Atom, Constraint, IntConst, SatCache, SatResult, SymAddrRef,
+from .constraints import (Constraint, IntConst, SatCache, SatResult, SymAddrRef,
                           SymDataRef, SymIntRef)
 from .engine import Limits, se
 from .record import Frozen, setfield
@@ -205,7 +205,7 @@ def _normalize_return(leaf: Pattern, sym_map: dict, sat: SatCache):
     if isinstance(v, SymAddrRef):
         v = leaf.resolve(v)
         # a provably-null address is NULL first, whatever else it matches
-        if sat.check(leaf.condition, Atom(C.NEQ, v, C.NULL)) == SatResult.UNSAT:
+        if sat.check(leaf.condition, sat.atom(C.NEQ, v, C.NULL)) == SatResult.UNSAT:
             return RNull()
     return sym_map.get(v.sid) if isinstance(v, _SYMBOLS) else None
 

@@ -16,11 +16,13 @@ which every solver question starts from. Pending calls live only in the
 continuation: a call's frame holds the caller's env and loop counts.
 
 `Pattern.clone` copies only the containers that are written in place: the
-continuation `k`, the value stack `vals`, and the two heaps with their
-objects. Every other container (`env`, `loop_counts`, `aliases`, and the
-envs and loop counts that call frames saved) is shared between the clones
-and must only ever be replaced, never written in place; that is what makes
-sharing it safe.
+continuation `k`, the value stack `vals`, and the two heap dicts. Every
+other container (`env`, `loop_counts`, `aliases`, the envs and loop counts
+that call frames saved, and the heap objects themselves) is shared between
+the clones and must only ever be replaced, never written in place; that is
+what makes sharing it safe. A field write stores a new `HeapObject` in the
+writing pattern's own heap (`HeapObject.with_field`), so an entry pattern
+built from another pattern's heap shares its objects too.
 
 A symbolic address is a `constraints.SymAddrRef`, so a heap key is its own
 condition term. The heap maps addresses either to a plain value cell (used
@@ -82,6 +84,9 @@ def render_tv(v: Value, tagged=frozenset()) -> str:
 # ---------------------------------------------------------------- heap
 
 class HeapObject:
+    """A struct object. Heaps of several patterns may hold one object, so
+    it is never written in place: a write stores `with_field`'s new object
+    in the writing pattern's own heap."""
     __slots__ = ("struct_name", "fields", "lazy")
 
     def __init__(self, struct_name: str, fields: dict[str, Value], lazy: bool = False):
@@ -90,6 +95,10 @@ class HeapObject:
         # lazily discovered input objects answer missing fields with fresh
         # symbols; freshly malloc'd memory answers with an undefined-read error
         self.lazy = lazy
+
+    def with_field(self, name: str, v: Value) -> "HeapObject":
+        """This object with field `name` holding `v`."""
+        return HeapObject(self.struct_name, {**self.fields, name: v}, self.lazy)
 
 
 class MissingField:
@@ -190,8 +199,8 @@ class Pattern:
         return Pattern(
             k=list(self.k),
             env=self.env,
-            heap=_copy_heap(self.heap),
-            entry_heap=_copy_heap(self.entry_heap),
+            heap=dict(self.heap),
+            entry_heap=dict(self.entry_heap),
             path_condition=self.path_condition,
             mem_path_condition=self.mem_path_condition,
             condition=self.condition,
@@ -230,16 +239,6 @@ class Pattern:
         """Record a distinctness fact for fresh storage: every solver
         question sees it, the dump does not."""
         self.condition = self.condition.with_atom(a)
-
-
-def _copy_heap(h: Heap) -> Heap:
-    out: Heap = {}
-    for k, v in h.items():
-        if isinstance(v, HeapObject):
-            out[k] = HeapObject(v.struct_name, dict(v.fields), v.lazy)
-        else:
-            out[k] = v
-    return out
 
 
 # ---------------------------------------------------------------- call shape
@@ -284,13 +283,13 @@ def make_call_pattern(index, cp: CallPattern, alloc: Allocator) -> Pattern:
     f = index.functions[cp.fname]
     if len(f.params) != len(cp.args):
         raise ArityMismatch(f"{cp.fname} expects {len(f.params)} args, got {len(cp.args)}")
-    heap = _copy_heap(cp.initial_heap)
+    heap = dict(cp.initial_heap)
     env = bind_frame(f, cp.args, heap, alloc)
     return Pattern(
         k=[],
         env=env,
         heap=heap,
-        entry_heap=_copy_heap(cp.initial_heap),
+        entry_heap=dict(cp.initial_heap),
         path_condition=cp.initial_constraint,
         mem_path_condition=TRUE,
         malloced=cp.initial_malloced,

@@ -277,7 +277,8 @@ def test_each_call_counts_its_own_loop_and_restores_the_callers(bound, returns):
 
 def test_clones_share_only_what_is_replaced_on_write():
     """`Pattern.clone` shares `loop_counts` and `aliases` with the original,
-    so the engine replaces them and never writes them in place."""
+    so the engine replaces them and never writes them in place. A handler
+    that keeps its pattern returns None."""
     idx = load_program(NESTED_LOOPS_SRC)
     alloc = Allocator()
     eng = _Engine(idx, Limits(unroll_bound=2), alloc, True, SatCache())
@@ -287,7 +288,7 @@ def test_clones_share_only_what_is_replaced_on_write():
     q = p.clone()
     q.vals.append(IntConst(1))
     q.guard_split = True
-    assert eng._loop_decide(q, loop) == [q]
+    assert eng._loop_decide(q, loop) is None
     assert q.loop_counts == {id(loop): 1}
     assert p.loop_counts == {}
 
@@ -324,6 +325,32 @@ def test_step_budget_catches_divergence():
     res = se(idx, CallPattern("spin", [IntConst(9)]), Limits(max_steps=500))
     assert res.budget_error
     assert [p.error_reason for p in res.error_patterns] == ["step budget exceeded"]
+
+
+# (genuine splits, paths cut at the bound, steps summed over the terminal
+# patterns) of each dll.c modifier's run at --unroll 8, as measured before
+# the run loop stepped a pattern until it forks
+EXPLORATION_AT_UNROLL_8 = {
+    "append": (10, 1, 1173),
+    "find": (17, 1, 2579),
+    "head": (10, 1, 785),
+    "init": (12, 1, 1119),
+    "last": (9, 1, 1662),
+    "length": (9, 1, 972),
+    "reverse": (9, 1, 1368),
+}
+
+
+@pytest.mark.parametrize("fname", sorted(EXPLORATION_AT_UNROLL_8))
+def test_exploration_of_each_dll_modifier_is_pinned(dll_index, fname):
+    """A change to how the run loop steps, forks or orders its work must not
+    change what it explores."""
+    alloc = Allocator()
+    args = [fresh_value(alloc, ptype, pname)
+            for pname, ptype in dll_index.functions[fname].params]
+    res = se(dll_index, CallPattern(fname, args), Limits(unroll_bound=8), alloc)
+    assert (len(res.split_log), res.truncated_paths,
+            sum(p.steps for p in res.patterns)) == EXPLORATION_AT_UNROLL_8[fname]
 
 
 # One step per frame. Counted by hand for `spin_once` below, where `x > 0`
@@ -396,13 +423,17 @@ def test_a_value_is_undef_or_its_own_term(dll_index, lazy_aliasing):
 
 
 def test_arithmetic_on_an_undefined_call_result_is_an_error_leaf():
-    # `g` runs off its end when `a <= 0`, and `f` adds to what it returns
+    # `g` runs off its end when `a <= 0`; `f` adds to what it returns and
+    # `h` compares it, and both name the fault the same way
     idx = load_program("int g(int a) { if (a > 0) return 1; }\n"
-                       "int f(int x) { return g(x) + 1; }\n")
-    alloc = Allocator()
-    res = se(idx, _sym_int_call("f", ["x"], alloc), Limits(), alloc)
-    assert [(p.status, p.error_reason or render_tv(p.return_value)) for p in res.patterns] == \
-        [("final", "tv(int, 2)"), ("error", "arithmetic on a non-integer value")]
+                       "int f(int x) { return g(x) + 1; }\n"
+                       "int h(int x) { return g(x) < 1; }\n")
+    for fname, value in (("f", "tv(int, 2)"), ("h", "tv(int, 0)")):
+        alloc = Allocator()
+        res = se(idx, _sym_int_call(fname, ["x"], alloc), Limits(), alloc)
+        assert [(p.status, p.error_reason or render_tv(p.return_value))
+                for p in res.patterns] == \
+            [("final", value), ("error", "read of undefined value")], fname
 
 
 def test_undefined_variable_read_is_an_error_leaf():

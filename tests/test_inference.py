@@ -13,7 +13,7 @@ import pytest
 from specminer import inference
 from specminer.concrete import CAddr, CObject, concrete_run
 from specminer.constraints import (
-    SatCache, check_sat, conjoin, constraint, render_constraint,
+    Closure, SatCache, check_sat, conjoin, constraint, render_constraint,
 )
 from specminer.engine import Limits, se
 from specminer.frontend import load_program, nodes as N
@@ -29,7 +29,7 @@ from specminer.inference import (
     infer_spec,
     simplify_spec,
 )
-from specminer.symstate import CallPattern
+from specminer.symstate import CallPattern, HeapObject
 
 
 def _shape(spec):
@@ -424,6 +424,76 @@ def test_one_invocation_asks_one_solver_cache(dll_index, branch_index, setter_in
                         want[key] = check_sat(conjoin(base, constraint(atom)))
                     assert verdict == want[key], (case, base, atom)
     assert len({id(c) for c in caches}) == len(caches)
+
+
+DLL_MODIFIERS = ("append", "length", "reverse", "head", "last", "find", "init")
+
+
+def _heap_objects(patterns):
+    """(pattern, heap, address, object, copy of its fields) for every
+    object in the heap and the entry heap of each pattern."""
+    return [(p.provenance_id, name, a, o, dict(o.fields))
+            for p in patterns for name in ("heap", "entry_heap")
+            for a, o in getattr(p, name).items() if isinstance(o, HeapObject)]
+
+
+def _spy_runs(monkeypatch) -> list:
+    """The `se` runs `infer_spec` makes, the modifier run first, each as
+    (result, its cache, `_heap_objects` of its patterns as it returned)."""
+    real_se = inference.se
+    runs = []
+
+    def spy(*args, **kwargs):
+        res = real_se(*args, **kwargs)
+        runs.append((res, kwargs["sat"], _heap_objects(res.patterns)))
+        return res
+
+    monkeypatch.setattr(inference, "se", spy)
+    return runs
+
+
+@pytest.mark.parametrize("modifier", DLL_MODIFIERS)
+def test_observer_replays_leave_the_modifier_heaps_alone(dll_index, monkeypatch, modifier):
+    """Replays start from heaps that share their objects with the
+    modifier's terminal patterns, and clones share objects too. Every
+    write must store a new object in the writer's own heap: after all
+    replays, each heap still holds the very objects it held when the
+    modifier run ended, with the same fields."""
+    runs = _spy_runs(monkeypatch)
+    spec = infer_spec(dll_index, modifier, Limits(unroll_bound=2))
+    assert len(runs) > 1  # the modifier run and at least one replay
+    # HeapObject compares by identity, so == checks identity and fields
+    assert _heap_objects(spec.patterns) == runs[0][2]
+
+
+@pytest.mark.parametrize("modifier", DLL_MODIFIERS)
+def test_every_recorded_atom_is_the_caches_own(dll_index, monkeypatch, modifier):
+    """Each atom on a terminal pattern's conditions, in the modifier run
+    and in every replay, is the object the invocation's cache hands out
+    for its (op, lhs, rhs)."""
+    runs = _spy_runs(monkeypatch)
+    infer_spec(dll_index, modifier, Limits(unroll_bound=2))
+    assert len(runs) > 1
+    for res, sat, _heaps in runs:
+        for p in res.patterns:
+            for a in p.condition.atoms:
+                assert sat.atom(a.op, a.lhs, a.rhs) is a, (modifier, p.provenance_id, a)
+
+
+@pytest.mark.parametrize("modifier", DLL_MODIFIERS)
+def test_one_closure_is_built_from_scratch_per_invocation(dll_index, monkeypatch, modifier):
+    """Every closure an invocation needs is an extension of another, so
+    `Closure.of` runs at most once, on the empty condition."""
+    real_of = Closure.of.__func__
+    built = []
+
+    def counted(cls, atoms):
+        built.append(atoms)
+        return real_of(cls, atoms)
+
+    monkeypatch.setattr(Closure, "of", classmethod(counted))
+    infer_spec(dll_index, modifier, Limits(unroll_bound=2))
+    assert built == [frozenset()]
 
 
 def test_unknown_modifier_and_observer_names(dll_index, setter_index):

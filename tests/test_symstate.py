@@ -79,11 +79,12 @@ def test_clone_isolates_heap_env_and_conditions(dll_index):
     cp = CallPattern("length", [root], initial_heap={root: obj})
     p = make_call_pattern(dll_index, cp, alloc)
     q = p.clone()
-    q.heap[root].fields["data"] = IntConst(9)
+    # the clones share the object; a field write replaces it in q's heap
+    q.heap[root] = q.heap[root].with_field("data", IntConst(9))
     q.heap[q.env["len"]] = IntConst(3)
     assert p.heap[root].fields["data"] is NULL
     assert p.heap[p.env["len"]] is UNDEF
-    # lazy flag must survive copying — it drives field materialization
+    # lazy flag must survive the write — it drives field materialization
     assert q.heap[root].lazy
 
 
