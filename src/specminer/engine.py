@@ -7,12 +7,18 @@ branch first (the false one first in an all-or-nothing run, see `se`).
 Every continuation frame is a `(handler, data)` pair, top last. The data
 is the AST node that pushed the frame, and the handler reads what it needs
 from it (an operator, a field name, the branches of an `if`). A statement or
-expression is pushed with the handler `_HANDLERS` gives its node class;
-that handler pushes the frames for its operands and for the work after
-them. One step pops and runs one frame, so `Limits.max_steps` counts
-frames. `_Engine.run` steps one pattern until it forks or ends: a handler
-that keeps its pattern returns None, and any other returns the successors
-(none when the path is dropped), which go on the work stack.
+expression is pushed as its frame, with the handler `_HANDLERS` gives its
+node class; that handler pushes the frames for its operands and for the
+work after them. Frames are built once per program, not per step:
+`_build_frames` runs when the first engine for a `ProgramIndex` is built,
+and stores on every node of the function bodies its frame (`frame`) and
+the fixed tuple of frames its handler pushes (`push`), and on every
+function its body's frames. The only frame a step builds is a call's
+return frame, which holds the caller's env. One step pops and runs one
+frame, so `Limits.max_steps` counts frames. `_Engine.run` steps one
+pattern until it forks or ends: a handler that keeps its pattern returns
+None, and any other returns the successors (none when the path is
+dropped), which go on the work stack.
 
 The continuation is the only record of pending calls. A call pushes a
 return frame under the callee's body; its data is the call node plus the
@@ -138,6 +144,8 @@ class _Engine:
         # satisfiability of "path condition plus one atom"; the caller may
         # share it with other runs
         self.sat = sat
+        if not getattr(index, "frames_built", False):
+            _build_frames(index)
 
     # -------------------------------------------------- main loop
 
@@ -279,11 +287,11 @@ class _Engine:
             return None
         return [q for q, _holds in outcomes]
 
-    def _deref(self, p: Pattern, value, struct_name: str, then) -> list[Pattern] | None:
-        """Dereference a pointer value; `then(pattern, address)` continues
-        the work on each successor that reached an object. Successors come
-        as [object, aliases..., NULL error], or None when `p` is the only
-        one."""
+    def _deref(self, p: Pattern, value, struct_name: str, then, e) -> list[Pattern] | None:
+        """Dereference a pointer value for node `e`; `then(self, pattern,
+        address, e)` continues the work on each successor that reached an
+        object. Successors come as [object, aliases..., NULL error], or
+        None when `p` is the only one."""
         if value is UNDEF:
             self._error(p, "read of undefined value")
             return None
@@ -305,7 +313,7 @@ class _Engine:
                 worlds += self._alias_worlds(q, target, struct_name)
             self._materialize(q, target, struct_name)
             for w, obj in worlds:
-                then(w, obj)
+                then(self, w, obj, e)
                 succs.append(w)
         # one outcome is `p` on its own side, with no alias worlds
         return None if len(outcomes) == 1 else succs
@@ -349,29 +357,22 @@ class _Engine:
 
     # -------------------------------------------------- statements
 
-    def _block(self, p: Pattern, s) -> list[Pattern] | None:
-        p.k += [_frame(x) for x in reversed(s.stmts)]
-
-    def _expr_stmt(self, p: Pattern, s) -> list[Pattern] | None:
-        p.k += [(_Engine._pop, s), _frame(s.expr)]
+    def _push(self, p: Pattern, n) -> None:
+        """Evaluate a compound node: push the frames it stores for its
+        operands and for the work after them (see `_build`)."""
+        p.k += n.push
 
     def _pop(self, p: Pattern, s) -> list[Pattern] | None:
         p.vals.pop()
 
-    def _if(self, p: Pattern, s) -> list[Pattern] | None:
-        p.k += [(_Engine._branch, s), (_Engine._truth, s), _frame(s.cond)]
-
     def _branch(self, p: Pattern, s) -> list[Pattern] | None:
         taken = s.then if p.vals.pop().value != 0 else s.els
         if taken is not None:
-            p.k.append(_frame(taken))
-
-    def _while(self, p: Pattern, s) -> list[Pattern] | None:
-        p.k.append((_Engine._loop_check, s))
+            p.k.append(taken.frame)
 
     def _loop_check(self, p: Pattern, s) -> list[Pattern] | None:
         p.guard_split = False
-        p.k += [(_Engine._loop_decide, s), (_Engine._truth, s), _frame(s.cond)]
+        p.k += s.test
 
     def _loop_decide(self, p: Pattern, s) -> list[Pattern] | None:
         if p.vals.pop().value == 0:
@@ -382,12 +383,7 @@ class _Engine:
                 self.truncated += 1
                 return []
             p.loop_counts = {**p.loop_counts, id(s): count}
-        p.k += [(_Engine._loop_check, s), _frame(s.body)]
-
-    def _return(self, p: Pattern, s) -> list[Pattern] | None:
-        p.k.append((_Engine._leave, s))
-        if s.value is not None:
-            p.k.append(_frame(s.value))
+        p.k += s.again
 
     def _leave(self, p: Pattern, s) -> list[Pattern] | None:
         """Finish a `return`: the frames down to the nearest return or
@@ -425,42 +421,30 @@ class _Engine:
             return
         p.vals.append(v)
 
-    def _field_access(self, p: Pattern, e) -> list[Pattern] | None:
-        p.k += [(_Engine._read_field, e), _frame(e.base)]
-
     def _read_field(self, p: Pattern, e) -> list[Pattern] | None:
-        def read(q: Pattern, addr: SymAddrRef):
-            obj = q.heap[addr]
-            v = obj.fields.get(e.fieldname, MISSING)
-            if v is MISSING:
-                if not obj.lazy:
-                    self._error(q, f"read of uninitialized field '{e.fieldname}'")
-                    return
-                ftype = self.index.struct_fields(e.struct_name)[e.fieldname]
-                v = self._fill(q, addr, e.fieldname, ftype)
-            q.vals.append(v)
+        return self._deref(p, p.vals.pop(), e.struct_name, _Engine._read, e)
 
-        return self._deref(p, p.vals.pop(), e.struct_name, read)
-
-    def _unary(self, p: Pattern, e) -> list[Pattern] | None:
-        p.k += [(_Engine._not, e), (_Engine._truth, e), _frame(e.operand)]
+    def _read(self, q: Pattern, addr: SymAddrRef, e) -> None:
+        """Push field `e.fieldname` of the object at `addr`; a lazy object
+        gets a fresh value of the field's type for a field it lacks."""
+        obj = q.heap[addr]
+        v = obj.fields.get(e.fieldname, MISSING)
+        if v is MISSING:
+            if not obj.lazy:
+                self._error(q, f"read of uninitialized field '{e.fieldname}'")
+                return
+            v = self._fill(q, addr, e.fieldname, e.ctype)
+        q.vals.append(v)
 
     def _not(self, p: Pattern, e) -> list[Pattern] | None:
         p.vals.append(_ZERO if p.vals.pop().value != 0 else _ONE)
-
-    def _binary(self, p: Pattern, e) -> list[Pattern] | None:
-        if e.op in ("&&", "||"):
-            p.k += [(_Engine._short_circuit, e), (_Engine._truth, e), _frame(e.left)]
-        else:
-            then = _Engine._arith if e.op in ("+", "-") else _Engine._compare
-            p.k += [(then, e), _frame(e.right), _frame(e.left)]
 
     def _short_circuit(self, p: Pattern, e) -> list[Pattern] | None:
         """The left operand's 0/1 is on the value stack: it is the result
         unless it is 1 under `&&` or 0 under `||`."""
         if (p.vals[-1].value != 0) == (e.op == "&&"):
             p.vals.pop()
-            p.k += [(_Engine._truth, e), _frame(e.right)]
+            p.k += e.rest
 
     def _arith(self, p: Pattern, e) -> list[Pattern] | None:
         r = p.vals.pop()
@@ -491,30 +475,23 @@ class _Engine:
             l = p.resolve(l)
         if isinstance(r, SymAddrRef):
             r = p.resolve(r)
-        # NULL == NULL and same-address fast paths
-        if (l is C.NULL or isinstance(l, SymAddrRef)) and l == r:
+        # NULL == NULL and same-address fast paths, by identity: an
+        # allocator never hands out a sid twice, `resolve` returns heap keys
+        # and NULL is a singleton
+        if (l is C.NULL or isinstance(l, SymAddrRef)) and l is r:
             p.vals.append(_ONE if e.op in ("==", "<=", ">=") else _ZERO)
             return None
         return self._binary_split(p, self.sat.atom(_CMP_TO_ATOM[e.op], l, r))
-
-    def _assign(self, p: Pattern, e) -> list[Pattern] | None:
-        if isinstance(e.target, nodes.Var):
-            p.k += [(_Engine._assign_var, e), _frame(e.value)]
-        else:
-            p.k += [(_Engine._write_field, e), _frame(e.target.base), _frame(e.value)]
 
     def _assign_var(self, p: Pattern, e) -> list[Pattern] | None:
         p.heap[p.env[e.target.name]] = p.vals[-1]
 
     def _write_field(self, p: Pattern, e) -> list[Pattern] | None:
-        base = p.vals.pop()
-        val = p.vals.pop()
+        # the assigned value stays on the stack as the assignment's result
+        return self._deref(p, p.vals.pop(), e.target.struct_name, _Engine._write, e)
 
-        def write(q: Pattern, addr: SymAddrRef):
-            q.heap[addr] = q.heap[addr].with_field(e.target.fieldname, val)
-            q.vals.append(val)
-
-        return self._deref(p, base, e.target.struct_name, write)
+    def _write(self, q: Pattern, addr: SymAddrRef, e) -> None:
+        q.heap[addr] = q.heap[addr].with_field(e.target.fieldname, q.vals[-1])
 
     def _malloc(self, p: Pattern, e) -> list[Pattern] | None:
         # `x = malloc(...)` names the object after `x`
@@ -529,10 +506,6 @@ class _Engine:
         p.malloced = p.malloced | {m}
         p.vals.append(m)
 
-    def _call(self, p: Pattern, e) -> list[Pattern] | None:
-        p.k.append((_Engine._invoke, e))
-        p.k += [_frame(a) for a in reversed(e.args)]
-
     def _invoke(self, p: Pattern, e) -> list[Pattern] | None:
         active = sum(1 for h, data in p.k if h is _Engine._resume and data[0] is e)
         if active >= self.limits.unroll_bound:
@@ -541,7 +514,7 @@ class _Engine:
         f = self.index.functions[e.fname]
         args = [p.vals.pop() for _ in e.args][::-1]
         p.k.append((_Engine._resume, (e, p.env, p.loop_counts)))
-        p.k += [_frame(s) for s in reversed(f.body)]
+        p.k += f.push
         p.env = bind_frame(f, args, p.heap, self.alloc)
         p.loop_counts = {}
 
@@ -556,26 +529,71 @@ _CONCRETE_CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
 
 # the step that evaluates a statement or expression, by node class
 _HANDLERS = {
-    nodes.Block: _Engine._block,
-    nodes.ExprStmt: _Engine._expr_stmt,
-    nodes.If: _Engine._if,
-    nodes.While: _Engine._while,
-    nodes.Return: _Engine._return,
     nodes.IntLit: _Engine._int_lit,
     nodes.NullLit: _Engine._null_lit,
     nodes.Var: _Engine._var,
-    nodes.FieldAccess: _Engine._field_access,
-    nodes.Unary: _Engine._unary,
-    nodes.Binary: _Engine._binary,
-    nodes.Assign: _Engine._assign,
     nodes.Malloc: _Engine._malloc,
-    nodes.Call: _Engine._call,
+    # a compound node's step pushes the frames `_build` stored on it
+    **dict.fromkeys((nodes.Block, nodes.ExprStmt, nodes.If, nodes.While, nodes.Return,
+                     nodes.FieldAccess, nodes.Unary, nodes.Binary, nodes.Assign,
+                     nodes.Call), _Engine._push),
 }
 
 
-def _frame(node) -> tuple:
-    """The frame that evaluates `node`."""
-    return (_HANDLERS[type(node)], node)
+def _build_frames(index) -> None:
+    """Store on each function of `index` its exit frame (`frame`) and its
+    body's frames, top last (`push`), and on every node of its body the
+    frames `_build` gives it. Runs once per program, before its first
+    engine runs; the frames live as long as the nodes."""
+    for f in index.functions.values():
+        f.frame = (_Engine._exit, f)
+        f.push = tuple(_build(s) for s in reversed(f.body))
+    index.frames_built = True
+
+
+def _build(n) -> tuple:
+    """Store on node `n` and the nodes below it their frame, `(handler,
+    node)`, and the frames the handler pushes, top last: `push`, and a
+    loop's `test` and `again` or a `&&`/`||`'s `rest` for its later
+    steps. Returns `n.frame`."""
+    E = _Engine
+    t = type(n)
+    if t is nodes.Block:
+        n.push = tuple(_build(s) for s in reversed(n.stmts))
+    elif t is nodes.ExprStmt:
+        n.push = ((E._pop, n), _build(n.expr))
+    elif t is nodes.If:
+        _build(n.then)
+        if n.els is not None:
+            _build(n.els)
+        n.push = ((E._branch, n), (E._truth, n), _build(n.cond))
+    elif t is nodes.While:
+        n.push = ((E._loop_check, n),)
+        n.test = ((E._loop_decide, n), (E._truth, n), _build(n.cond))
+        n.again = n.push + (_build(n.body),)
+    elif t is nodes.Return:
+        n.push = ((E._leave, n),) if n.value is None else ((E._leave, n), _build(n.value))
+    elif t is nodes.FieldAccess:
+        n.push = ((E._read_field, n), _build(n.base))
+    elif t is nodes.Unary:
+        n.push = ((E._not, n), (E._truth, n), _build(n.operand))
+    elif t is nodes.Binary:
+        if n.op in ("&&", "||"):
+            n.push = ((E._short_circuit, n), (E._truth, n), _build(n.left))
+            n.rest = ((E._truth, n), _build(n.right))
+        else:
+            then = E._arith if n.op in ("+", "-") else E._compare
+            n.push = ((then, n), _build(n.right), _build(n.left))
+    elif t is nodes.Assign:
+        _build(n.target)
+        if type(n.target) is nodes.Var:
+            n.push = ((E._assign_var, n), _build(n.value))
+        else:
+            n.push = ((E._write_field, n), n.target.base.frame, _build(n.value))
+    elif t is nodes.Call:
+        n.push = ((E._invoke, n), *(_build(a) for a in reversed(n.args)))
+    n.frame = frame = (_HANDLERS[t], n)
+    return frame
 
 
 # ---------------------------------------------------------------- API
@@ -611,5 +629,5 @@ def se(
     if f is None:
         raise KeyError(f"unknown function '{call_pattern.fname}'")
     p = make_call_pattern(index, call_pattern, alloc)
-    p.k = [(_Engine._exit, f)] + [_frame(s) for s in reversed(f.body)]
+    p.k = [f.frame, *f.push]
     return eng.run(p, reject)

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from specminer.frontend import load_program
+from specminer.frontend import load_program, nodes as N
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -31,3 +31,20 @@ def branch_index():
 @pytest.fixture(scope="session")
 def setter_index():
     return load_program((CORPUS / "setter.c").read_text())
+
+
+def _ast_nodes(x):
+    """Every statement and expression node in `x` (a node, or a list of
+    them) and below it, found through each node's equality key."""
+    if isinstance(x, list):
+        for y in x:
+            yield from _ast_nodes(y)
+    elif isinstance(x, (N.Stmt, N.Expr)):
+        yield x
+        for y in x._key():
+            yield from _ast_nodes(y)
+
+
+@pytest.fixture(scope="session")
+def ast_nodes():
+    return _ast_nodes

@@ -396,6 +396,47 @@ def test_every_statement_and_expression_class_has_a_handler():
     assert [c.__name__ for c in classes if c not in _HANDLERS] == []
 
 
+def test_every_corpus_node_carries_its_frame(corpus_dir, ast_nodes):
+    """The first engine built for a program stores on every function its
+    exit frame and its body's frames, and on every statement and expression
+    node its `(handler, node)` frame."""
+    for path in sorted(corpus_dir.glob("*.c")):
+        idx = load_program(path.read_text())
+        _Engine(idx, Limits(), Allocator(), False, SatCache())
+        for f in idx.functions.values():
+            assert f.frame == (_Engine._exit, f)
+            assert f.push == tuple(s.frame for s in reversed(f.body))
+            for n in ast_nodes(f.body):
+                handler, node = n.frame
+                assert handler is _HANDLERS[type(n)] and node is n, (path.name, f.name, n)
+
+
+SAME_SRC = ("struct N { int v; };\n"
+            "int same(struct N* a, struct N* b) { if (a == b) return 1; return 0; }\n")
+
+
+def test_comparing_an_address_with_itself_asks_the_solver_nothing(monkeypatch):
+    """`_compare` decides `a == a` by its fast path, without a question."""
+    idx = load_program(SAME_SRC)
+    asked = []
+    real_check = SatCache.check
+
+    def check(self, base, atom):
+        asked.append(atom)
+        return real_check(self, base, atom)
+
+    monkeypatch.setattr(SatCache, "check", check)
+    alloc = Allocator()
+    a, b = alloc.fresh_addr("a"), alloc.fresh_addr("b")
+    res = se(idx, CallPattern("same", [a, a]), Limits(), alloc)
+    assert asked == []
+    assert [render_tv(p.return_value) for p in res.patterns] == ["tv(int, 1)"]
+    # two distinct addresses may or may not be equal: the solver is asked
+    res = se(idx, CallPattern("same", [a, b]), Limits(), alloc)
+    assert asked
+    assert [render_tv(p.return_value) for p in res.patterns] == ["tv(int, 1)", "tv(int, 0)"]
+
+
 @pytest.mark.parametrize("lazy_aliasing", [False, True])
 def test_a_value_is_undef_or_its_own_term(dll_index, lazy_aliasing):
     """Every env cell, object field and return value of every dll.c

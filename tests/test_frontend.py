@@ -205,6 +205,21 @@ def test_resolver_annotations_take_no_part_in_equality():
     assert resolved == parse(src)
 
 
+def test_every_field_access_carries_its_fields_declared_type(corpus_dir, ast_nodes):
+    """The engine gives a lazy object's unseen field a fresh value of the
+    `ctype` the resolver stored on the access, assignment targets included."""
+    seen = 0
+    for path in sorted(corpus_dir.glob("*.c")):
+        idx = load_program(path.read_text())
+        for f in idx.functions.values():
+            for e in ast_nodes(f.body):
+                if isinstance(e, N.FieldAccess):
+                    declared = idx.struct_fields(e.struct_name)[e.fieldname]
+                    assert e.ctype == declared, (path.name, f.name, N.render_expr(e))
+                    seen += 1
+    assert seen > 0
+
+
 def _rand_expr(rng, depth):
     names = ["a", "b", "t"]
     if depth <= 0 or rng.random() < 0.3:

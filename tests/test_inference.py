@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from specminer import inference
+from specminer import engine, inference
 from specminer.concrete import CAddr, CObject, concrete_run
 from specminer.constraints import (
     Closure, SatCache, check_sat, conjoin, constraint, render_constraint,
@@ -494,6 +494,27 @@ def test_one_closure_is_built_from_scratch_per_invocation(dll_index, monkeypatch
     monkeypatch.setattr(Closure, "of", classmethod(counted))
     infer_spec(dll_index, modifier, Limits(unroll_bound=2))
     assert built == [frozenset()]
+
+
+def test_frames_are_built_once_per_program(dll_src, monkeypatch):
+    """The first engine built for a program builds its frames. The other
+    runs of the invocation (the replays) and a second invocation over the
+    same program reuse them."""
+    real_build = engine._build_frames
+    built = []
+
+    def counted(index):
+        built.append(index)
+        real_build(index)
+
+    monkeypatch.setattr(engine, "_build_frames", counted)
+    runs = _spy_runs(monkeypatch)
+    index = load_program(dll_src)
+    infer_spec(index, "append", Limits(unroll_bound=2))
+    assert len(runs) > 1  # the modifier run and at least one replay
+    assert built == [index]
+    infer_spec(index, "find", Limits(unroll_bound=2))
+    assert built == [index]
 
 
 def test_unknown_modifier_and_observer_names(dll_index, setter_index):
