@@ -49,6 +49,7 @@ instead of comparing their terms.
 from __future__ import annotations
 
 import enum
+import operator
 
 from .record import Frozen, setfield
 
@@ -343,55 +344,35 @@ def _linearize(t: Term):
     return None
 
 
+_MIRROR = {EQ: EQ, NEQ: NEQ, LT: GT, GT: LT, LE: GE, GE: LE}
+
+
 def _norm_int_atom(a: Atom):
-    """Normalize to a list of (key, lo, hi) interval facts over canonical
-    linear-term keys, or None when the atom leaves the supported fragment.
+    """`a` as `(key, op, bound)`, stating `sum(c * v) op bound` over the
+    `(v, c)` of `key`, or None when the atom leaves the supported fragment.
 
     key: tuple of (SymIntRef, coeff) sorted by display, sign-normalized so
-    the first coefficient is positive; every |coeff| must be 1.
+    the first coefficient is positive; every |coeff| must be 1. A constant
+    atom has the key `()`.
     """
-    l = _linearize(a.lhs)
-    r = _linearize(a.rhs)
-    if l is None or r is None:
+    lin = _linearize(Sub(a.lhs, a.rhs))
+    if lin is None:
         return None
-    coeffs = dict(l[0])
-    for k, v in r[0].items():
-        coeffs[k] = coeffs.get(k, 0) - v
-    coeffs = {k: v for k, v in coeffs.items() if v != 0}
-    const = l[1] - r[1]  # atom is: sum(coeffs) + const  <op>  0
+    coeffs, const = lin  # the atom is: sum(coeffs) + const <op> 0
     if any(abs(v) != 1 for v in coeffs.values()):
         return None
-    if not coeffs:
-        holds = {
-            EQ: const == 0, NEQ: const != 0,
-            LT: const < 0, LE: const <= 0, GT: const > 0, GE: const >= 0,
-        }[a.op]
-        return [] if holds else [("contradiction", 0, -1)]
     items = sorted(coeffs.items(), key=lambda kv: (kv[0].display, kv[0].sid))
-    flip = items[0][1] < 0
-    if flip:
-        items = [(k, -v) for k, v in items]
-        const = -const
-        op = {EQ: EQ, NEQ: NEQ, LT: GT, GT: LT, LE: GE, GE: LE}[a.op]
-    else:
-        op = a.op
-    key = tuple(items)
-    # facts constrain: term := sum(items); term + const <op> 0  =>  term <op> -const
-    b = -const
-    inf = None
-    if op == EQ:
-        return [(key, b, b)]
-    if op == NEQ:
-        return [(key, ("neq", b), ("neq", b))]  # handled separately
-    if op == LE:
-        return [(key, inf, b)]
-    if op == LT:
-        return [(key, inf, b - 1)]
-    if op == GE:
-        return [(key, b, inf)]
-    if op == GT:
-        return [(key, b + 1, inf)]
-    raise AssertionError(op)
+    if items and items[0][1] < 0:
+        return tuple((k, -v) for k, v in items), _MIRROR[a.op], const
+    return tuple(items), a.op, -const
+
+
+# whether `0 op bound` holds, for a constant atom
+_HOLDS = {EQ: operator.eq, NEQ: operator.ne, LT: operator.lt, LE: operator.le,
+          GT: operator.gt, GE: operator.ge}
+# the interval `term op bound` confines the term to, as offsets from the
+# bound (None: unbounded); `!=` confines it to no interval
+_INTERVAL = {EQ: (0, 0), LE: (None, 0), LT: (None, -1), GE: (0, None), GT: (1, None)}
 
 
 def _scaled(c: int, lo, hi):
@@ -433,17 +414,19 @@ def _int_sat(atoms) -> SatResult:
         return lo, hi
 
     for a in atoms:
-        facts = _norm_int_atom(a)
-        if facts is None:
+        norm = _norm_int_atom(a)
+        if norm is None:
             unknown = True
             continue
-        for key, lo, hi in facts:
-            if key == "contradiction":
+        key, op, b = norm
+        if not key:
+            if not _HOLDS[op](0, b):
                 return SatResult.UNSAT
-            if isinstance(lo, tuple) and lo[0] == "neq":
-                neqs.append((key, lo[1]))
-                continue
-            tighten(key, lo, hi)
+        elif op == NEQ:
+            neqs.append((key, b))
+        else:
+            lo, hi = _INTERVAL[op]
+            tighten(key, None if lo is None else b + lo, None if hi is None else b + hi)
 
     # propagate between multi-variable terms and their variables: derive
     # a bound for each variable from the term and the other variables,

@@ -218,7 +218,7 @@ class _Engine:
         if a in p.heap:
             return
         # both heaps hold the one new object until a write replaces it
-        p.heap[a] = p.entry_heap[a] = HeapObject(struct_name, {}, lazy=True)
+        p.heap[a] = p.entry_heap[a] = HeapObject(struct_name, {})
         for m in sorted(p.malloced, key=lambda x: (x.display, x.sid)):
             self._record(p, p.add_alloc_atom, self.sat.atom(C.NEQ, a, m))
 
@@ -324,7 +324,7 @@ class _Engine:
         told that `target` is none of them."""
         cands = sorted(
             (a for a, o in ok.heap.items()
-             if isinstance(o, HeapObject) and o.lazy
+             if isinstance(o, HeapObject) and a not in ok.malloced
              and o.struct_name == struct_name and a != target),
             key=lambda a: (a.display, a.sid),
         )
@@ -425,12 +425,13 @@ class _Engine:
         return self._deref(p, p.vals.pop(), e.struct_name, _Engine._read, e)
 
     def _read(self, q: Pattern, addr: SymAddrRef, e) -> None:
-        """Push field `e.fieldname` of the object at `addr`; a lazy object
-        gets a fresh value of the field's type for a field it lacks."""
+        """Push field `e.fieldname` of the object at `addr`. A field it
+        lacks is an error on malloc'd memory; an input object gets a fresh
+        value of the field's type for it."""
         obj = q.heap[addr]
         v = obj.fields.get(e.fieldname, MISSING)
         if v is MISSING:
-            if not obj.lazy:
+            if addr in q.malloced:
                 self._error(q, f"read of uninitialized field '{e.fieldname}'")
                 return
             v = self._fill(q, addr, e.fieldname, e.ctype)
@@ -502,7 +503,7 @@ class _Engine:
             if isinstance(o, HeapObject):
                 self._record(p, p.add_alloc_atom, self.sat.atom(C.NEQ, m, a))
         self._record(p, p.add_alloc_atom, self.sat.atom(C.NEQ, m, C.NULL))
-        p.heap[m] = HeapObject(e.struct, {}, lazy=False)
+        p.heap[m] = HeapObject(e.struct, {})
         p.malloced = p.malloced | {m}
         p.vals.append(m)
 

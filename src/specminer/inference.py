@@ -44,69 +44,29 @@ class NotAnObserver(Exception):
 
 # ---------------------------------------------------------------- rhs
 
-class RInt(Frozen):
-    __slots__ = ("value",)
+class Rhs(Frozen):
+    """The right-hand side of an equation, one of the JSON kinds: `int`
+    holds the integer, `arg` and `postRoot` the name, and `null` and
+    `void` no value."""
+    __slots__ = ("kind", "value")
 
-    def __init__(self, value: int):
+    def __init__(self, kind: str, value=None):
+        setfield(self, "kind", kind)
         setfield(self, "value", value)
 
     def _key(self):
-        return (self.value,)
+        return (self.kind, self.value)
 
     def render(self) -> str:
-        return str(self.value)
+        return _FIXED_RENDER.get(self.kind) or str(self.value)
 
     def to_json(self) -> dict:
-        return {"kind": "int", "value": self.value}
+        if self.value is None:
+            return {"kind": self.kind}
+        return {"kind": self.kind, "value": self.value}
 
 
-class RNull(Frozen):
-    __slots__ = ()
-
-    def _key(self):
-        return ()
-
-    def render(self) -> str:
-        return "NULL"
-
-    def to_json(self) -> dict:
-        return {"kind": "null"}
-
-
-class RArg(Frozen):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        setfield(self, "name", name)
-
-    def _key(self):
-        return (self.name,)
-
-    def render(self) -> str:
-        return self.name
-
-    def to_json(self) -> dict:
-        return {"kind": "arg", "value": self.name}
-
-
-class RPostRoot(RArg):
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"kind": "postRoot", "value": self.name}
-
-
-class RVoid(Frozen):
-    __slots__ = ()
-
-    def _key(self):
-        return ()
-
-    def render(self) -> str:
-        return "void"
-
-    def to_json(self) -> dict:
-        return {"kind": "void"}
+_FIXED_RENDER = {"null": "NULL", "void": "void"}
 
 
 RET = "ret"
@@ -188,10 +148,10 @@ def _sym_id_map(args, post_root):
     m: dict[int, object] = {}
     for display, value, _t in args:
         if isinstance(value, _SYMBOLS):
-            m.setdefault(value.sid, RArg(display))
+            m.setdefault(value.sid, Rhs("arg", display))
     if post_root is not None:
         sid, name = post_root
-        m[sid] = RPostRoot(name)
+        m[sid] = Rhs("postRoot", name)
     return m
 
 
@@ -199,14 +159,14 @@ def _normalize_return(leaf: Pattern, sym_map: dict, sat: SatCache):
     """The leaf's return value as an expressible rhs, or None."""
     v = leaf.return_value
     if v is C.NULL:
-        return RNull()
+        return Rhs("null")
     if isinstance(v, IntConst):
-        return RInt(v.value)
+        return Rhs("int", v.value)
     if isinstance(v, SymAddrRef):
         v = leaf.resolve(v)
         # a provably-null address is NULL first, whatever else it matches
         if sat.check(leaf.condition, sat.atom(C.NEQ, v, C.NULL)) == SatResult.UNSAT:
-            return RNull()
+            return Rhs("null")
     return sym_map.get(v.sid) if isinstance(v, _SYMBOLS) else None
 
 
@@ -306,6 +266,10 @@ def infer_spec(
                 raise NotAnObserver(f"{name} returns void")
     observer_names = set(index.observers if observers_override is None
                          else observers_override) - {modifier}
+    diagnostics: list[str] = []
+    if observers_override is not None and modifier in observers_override:
+        diagnostics.append(f"{modifier}: --observers names the modifier itself; "
+                           f"it is not replayed")
 
     alloc = Allocator(seed_label)
     # one solver cache for every run below: replays start from the path
@@ -315,7 +279,6 @@ def infer_spec(
     res = se(index, CallPattern(modifier, [v for _n, v, _t in seeded]),
              limits, alloc, lazy_aliasing, sat=sat)
 
-    diagnostics: list[str] = []
     split_log = list(res.split_log)
     budget_error = res.budget_error
     if res.budget_error:
@@ -361,7 +324,7 @@ def infer_spec(
         budget_error = budget_error or hit
 
         if f.return_type.kind == "void":
-            ret_eq = Equation(RET, (), RVoid())
+            ret_eq = Equation(RET, (), Rhs("void"))
         else:
             rhs = _normalize_return(p, _sym_id_map(post_args, post_root), sat)
             ret_eq = Equation(RET, (), rhs) if rhs is not None else None
@@ -386,47 +349,46 @@ def _canonical(eqs) -> tuple:
     return tuple(sorted(eqs, key=lambda e: (e.observer, e.args, e.render())))
 
 
+def _same_conclusion(a: Axiom, b: Axiom):
+    """Same conclusion: keep the weaker premise. Only merge when one
+    premise set contains the other — then the intersection really is
+    their disjunction; intersecting incomparable premises would promise
+    the conclusion on inputs neither branch covered."""
+    pa, pb = set(a.pre), set(b.pre)
+    if a.post == b.post and a.ret == b.ret and (pa <= pb or pb <= pa):
+        return _canonical(pa & pb), a.post
+    return None
+
+
+def _same_premise(a: Axiom, b: Axiom):
+    """Same premise: the conclusions can be joined."""
+    if a.pre == b.pre and a.ret == b.ret:
+        return a.pre, _canonical(set(a.post) | set(b.post))
+    return None
+
+
+def _merge_first(axioms: list, rule) -> list | None:
+    """`axioms` with the first pair `rule` merges, by `(pre, post)`,
+    replaced by their merge at the end; None when it merges no pair."""
+    for i, a in enumerate(axioms):
+        for j in range(i + 1, len(axioms)):
+            b = axioms[j]
+            merged = rule(a, b)
+            if merged is not None:
+                rest = [x for k, x in enumerate(axioms) if k not in (i, j)]
+                return rest + [Axiom(*merged, a.ret, a.provenance + "+" + b.provenance,
+                                     a.approx or b.approx)]
+    return None
+
+
 def simplify_spec(axioms: list) -> list:
+    """Merge same-conclusion pairs until none is left, then join one
+    same-premise pair, and start again; then order the axioms."""
     axioms = [Axiom(_canonical(a.pre), _canonical(a.post), a.ret,
                     a.provenance, a.approx) for a in axioms]
-    changed = True
-    while changed:
-        changed = False
-        # Same conclusion: keep the weaker premise. Only merge when one
-        # premise set contains the other — then the intersection really is
-        # their disjunction; intersecting incomparable premises would
-        # promise the conclusion on inputs neither branch covered.
-        for i in range(len(axioms)):
-            for j in range(i + 1, len(axioms)):
-                a, b = axioms[i], axioms[j]
-                pa, pb = set(a.pre), set(b.pre)
-                if (a.post == b.post and a.ret == b.ret
-                        and (pa <= pb or pb <= pa)):
-                    merged = Axiom(
-                        _canonical(pa & pb), a.post, a.ret,
-                        a.provenance + "+" + b.provenance, a.approx or b.approx)
-                    axioms = [x for k, x in enumerate(axioms) if k not in (i, j)]
-                    axioms.append(merged)
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
-            continue
-        # same premise: conclusions can be joined
-        for i in range(len(axioms)):
-            for j in range(i + 1, len(axioms)):
-                a, b = axioms[i], axioms[j]
-                if a.pre == b.pre and a.ret == b.ret:
-                    merged = Axiom(
-                        a.pre, _canonical(set(a.post) | set(b.post)), a.ret,
-                        a.provenance + "+" + b.provenance, a.approx or b.approx)
-                    axioms = [x for k, x in enumerate(axioms) if k not in (i, j)]
-                    axioms.append(merged)
-                    changed = True
-                    break
-            if changed:
-                break
+    while merged := (_merge_first(axioms, _same_conclusion)
+                     or _merge_first(axioms, _same_premise)):
+        axioms = merged
 
     def size(a: Axiom) -> tuple:
         parts = [e.render() for e in a.pre + a.post]

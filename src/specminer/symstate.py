@@ -87,18 +87,15 @@ class HeapObject:
     """A struct object. Heaps of several patterns may hold one object, so
     it is never written in place: a write stores `with_field`'s new object
     in the writing pattern's own heap."""
-    __slots__ = ("struct_name", "fields", "lazy")
+    __slots__ = ("struct_name", "fields")
 
-    def __init__(self, struct_name: str, fields: dict[str, Value], lazy: bool = False):
+    def __init__(self, struct_name: str, fields: dict[str, Value]):
         self.struct_name = struct_name
         self.fields = fields
-        # lazily discovered input objects answer missing fields with fresh
-        # symbols; freshly malloc'd memory answers with an undefined-read error
-        self.lazy = lazy
 
     def with_field(self, name: str, v: Value) -> "HeapObject":
         """This object with field `name` holding `v`."""
-        return HeapObject(self.struct_name, {**self.fields, name: v}, self.lazy)
+        return HeapObject(self.struct_name, {**self.fields, name: v})
 
 
 class MissingField:
@@ -186,6 +183,8 @@ class Pattern:
         self.status = status
         self.error_reason = error_reason
         self.return_value = return_value
+        # the malloc'd heap objects, of this run or of the run a replay
+        # starts from; every other heap object is a discovered input object
         self.malloced = malloced
         self.aliases = {} if aliases is None else aliases
         self.vals = [] if vals is None else vals  # expression value stack
@@ -219,8 +218,9 @@ class Pattern:
 
     def resolve(self, a: SymAddrRef) -> SymAddrRef:
         """The object `a` stands for once aliasing decisions are applied.
-        An alias maps an unmaterialized address to a lazy heap key, and heap
-        keys are never aliased, so the chain is at most one step long."""
+        An alias maps an unmaterialized address to an input object's heap
+        key, and heap keys are never aliased, so the chain is at most one
+        step long."""
         aliases = self.aliases
         if aliases:
             while a in aliases:

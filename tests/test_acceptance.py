@@ -131,7 +131,7 @@ def _rhs_value(rhs, binding):
     if kind == "null":
         return None
     if kind in ("arg", "postRoot"):
-        return binding[rhs.name]
+        return binding[rhs.value]
     raise AssertionError(f"unexpected rhs {rhs!r}")
 
 

@@ -255,6 +255,26 @@ def test_a_repeated_observer_name_counts_once(capsys, fmt):
     assert twice[1] == once[1]
 
 
+NOT_REPLAYED = "append: --observers names the modifier itself; it is not replayed"
+
+
+def test_naming_the_modifier_as_an_observer_is_noted(capsys):
+    # the modifier is never replayed on its own states; naming it alone
+    # leaves no observer, which the note says instead of staying silent
+    code, out, err = run(capsys, DLL, "-f", "append", "--observers", "append")
+    assert code == EXIT_OK
+    assert out == "true => (\n  ret = list'\n)\n"
+    assert f"note: {NOT_REPLAYED}\n" in err
+    code, out, err = run(capsys, DLL, "-f", "append", "--observers", "length,append",
+                         "--format", "json")
+    assert code == EXIT_OK
+    assert NOT_REPLAYED in json.loads(out)["diagnostics"]
+    assert "note:" not in err
+    # without --observers the modifier is left out silently, as documented
+    _code, _out, err = run(capsys, DLL, "-f", "append")
+    assert "not replayed" not in err
+
+
 def test_seed_label_prefixes_symbols_once(capsys):
     code, out, _err = run(capsys, DLL, "-f", "append", "--dump-patterns",
                           "--seed-label", "run1")

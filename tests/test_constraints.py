@@ -5,6 +5,8 @@ SAT (or UNKNOWN) for an unsatisfiable conjunction, but an UNSAT answer must
 always be right. Several tests pin that contract.
 """
 import dataclasses
+import itertools
+import operator
 import random
 
 import pytest
@@ -130,6 +132,31 @@ def test_pinned_disequality():
 def test_difference_terms():
     c = constraint(Atom(EQ, Sub(X, Y), IntConst(3)), Atom(LT, X, Y))
     assert check_sat(c) == SatResult.UNSAT
+
+
+_PY_CMP = {EQ: operator.eq, NEQ: operator.ne, LT: operator.lt, LE: operator.le,
+           GT: operator.gt, GE: operator.ge}
+
+
+@pytest.mark.parametrize("op", sorted(_PY_CMP))
+def test_constant_atoms_get_the_exact_verdict(op):
+    # inside its fragment the integer procedure is exact in both
+    # directions: never a false SAT, never UNKNOWN
+    for l, r in itertools.product((-1, 0, 1), repeat=2):
+        want = SatResult.SAT if _PY_CMP[op](l, r) else SatResult.UNSAT
+        assert check_sat(constraint(Atom(op, IntConst(l), IntConst(r)))) == want, (l, op, r)
+
+
+def test_a_negative_leading_coefficient_gets_the_exact_verdict():
+    # 0 - x >= -2 is x <= 2; y - x >= 1 is x - y <= -1 (x sorts first)
+    x_le_2 = Atom(GE, Sub(IntConst(0), X), IntConst(-2))
+    assert check_sat(constraint(x_le_2, Atom(EQ, X, IntConst(3)))) == SatResult.UNSAT
+    assert check_sat(constraint(x_le_2, Atom(EQ, X, IntConst(2)))) == SatResult.SAT
+    y_gt_x = Atom(GE, Sub(Y, X), IntConst(1))
+    pinned = [Atom(EQ, X, IntConst(3)), Atom(EQ, Y, IntConst(3))]
+    assert check_sat(constraint(y_gt_x, *pinned)) == SatResult.UNSAT
+    pinned[1] = Atom(EQ, Y, IntConst(4))
+    assert check_sat(constraint(y_gt_x, *pinned)) == SatResult.SAT
 
 
 def test_mixed_sorts_give_unknown_not_a_crash():

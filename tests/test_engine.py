@@ -234,7 +234,7 @@ def test_aliases_map_undiscovered_addresses_to_lazy_objects(dll_index):
                 aliases += 1
                 assert target not in p.heap, (fname, p.provenance_id)
                 obj = p.heap.get(cand)
-                assert isinstance(obj, HeapObject) and obj.lazy, (fname, p.provenance_id)
+                assert isinstance(obj, HeapObject) and cand not in p.malloced, (fname, p.provenance_id)
     assert aliases > 0
 
 
@@ -294,7 +294,7 @@ def test_clones_share_only_what_is_replaced_on_write():
 
     a, b = alloc.fresh_addr("a"), alloc.fresh_addr("b")
     ok = make_call_pattern(idx, CallPattern("sum", [b], initial_heap={
-        a: HeapObject("N", {}, lazy=True)}), alloc)
+        a: HeapObject("N", {})}), alloc)
     worlds = eng._alias_worlds(ok, b, "N")
     assert [(w.aliases, obj) for w, obj in worlds] == [({b: a}, a)]
     assert ok.aliases == {}

@@ -6,6 +6,7 @@ goldens; the acceptance sweep cross-checks them against the concrete
 interpreter on real heaps. Axiom comparisons are order-agnostic (sets),
 with the canonical output order pinned separately.
 """
+import pathlib
 import re
 
 import pytest
@@ -22,8 +23,7 @@ from specminer.inference import (
     Axiom,
     NotAnObserver,
     RET,
-    RInt,
-    RNull,
+    Rhs,
     UnknownFunction,
     build_universe,
     infer_spec,
@@ -231,16 +231,16 @@ def _ax(pre, post, ret):
 
 
 def test_approx_takes_no_part_in_equation_equality():
-    exact, approx = _eq("length", ["l"], RInt(1)), Equation("length", ("l",), RInt(1), True)
+    exact, approx = _eq("length", ["l"], Rhs("int", 1)), Equation("length", ("l",), Rhs("int", 1), True)
     assert exact == approx and hash(exact) == hash(approx)
     assert len({exact, approx}) == 1
 
 
 def test_simplify_merges_subset_pres_with_equal_posts():
-    post = (_eq("length", ["l'"], RInt(1)),)
-    ret = Equation(RET, (), RNull())
-    a = _ax([_eq("length", ["l"], RInt(0)), _eq("find", ["l", "d"], RInt(0))], post, ret)
-    b = _ax([_eq("length", ["l"], RInt(0))], post, ret)
+    post = (_eq("length", ["l'"], Rhs("int", 1)),)
+    ret = Equation(RET, (), Rhs("null"))
+    a = _ax([_eq("length", ["l"], Rhs("int", 0)), _eq("find", ["l", "d"], Rhs("int", 0))], post, ret)
+    b = _ax([_eq("length", ["l"], Rhs("int", 0))], post, ret)
     merged = simplify_spec([a, b])
     assert len(merged) == 1
     assert [e.render() for e in merged[0].pre] == ["length(l) = 0"]
@@ -249,23 +249,62 @@ def test_simplify_merges_subset_pres_with_equal_posts():
 def test_simplify_keeps_incomparable_pres_apart():
     # merging these would claim `true => length' = 0`, which longer lists
     # refute; intersection only applies when one pre contains the other
-    post = (_eq("length", ["l'"], RInt(0)),)
-    ret = Equation(RET, (), RNull())
-    a = _ax([_eq("length", ["l"], RInt(0)), _eq("reverse", ["l"], RNull())], post, ret)
-    b = _ax([_eq("length", ["l"], RInt(1)), _eq("reverse", ["l"], RInt(7))], post, ret)
+    post = (_eq("length", ["l'"], Rhs("int", 0)),)
+    ret = Equation(RET, (), Rhs("null"))
+    a = _ax([_eq("length", ["l"], Rhs("int", 0)), _eq("reverse", ["l"], Rhs("null"))], post, ret)
+    b = _ax([_eq("length", ["l"], Rhs("int", 1)), _eq("reverse", ["l"], Rhs("int", 7))], post, ret)
     out = simplify_spec([a, b])
     assert len(out) == 2
 
 
 def test_simplify_unions_posts_over_equal_pres():
-    pre = (_eq("length", ["l"], RInt(2)),)
-    ret = Equation(RET, (), RNull())
-    a = _ax(pre, [_eq("length", ["l'"], RInt(3))], ret)
-    b = _ax(pre, [_eq("find", ["l'", "d"], RInt(1))], ret)
+    pre = (_eq("length", ["l"], Rhs("int", 2)),)
+    ret = Equation(RET, (), Rhs("null"))
+    a = _ax(pre, [_eq("length", ["l'"], Rhs("int", 3))], ret)
+    b = _ax(pre, [_eq("find", ["l'", "d"], Rhs("int", 1))], ret)
     out = simplify_spec([a, b])
     assert len(out) == 1
     assert sorted(e.render() for e in out[0].post) == \
         ["find(l', d) = 1", "length(l') = 3"]
+
+
+def test_a_same_premise_join_can_enable_a_later_merge():
+    # p0 and p1 only join, into pre {L0} and post {X, Y}, which then
+    # absorbs p2's stronger premise; a merge names its first axiom first
+    l0, f0 = _eq("length", ["l"], Rhs("int", 0)), _eq("find", ["l", "d"], Rhs("int", 0))
+    x, y = _eq("length", ["l'"], Rhs("int", 1)), _eq("find", ["l'", "d"], Rhs("int", 1))
+    ret = Equation(RET, (), Rhs("null"))
+    [ax] = simplify_spec([Axiom((l0,), (x,), ret, "p0"), Axiom((l0,), (y,), ret, "p1"),
+                          Axiom((l0, f0), (x, y), ret, "p2")])
+    assert ax.pre == (l0,) and set(ax.post) == {x, y}
+    assert ax.provenance == "p2+p0+p1"
+
+
+# ---------------------------------------------------------------- rhs
+
+RHS_CASES = [
+    (Rhs("int", 0), "0", {"kind": "int", "value": 0}),
+    (Rhs("null"), "NULL", {"kind": "null"}),
+    (Rhs("arg", "d"), "d", {"kind": "arg", "value": "d"}),
+    (Rhs("postRoot", "list'"), "list'", {"kind": "postRoot", "value": "list'"}),
+    (Rhs("void"), "void", {"kind": "void"}),
+]
+
+
+def test_the_rhs_kinds_are_those_of_the_spec_format():
+    doc = (pathlib.Path(__file__).parents[1] / "docs" / "spec-format.md").read_text()
+    listed = re.search(r"`rhs\.kind` is one of ([^.]*)\.", doc).group(1)
+    assert re.findall(r"`(\w+)`", listed) == [rhs.kind for rhs, _t, _j in RHS_CASES]
+
+
+@pytest.mark.parametrize("rhs, text, doc", RHS_CASES)
+def test_each_rhs_kind_renders_and_serializes_as_documented(rhs, text, doc):
+    assert rhs.render() == text
+    assert rhs.to_json() == doc
+
+
+def test_an_argument_and_the_post_root_of_one_name_differ():
+    assert Rhs("arg", "list'") != Rhs("postRoot", "list'")
 
 
 def test_simplify_spec_is_idempotent_on_real_specs(dll_index, branch_index):
@@ -565,7 +604,7 @@ def test_lazy_aliasing_forks_a_pointer_decided_non_null_earlier():
     got, _heap = concrete_run(idx, "touch", {a: CObject("N", {"v": 0, "next": a})}, [a])
     assert got == 2  # a one-node cyclic list
     spec = infer_spec(idx, "touch", lazy_aliasing=True)
-    assert Equation(RET, (), RInt(got)) in [ax.ret for ax in spec.axioms]
+    assert Equation(RET, (), Rhs("int", got)) in [ax.ret for ax in spec.axioms]
 
 
 def test_an_int_tested_for_truth_is_compared_with_zero():
@@ -591,6 +630,46 @@ def test_observers_override_narrows_the_universe(dll_index):
         _triple({"length(list) = 1"}, {"length(list') = 2"}, "ret = list'"),
         _triple({"length(list) = 0"}, {"length(list') = 1"}, "ret = list'"),
     }
+
+
+# ---------------------------------------------------------------- malloc
+
+MALLOC_SRC = (
+    "struct N { int v; struct N* next; };\n"
+    "int getv(struct N* n) { return n->v; }\n"
+    "int fresh(struct N* a) { struct N* m; m = malloc(sizeof(struct N));\n"
+    "  m->next = a; return m->v; }\n"
+    "struct N* push(struct N* a) { struct N* m; m = malloc(sizeof(struct N));\n"
+    "  m->next = a; return m; }\n"
+    "int link(struct N* a, struct N* b) { struct N* m; m = malloc(sizeof(struct N));\n"
+    "  m->next = a; m->v = 1; a->next = b; return b->v; }\n")
+UNINIT_V = "read of uninitialized field 'v'"
+
+
+def test_a_field_malloc_never_set_is_an_error_not_an_input():
+    spec = infer_spec(load_program(MALLOC_SRC), "fresh", observers_override=["getv"])
+    assert spec.patterns and spec.stats["finalPatterns"] == 0
+    assert {p.error_reason for p in spec.patterns} == {UNINIT_V}
+    assert spec.axioms == []
+
+
+def test_a_returned_malloc_gets_no_observation_of_its_unset_field(monkeypatch):
+    runs = _spy_runs(monkeypatch)
+    spec = infer_spec(load_program(MALLOC_SRC), "push", observers_override=["getv"])
+    assert _shape(spec) == {_triple(set(), set(), "ret = a'")}
+    # the getv(a') replay reads the malloc'd object and stops there
+    assert any(p.error_reason == UNINIT_V for res, _sat, _objs in runs[1:]
+               for p in res.patterns)
+
+
+def test_lazy_aliasing_never_aliases_an_input_with_a_malloc(monkeypatch):
+    runs = _spy_runs(monkeypatch)
+    infer_spec(load_program(MALLOC_SRC), "link", observers_override=["getv"],
+               lazy_aliasing=True)
+    aliased = [(p, cand) for res, _sat, _objs in runs for p in res.patterns
+               for cand in p.aliases.values()]
+    assert aliased  # `b` may be `a`, so the check below is not vacuous
+    assert all(cand not in p.malloced for p, cand in aliased)
 
 
 if __name__ == "__main__":

@@ -75,7 +75,7 @@ def test_make_call_pattern_checks_arity(dll_index):
 def test_clone_isolates_heap_env_and_conditions(dll_index):
     alloc = Allocator()
     root = alloc.fresh_addr("list")
-    obj = HeapObject("List", {"data": NULL}, lazy=True)
+    obj = HeapObject("List", {"data": NULL})
     cp = CallPattern("length", [root], initial_heap={root: obj})
     p = make_call_pattern(dll_index, cp, alloc)
     q = p.clone()
@@ -84,8 +84,9 @@ def test_clone_isolates_heap_env_and_conditions(dll_index):
     q.heap[q.env["len"]] = IntConst(3)
     assert p.heap[root].fields["data"] is NULL
     assert p.heap[p.env["len"]] is UNDEF
-    # lazy flag must survive the write — it drives field materialization
-    assert q.heap[root].lazy
+    # the written object is still an input object, which drives field
+    # materialization
+    assert root not in q.malloced
 
 
 def test_typed_values_are_frozen():
