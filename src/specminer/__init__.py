@@ -14,14 +14,13 @@ from .constraints import Constraint, SatResult, check_sat, entails
 from .engine import Limits, SEResult, se
 from .frontend import load_program
 from .inference import Axiom, Equation, SpecSet, infer_spec
-from .symstate import Allocator, CallPattern
+from .symstate import Allocator
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Allocator",
     "Axiom",
-    "CallPattern",
     "Constraint",
     "Equation",
     "Limits",

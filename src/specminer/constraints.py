@@ -76,8 +76,8 @@ class _Symbol(Term):
 
 
 class SymAddrRef(_Symbol):
-    """A heap address: a pointer argument, a materialized input object, a
-    malloc result or a variable's cell. It is also the heap key."""
+    """A heap address: a pointer argument, a materialized input object or
+    a malloc result. It is also the heap key."""
     __slots__ = ()
 
 

@@ -29,7 +29,12 @@ to the nearest return or exit frame, and running off the end of a body
 reaches that frame too. The recursion depth of a call is the number of
 return frames for its call node.
 
-A value is its own condition term (see `symstate`), so a comparison puts
+A variable holds its value in the pattern's env, and the heap holds only
+struct objects (see `symstate`). The env is shared between clones and with
+the return frames that saved it, so an assignment replaces it with a copy
+and never writes it in place.
+
+A value is its own condition term, so a comparison puts
 its operands into the atom it decides as they are, and symbolic `+`/`-`
 records `s = l + r` for a fresh int `s` over the operands themselves.
 Every atom comes from the run's `SatCache` (`atom`, `negation`), which
@@ -85,15 +90,12 @@ from .symstate import (
     FINAL,
     ERROR,
     RUNNING,
-    MISSING,
     UNDEF,
     Allocator,
-    CallPattern,
     HeapObject,
     Pattern,
     bind_frame,
     fresh_value,
-    make_call_pattern,
 )
 
 # ---------------------------------------------------------------- limits
@@ -232,7 +234,7 @@ class _Engine:
         entry = p.entry_heap.get(a)
         if entry is obj:
             p.entry_heap[a] = filled
-        elif isinstance(entry, HeapObject) and fname not in entry.fields:
+        elif entry is not None and fname not in entry.fields:
             p.entry_heap[a] = entry.with_field(fname, v)
         return v
 
@@ -324,8 +326,7 @@ class _Engine:
         told that `target` is none of them."""
         cands = sorted(
             (a for a, o in ok.heap.items()
-             if isinstance(o, HeapObject) and a not in ok.malloced
-             and o.struct_name == struct_name and a != target),
+             if a not in ok.malloced and o.struct_name == struct_name and a != target),
             key=lambda a: (a.display, a.sid),
         )
         if not cands:
@@ -415,7 +416,7 @@ class _Engine:
         p.vals.append(C.NULL)
 
     def _var(self, p: Pattern, e) -> list[Pattern] | None:
-        v = p.heap[p.env[e.name]]
+        v = p.env[e.name]
         if v is UNDEF:
             self._error(p, f"read of undefined variable '{e.name}'")
             return
@@ -429,8 +430,8 @@ class _Engine:
         lacks is an error on malloc'd memory; an input object gets a fresh
         value of the field's type for it."""
         obj = q.heap[addr]
-        v = obj.fields.get(e.fieldname, MISSING)
-        if v is MISSING:
+        v = obj.fields.get(e.fieldname)
+        if v is None:
             if addr in q.malloced:
                 self._error(q, f"read of uninitialized field '{e.fieldname}'")
                 return
@@ -485,7 +486,7 @@ class _Engine:
         return self._binary_split(p, self.sat.atom(_CMP_TO_ATOM[e.op], l, r))
 
     def _assign_var(self, p: Pattern, e) -> list[Pattern] | None:
-        p.heap[p.env[e.target.name]] = p.vals[-1]
+        p.env = {**p.env, e.target.name: p.vals[-1]}
 
     def _write_field(self, p: Pattern, e) -> list[Pattern] | None:
         # the assigned value stays on the stack as the assignment's result
@@ -499,9 +500,8 @@ class _Engine:
         handler, below = p.k[-1]
         name = below.target.name if handler is _Engine._assign_var else "obj"
         m = self.alloc.fresh_addr(name)
-        for a, o in p.heap.items():
-            if isinstance(o, HeapObject):
-                self._record(p, p.add_alloc_atom, self.sat.atom(C.NEQ, m, a))
+        for a in p.heap:
+            self._record(p, p.add_alloc_atom, self.sat.atom(C.NEQ, m, a))
         self._record(p, p.add_alloc_atom, self.sat.atom(C.NEQ, m, C.NULL))
         p.heap[m] = HeapObject(e.struct, {})
         p.malloced = p.malloced | {m}
@@ -516,7 +516,7 @@ class _Engine:
         args = [p.vals.pop() for _ in e.args][::-1]
         p.k.append((_Engine._resume, (e, p.env, p.loop_counts)))
         p.k += f.push
-        p.env = bind_frame(f, args, p.heap, self.alloc)
+        p.env = bind_frame(f, args)
         p.loop_counts = {}
 
 
@@ -601,18 +601,25 @@ def _build(n) -> tuple:
 
 def se(
     index,
-    call_pattern: CallPattern,
+    fname: str,
+    args: list,
     limits: Limits | None = None,
     alloc: Allocator | None = None,
     lazy_aliasing: bool = False,
     reject=None,
     sat: C.SatCache | None = None,
+    *,
+    heap: dict | None = None,
+    condition: C.Constraint = C.TRUE,
+    malloced: frozenset = frozenset(),
 ) -> SEResult:
-    """Execute `call_pattern` symbolically and return every terminal
-    pattern (finals and errors), the count of bound-cut paths, and the log
-    of genuine guard splits. `budget_error` is set when a terminal pattern
-    the run would keep finds `limits.max_patterns` already kept, or when a
-    path runs out of steps.
+    """Execute `fname` on the values `args` symbolically and return every
+    terminal pattern (finals and errors), the count of bound-cut paths, and
+    the log of genuine guard splits. The run starts from `heap`, under
+    `condition`, with the objects in `malloced` known to be malloc'd (a
+    replay starts from the run it observes). `budget_error` is set when a
+    terminal pattern the run would keep finds `limits.max_patterns` already
+    kept, or when a path runs out of steps.
 
     `reject` is an optional predicate over terminal patterns. With it, the
     run is all-or-nothing: it stops at the first terminal pattern `reject`
@@ -626,9 +633,12 @@ def se(
     alloc = alloc or Allocator()
     eng = _Engine(index, limits, alloc, lazy_aliasing,
                   C.SatCache() if sat is None else sat)
-    f = index.functions.get(call_pattern.fname)
+    f = index.functions.get(fname)
     if f is None:
-        raise KeyError(f"unknown function '{call_pattern.fname}'")
-    p = make_call_pattern(index, call_pattern, alloc)
-    p.k = [f.frame, *f.push]
+        raise KeyError(f"unknown function '{fname}'")
+    if len(f.params) != len(args):
+        raise TypeError(f"{fname} expects {len(f.params)} args, got {len(args)}")
+    heap = {} if heap is None else heap
+    p = Pattern(k=[f.frame, *f.push], env=bind_frame(f, args), heap=dict(heap),
+                entry_heap=dict(heap), path_condition=condition, malloced=malloced)
     return eng.run(p, reject)

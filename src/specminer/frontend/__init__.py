@@ -1,4 +1,4 @@
-from .lexer import tokenize, Token, IllegalCharacter
+from .lexer import IllegalCharacter
 from .parser import parse, ParseError
 from .resolver import (
     resolve,
@@ -13,7 +13,7 @@ from .resolver import (
 from . import nodes
 
 __all__ = [
-    "tokenize", "Token", "IllegalCharacter",
+    "IllegalCharacter",
     "parse", "ParseError",
     "resolve", "load_program", "ProgramIndex",
     "ResolveError", "UnknownIdentifier", "UnknownField", "TypeMismatch", "DuplicateDefinition",

@@ -8,12 +8,10 @@ any other character raises `IllegalCharacter`.
 
 `scan` gives each token as a plain `(kind, text, line, col)` tuple, which
 the parser reads. The position is 1-based, and a column is one character
-(a tab counts as 1). `tokenize` wraps the same tuples as `Token`s.
+(a tab counts as 1).
 """
 
 import re
-
-from ..record import Frozen, setfield
 
 KEYWORDS = ("int", "void", "struct", "if", "else", "while", "return", "NULL")
 
@@ -46,22 +44,6 @@ class IllegalCharacter(Exception):
         self.col = col
 
 
-class Token(Frozen):
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        setfield(self, "kind", kind)  # "ident" | "int" | "kw" | "punct" | "eof"
-        setfield(self, "text", text)
-        setfield(self, "line", line)
-        setfield(self, "col", col)
-
-    def _key(self):
-        return (self.kind, self.text, self.line, self.col)
-
-    def __repr__(self):
-        return f"{self.kind}({self.text})@{self.line}:{self.col}"
-
-
 def scan(src: str) -> list[tuple]:
     """The tokens of `src` as `(kind, text, line, col)` tuples, ending with
     one `("eof", "", line, col)` at the end of the input."""
@@ -88,7 +70,3 @@ def scan(src: str) -> list[tuple]:
             raise IllegalCharacter(m.group(7), line, m.start(7) - base)
     append(("eof", "", line, len(src) - base))
     return toks
-
-
-def tokenize(src: str) -> list[Token]:
-    return [Token(*t) for t in scan(src)]

@@ -34,11 +34,10 @@ class DuplicateDefinition(ResolveError):
 
 class ProgramIndex:
     def __init__(self, structs: dict[str, N.StructDef], functions: dict[str, N.FunctionDef],
-                 observers: set[str], modifiers: set[str]):
+                 observers: set[str]):
         self.structs = structs
         self.functions = functions
         self.observers = observers
-        self.modifiers = modifiers
         self.warnings: list[str] = []
 
     def struct_fields(self, sname: str) -> dict[str, N.CType]:
@@ -228,7 +227,6 @@ def resolve(program: N.Program) -> ProgramIndex:
         structs=structs,
         functions=functions,
         observers={f.name for f in functions.values() if f.return_type.kind != "void"},
-        modifiers=set(functions),
     )
     checker = _Checker(index)
     for fd in functions.values():

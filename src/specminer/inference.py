@@ -22,14 +22,7 @@ from .constraints import (Constraint, IntConst, SatCache, SatResult, SymAddrRef,
                           SymDataRef, SymIntRef)
 from .engine import Limits, se
 from .record import Frozen, setfield
-from .symstate import (
-    FINAL,
-    UNDEF,
-    Allocator,
-    CallPattern,
-    Pattern,
-    fresh_value,
-)
+from .symstate import FINAL, Allocator, Pattern, fresh_value
 
 
 class UnknownFunction(Exception):
@@ -211,18 +204,9 @@ def explain(
             values.append(v)
             return False
 
-        res = se(
-            index,
-            CallPattern(oname, [v for _d, v in call_args],
-                        initial_constraint=condition,
-                        initial_heap=heap,
-                        initial_malloced=malloced),
-            limits,
-            alloc,
-            lazy_aliasing,
-            reject,
-            sat=sat,
-        )
+        res = se(index, oname, [v for _d, v in call_args], limits, alloc,
+                 lazy_aliasing, reject, sat=sat,
+                 heap=heap, condition=condition, malloced=malloced)
         if res.budget_error:
             budget_hit = True
             names = ", ".join(d for d, _v in call_args)
@@ -276,7 +260,7 @@ def infer_spec(
     # conditions whose closures the modifier run already built
     sat = SatCache()
     seeded = _seed_args(f, alloc)
-    res = se(index, CallPattern(modifier, [v for _n, v, _t in seeded]),
+    res = se(index, modifier, [v for _n, v, _t in seeded],
              limits, alloc, lazy_aliasing, sat=sat)
 
     split_log = list(res.split_log)
@@ -284,6 +268,10 @@ def infer_spec(
     if res.budget_error:
         diagnostics.append(f"{modifier}: exploration budget exhausted; "
                            f"results cover only the explored branches")
+    elif not res.final_patterns and res.error_patterns and not res.truncated_paths:
+        reasons = "; ".join(sorted({p.error_reason for p in res.error_patterns}))
+        diagnostics.append(f"{modifier}: every path ends in an error ({reasons}); "
+                           f"no axiom can be inferred")
 
     root_param = next((pname for pname, pt in f.params if pt.kind == "structptr"),
                       None)
@@ -307,15 +295,14 @@ def infer_spec(
         post_root = None
         for pname, seed_v, ptype in seeded:
             if pname == root_param:
-                cell_v = p.heap.get(p.env[pname], UNDEF)
                 root_v = ret_v if isinstance(ret_v, SymAddrRef) or ret_v is C.NULL \
-                    else cell_v
+                    else p.env[pname]
                 display = pname + "'"
                 post_args.append((display, root_v, ptype))
                 if isinstance(root_v, SymAddrRef):
                     post_root = (p.resolve(root_v).sid, display)
             else:
-                post_args.append((pname, p.heap.get(p.env[pname], UNDEF), ptype))
+                post_args.append((pname, p.env[pname], ptype))
         post_eqs, hit = explain(
             index, p.heap, cond, post_args, limits, alloc, observer_names,
             sat=sat, malloced=p.malloced, post_root=post_root,

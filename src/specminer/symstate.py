@@ -3,32 +3,35 @@
 A value is its own condition term: a pointer is a `SymAddrRef` or `NULL`,
 an int an `IntConst` or a `SymIntRef`, a void* payload a `SymDataRef`.
 Atoms take values as they are, and `render_value` is `render_term` plus a
-`name#sid` tag for heap objects that share a display. `UNDEF` marks a cell
-that holds no value yet.
+`name#sid` tag for heap objects that share a display. `UNDEF` marks a
+variable or field that holds no value yet.
 
 A pattern is one branch of the symbolic execution: a continuation stack of
-engine frames (top last), an environment mapping variables to heap cells,
-the heap itself, and the two condition cells (one for ordinary branch
-facts, one for decisions taken while materializing unexplored parts of the
-heap on demand). The pattern also keeps `condition`, the conjunction of the
-two cells and of the undisplayed distinctness facts for fresh storage,
-which every solver question starts from. Pending calls live only in the
-continuation: a call's frame holds the caller's env and loop counts.
+engine frames (top last), an environment mapping each variable of the
+running call straight to its value, the heap, and the two condition cells
+(one for ordinary branch facts, one for decisions taken while
+materializing unexplored parts of the heap on demand). The pattern also
+keeps `condition`, the conjunction of the two cells and of the
+undisplayed distinctness facts for fresh storage, which every solver
+question starts from. Pending calls live only in the continuation: a
+call's frame holds the caller's env and loop counts.
 
 `Pattern.clone` copies only the containers that are written in place: the
 continuation `k`, the value stack `vals`, and the two heap dicts. Every
 other container (`env`, `loop_counts`, `aliases`, the envs and loop counts
 that call frames saved, and the heap objects themselves) is shared between
 the clones and must only ever be replaced, never written in place; that is
-what makes sharing it safe. A field write stores a new `HeapObject` in the
-writing pattern's own heap (`HeapObject.with_field`), so an entry pattern
-built from another pattern's heap shares its objects too.
+what makes sharing it safe. An assignment to a variable replaces the env
+with a copy that holds the new value, and a field write stores a new
+`HeapObject` in the writing pattern's own heap (`HeapObject.with_field`),
+so an entry pattern built from another pattern's heap shares its objects
+too.
 
-A symbolic address is a `constraints.SymAddrRef`, so a heap key is its own
-condition term. The heap maps addresses either to a plain value cell (used
-for parameters and locals, one level of indirection like a C lvalue) or to
-a whole struct object. Reads of fields that were never written come back as
-`MISSING`, letting the engine decide whether to conjure the field's value.
+The heap maps a symbolic address, a `constraints.SymAddrRef` and so its own
+condition term, to a struct object, and holds nothing else: the fragment
+has no `&`, so no value points at a variable and a variable needs no
+storage of its own. A field that was never written is absent from its
+object's `fields`; the engine decides whether to conjure its value.
 """
 from __future__ import annotations
 
@@ -98,15 +101,7 @@ class HeapObject:
         return HeapObject(self.struct_name, {**self.fields, name: v})
 
 
-class MissingField:
-    def __repr__(self):
-        return "MISSING"
-
-
-MISSING = MissingField()
-
-
-Heap = dict  # SymAddrRef -> Value (cell) | HeapObject
+Heap = dict  # SymAddrRef -> HeapObject
 
 
 # ---------------------------------------------------------------- allocator
@@ -139,9 +134,6 @@ class Allocator:
     def fresh_int(self, display: str) -> SymIntRef:
         return self.symbol(SymIntRef, self.label(display))
 
-    def fresh_data(self, display: str) -> SymDataRef:
-        return self.symbol(SymDataRef, self.label(display))
-
 
 _SYMBOL_OF_KIND = {"int": SymIntRef, "voidptr": SymDataRef, "structptr": SymAddrRef}
 
@@ -160,7 +152,7 @@ ERROR = "error"
 
 
 class Pattern:
-    def __init__(self, k: list, env: dict[str, SymAddrRef], heap: Heap, entry_heap: Heap,
+    def __init__(self, k: list, env: dict[str, Value], heap: Heap, entry_heap: Heap,
                  path_condition: Constraint = TRUE, mem_path_condition: Constraint = TRUE,
                  condition: Constraint | None = None,
                  status: str = RUNNING, error_reason: str = "", return_value: Value = UNDEF,
@@ -241,71 +233,25 @@ class Pattern:
         self.condition = self.condition.with_atom(a)
 
 
-# ---------------------------------------------------------------- call shape
+# ---------------------------------------------------------------- frames
 
-class ArityMismatch(Exception):
-    pass
-
-
-class CallPattern:
-    """Entry point description: run `fname` on `args` against `initial_heap`
-    under `initial_constraint`."""
-
-    def __init__(self, fname: str, args: list, initial_constraint: Constraint = TRUE,
-                 initial_heap: Heap | None = None, initial_malloced: frozenset = frozenset()):
-        self.fname = fname
-        self.args = args  # list[Value]
-        self.initial_constraint = initial_constraint
-        self.initial_heap = {} if initial_heap is None else initial_heap
-        # addresses already known to be freshly allocated (kept distinct from
-        # any input object discovered later in this run)
-        self.initial_malloced = initial_malloced
-
-
-def bind_frame(f, args: list, heap: Heap, alloc: Allocator) -> dict[str, SymAddrRef]:
-    """Bind `f`'s parameters to fresh cells in `heap` holding `args`, and
-    its locals to fresh cells, initially undefined; return the new env."""
-    env: dict[str, SymAddrRef] = {}
-    for (pname, _ptype), v in zip(f.params, args):
-        cell = alloc.fresh_addr(f"cell_{pname}")
-        heap[cell] = v
-        env[pname] = cell
+def bind_frame(f, args: list) -> dict[str, Value]:
+    """The env `f` starts with: each parameter holds its argument, each
+    local is undefined."""
+    env = {pname: v for (pname, _ptype), v in zip(f.params, args)}
     for lname, _ltype in f.locals:
-        cell = alloc.fresh_addr(f"cell_{lname}")
-        heap[cell] = UNDEF
-        env[lname] = cell
+        env[lname] = UNDEF
     return env
-
-
-def make_call_pattern(index, cp: CallPattern, alloc: Allocator) -> Pattern:
-    """The entry pattern of `cp`: its heap, with the callee's frame bound
-    by `bind_frame`."""
-    f = index.functions[cp.fname]
-    if len(f.params) != len(cp.args):
-        raise ArityMismatch(f"{cp.fname} expects {len(f.params)} args, got {len(cp.args)}")
-    heap = dict(cp.initial_heap)
-    env = bind_frame(f, cp.args, heap, alloc)
-    return Pattern(
-        k=[],
-        env=env,
-        heap=heap,
-        entry_heap=dict(cp.initial_heap),
-        path_condition=cp.initial_constraint,
-        mem_path_condition=TRUE,
-        malloced=cp.initial_malloced,
-    )
 
 
 # ---------------------------------------------------------------- rendering
 
 def render_pattern(p: Pattern) -> str:
-    """Human-oriented dump: one cell per line. The env collapses the cell
-    indirection so `x |-> v` shows the value, not the cell address. Heap
-    objects that share a display are told apart by their sid,
-    `display#sid`, both as heap keys and as the values that point at
-    them."""
-    objs = sorted(((a, o) for a, o in p.heap.items() if isinstance(o, HeapObject)),
-                  key=lambda kv: (kv[0].display, kv[0].sid))
+    """Human-oriented dump: one cell per line, `x |-> v` for a variable
+    and its value. Heap objects that share a display are told apart by
+    their sid, `display#sid`, both as heap keys and as the values that
+    point at them."""
+    objs = sorted(p.heap.items(), key=lambda kv: (kv[0].display, kv[0].sid))
     shared = Counter(a.display for a, _o in objs)
     tagged = frozenset(a for a, _o in objs if shared[a.display] > 1)
     lines = []
@@ -316,13 +262,7 @@ def render_pattern(p: Pattern) -> str:
     else:
         lines.append(f"<k> ({len(p.k)} pending) </k>")
     for name in sorted(p.env):
-        cell = p.env[name]
-        v = p.heap.get(cell, UNDEF)
-        if isinstance(v, HeapObject):
-            v_str = v.struct_name
-        else:
-            v_str = render_tv(v, tagged)
-        lines.append(f"<env> {name} |-> {v_str} </env>")
+        lines.append(f"<env> {name} |-> {render_tv(p.env[name], tagged)} </env>")
     for a, o in objs:
         inner = ", ".join(f"{f} |-> {render_value(v, tagged)}"
                           for f, v in sorted(o.fields.items()))

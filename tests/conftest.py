@@ -3,7 +3,9 @@ import pathlib
 
 import pytest
 
+from specminer.constraints import TRUE
 from specminer.frontend import load_program, nodes as N
+from specminer.symstate import Pattern, bind_frame
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -48,3 +50,16 @@ def _ast_nodes(x):
 @pytest.fixture(scope="session")
 def ast_nodes():
     return _ast_nodes
+
+
+def _entry_pattern(index, fname, args, heap=None, condition=TRUE):
+    """The pattern `se` starts `fname` on `args` from, before its first
+    step."""
+    heap = heap or {}
+    return Pattern([], bind_frame(index.functions[fname], args), dict(heap), dict(heap),
+                   path_condition=condition)
+
+
+@pytest.fixture(scope="session")
+def entry_pattern():
+    return _entry_pattern

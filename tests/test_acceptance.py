@@ -30,9 +30,10 @@ from specminer.constraints import (
 )
 from specminer.engine import Limits, se
 from specminer.frontend import load_program
+from specminer.frontend.nodes import VOIDPTR
 from specminer.inference import RET, infer_spec
 from specminer.modelsearch import find_model
-from specminer.symstate import Allocator, CallPattern, render_tv
+from specminer.symstate import Allocator, fresh_value, render_tv
 from specminer.constraints import render_constraint
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -44,8 +45,8 @@ def _line(capsys, n, ok, detail):
         print(f"CRITERION {n}: {'PASS' if ok else 'FAIL'} — {detail}", flush=True)
 
 
-def _append_call(alloc):
-    return CallPattern("append", [alloc.fresh_addr("list"), alloc.fresh_data("d")])
+def _append_args(alloc):
+    return [alloc.fresh_addr("list"), fresh_value(alloc, VOIDPTR, "d")]
 
 
 # ------------------------------------------------------------ criterion 1
@@ -53,7 +54,7 @@ def _append_call(alloc):
 def test_criterion_1_append_path_count(dll_index, capsys):
     t0 = time.perf_counter()
     alloc = Allocator()
-    res = se(dll_index, _append_call(alloc), Limits(unroll_bound=1), alloc)
+    res = se(dll_index, "append", _append_args(alloc), Limits(unroll_bound=1), alloc)
     dt = time.perf_counter() - t0
     ok = (len(res.final_patterns) == 3
           and len(res.error_patterns) == 0
@@ -112,8 +113,8 @@ def test_criterion_2_append_axioms(dll_index, capsys):
 
 def test_criterion_3_branch_patterns(branch_index, capsys):
     alloc = Allocator()
-    cp = CallPattern("branch", [alloc.fresh_int("x"), alloc.fresh_int("y")])
-    res = se(branch_index, cp, Limits(), alloc)
+    res = se(branch_index, "branch", [alloc.fresh_int("x"), alloc.fresh_int("y")],
+             Limits(), alloc)
     got = [(render_tv(p.return_value), render_constraint(p.path_condition))
            for p in res.final_patterns]
     want = [("tv(int, 1)", "?x > ?y"), ("tv(int, 0)", "?x <= ?y")]
@@ -198,7 +199,7 @@ def test_criterion_5_pattern_census_scales(dll_index, capsys):
     got = {}
     for n in (1, 2, 3):
         alloc = Allocator()
-        res = se(dll_index, _append_call(alloc), Limits(unroll_bound=n), alloc)
+        res = se(dll_index, "append", _append_args(alloc), Limits(unroll_bound=n), alloc)
         got[n] = len(res.final_patterns)
     ok = all(got[n] == n + 2 for n in (1, 2, 3))
     _line(capsys, 5, ok, f"append final patterns by unroll: {got} (want N+2)")

@@ -23,7 +23,7 @@ from specminer.cli import (
 )
 from specminer.engine import Limits, se
 from specminer.frontend import load_program
-from specminer.symstate import Allocator, CallPattern, fresh_value, render_pattern
+from specminer.symstate import Allocator, fresh_value, render_pattern
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -123,11 +123,11 @@ KINDS_SRC = (
 KINDS_DUMPS = {
     "addv": (
         "-- pattern p0\n"
-        "<k> return tv(int, ?i5) </k>\n"
+        "<k> return tv(int, ?i3) </k>\n"
         "<env> k |-> tv(int, ?k) </env>\n"
         "<env> n |-> n </env>\n"
         "<heap> n |-> (v |-> ?n->v) </heap>\n"
-        "<cond> ?i5 = ?n->v + ?k </cond>\n"
+        "<cond> ?i3 = ?n->v + ?k </cond>\n"
         "<memcond> n != NULL </memcond>\n"
         "\n"
         "-- pattern e0\n"
@@ -179,11 +179,11 @@ KINDS_DUMPS = {
         ")\n"),
     "subv": (
         "-- pattern p0\n"
-        "<k> return tv(int, ?i5) </k>\n"
+        "<k> return tv(int, ?i3) </k>\n"
         "<env> k |-> tv(int, ?k) </env>\n"
         "<env> n |-> n </env>\n"
         "<heap> n |-> (v |-> ?n->v) </heap>\n"
-        "<cond> ?i5 = ?n->v - ?k </cond>\n"
+        "<cond> ?i3 = ?n->v - ?k </cond>\n"
         "<memcond> n != NULL </memcond>\n"
         "\n"
         "-- pattern e0\n"
@@ -215,7 +215,7 @@ def _standalone_patterns(source, fname, unroll, lazy_aliasing, seed_label):
     alloc = Allocator(seed_label)
     args = [fresh_value(alloc, ptype, alloc.label(pname))
             for pname, ptype in index.functions[fname].params]
-    return se(index, CallPattern(fname, args), Limits(unroll_bound=unroll),
+    return se(index, fname, args, Limits(unroll_bound=unroll),
               alloc, lazy_aliasing).patterns
 
 
@@ -393,6 +393,41 @@ def test_unknown_verdict_marks_every_axiom_approx(capsys, tmp_path):
             if line.startswith(")") and "=>" not in line]
     assert len(ends) == 2
     assert all(line.endswith(" [approx]") for line in ends)
+
+
+ALL_ERRORS_SRC = (
+    "struct N { int v; struct N* next; };\n"
+    "int getv(struct N* a) { return a->v; }\n"
+    "int fresh(struct N* a) { struct N* m; m = malloc(sizeof(struct N));\n"
+    "  m->next = a; return m->v; }\n"
+    "int walk(struct N* a) { while (a != NULL) a = a->next; return a->v; }\n")
+
+ALL_ERRORS = ("fresh: every path ends in an error (read of uninitialized field 'v'); "
+              "no axiom can be inferred")
+
+
+def test_a_modifier_whose_every_path_ends_in_an_error_is_noted(capsys, tmp_path):
+    src = tmp_path / "fresh.c"
+    src.write_text(ALL_ERRORS_SRC)
+    code, out, err = run(capsys, str(src), "-f", "fresh")
+    assert code == EXIT_OK
+    assert out == "no axioms inferable at this bound\n"
+    assert f"note: {ALL_ERRORS}\n" in err
+    code, out, err = run(capsys, str(src), "-f", "fresh", "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["diagnostics"] == [ALL_ERRORS]
+    assert doc["stats"]["finalPatterns"] == 0 and doc["stats"]["errorPatterns"] == 1
+    assert "note:" not in err
+    # paths cut at the bound might end normally at a larger one, so a run
+    # with no final pattern but cut paths is not said to end in errors
+    code, out, _err = run(capsys, str(src), "-f", "walk", "--format", "json")
+    doc = json.loads(out)
+    assert doc["stats"]["finalPatterns"] == 0 and doc["stats"]["truncatedPaths"] > 0
+    assert doc["diagnostics"] == []
+    # a modifier with a final pattern gets no such note
+    code, out, err = run(capsys, DLL, "-f", "append")
+    assert "every path ends in an error" not in err
 
 
 def test_no_axioms_message(capsys, tmp_path):

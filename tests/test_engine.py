@@ -14,30 +14,28 @@ from specminer.engine import _HANDLERS, Limits, _Engine, se
 from specminer.frontend import load_program, nodes as N
 from specminer.symstate import (
     Allocator,
-    CallPattern,
     HeapObject,
     Pattern,
     UNDEF,
     fresh_value,
-    make_call_pattern,
     render_pattern,
     render_tv,
 )
 
 
-def _sym_append_call(alloc):
-    return CallPattern("append", [alloc.fresh_addr("list"), alloc.fresh_data("d")])
+def _append_args(alloc):
+    return [alloc.fresh_addr("list"), fresh_value(alloc, N.VOIDPTR, "d")]
 
 
-def _sym_int_call(fname, names, alloc):
-    return CallPattern(fname, [alloc.fresh_int(n) for n in names])
+def _sym_ints(names, alloc):
+    return [alloc.fresh_int(n) for n in names]
 
 
 # ---------------------------------------------------------------- branch
 
 def test_branch_has_exactly_two_patterns(branch_index):
     alloc = Allocator()
-    res = se(branch_index, _sym_int_call("branch", ["x", "y"], alloc), Limits(), alloc)
+    res = se(branch_index, "branch", _sym_ints(["x", "y"], alloc), Limits(), alloc)
     assert len(res.patterns) == 2
     assert res.truncated_paths == 0 and not res.budget_error
     got = [(render_tv(p.return_value), render_constraint(p.path_condition))
@@ -49,7 +47,7 @@ def test_branch_has_exactly_two_patterns(branch_index):
 @pytest.mark.parametrize("verdict", [None, SatResult.UNKNOWN, SatResult.UNSAT])
 @pytest.mark.parametrize("holds", [True, False])
 def test_a_recorded_atom_decides_its_branch_with_one_question(
-        branch_index, monkeypatch, holds, verdict):
+        branch_index, entry_pattern, monkeypatch, holds, verdict):
     """When the path records `x > y` (or its negation), deciding `x > y`
     keeps the pattern on that side, clones nothing and asks the cache only
     for the path's own verdict: Unknown marks it approx, Unsat drops it.
@@ -58,9 +56,7 @@ def test_a_recorded_atom_decides_its_branch_with_one_question(
     x, y = alloc.fresh_int("x"), alloc.fresh_int("y")
     atom = Atom(GT, x, y)
     recorded = atom if holds else negate_atom(atom)
-    p = make_call_pattern(branch_index, CallPattern(
-        "branch", [x, y],
-        initial_constraint=constraint(recorded)), alloc)
+    p = entry_pattern(branch_index, "branch", [x, y], condition=constraint(recorded))
     base = p.condition
     asked = []
     real_check = SatCache.check
@@ -92,7 +88,7 @@ def test_append_path_census_by_unroll(dll_index):
     # empty-list path; the once-more iteration is cut, not an error
     for n in (1, 2, 3):
         alloc = Allocator()
-        res = se(dll_index, _sym_append_call(alloc), Limits(unroll_bound=n), alloc)
+        res = se(dll_index, "append", _append_args(alloc), Limits(unroll_bound=n), alloc)
         assert len(res.final_patterns) == n + 2, f"unroll {n}"
         assert len(res.error_patterns) == 0
         assert res.truncated_paths == 1
@@ -102,7 +98,7 @@ def test_append_one_node_pattern_dump(dll_index):
     """The one-node final is the canonical worked example: its displayed
     memory condition is exactly the two facts the walk discovered."""
     alloc = Allocator()
-    res = se(dll_index, _sym_append_call(alloc), Limits(unroll_bound=1), alloc)
+    res = se(dll_index, "append", _append_args(alloc), Limits(unroll_bound=1), alloc)
     p1 = res.final_patterns[1]
     dump = render_pattern(p1)
     assert "<k> return list </k>" in dump
@@ -114,7 +110,7 @@ def test_append_one_node_pattern_dump(dll_index):
 
 def test_append_emission_order_is_depth_first_true_first(dll_index):
     alloc = Allocator()
-    res = se(dll_index, _sym_append_call(alloc), Limits(unroll_bound=1), alloc)
+    res = se(dll_index, "append", _append_args(alloc), Limits(unroll_bound=1), alloc)
     # p0: two-node walk; p1: one-node; p2: empty input
     mems = [render_constraint(p.mem_path_condition) for p in res.patterns]
     assert mems == [
@@ -131,7 +127,7 @@ def test_append_emission_order_is_depth_first_true_first(dll_index):
 
 def test_split_log_pairs_are_mutually_unsat(dll_index):
     alloc = Allocator()
-    res = se(dll_index, _sym_append_call(alloc), Limits(unroll_bound=2), alloc)
+    res = se(dll_index, "append", _append_args(alloc), Limits(unroll_bound=2), alloc)
     assert res.split_log
     for left, right in res.split_log:
         assert check_sat(conjoin(left, right)) == SatResult.UNSAT
@@ -140,7 +136,7 @@ def test_split_log_pairs_are_mutually_unsat(dll_index):
 def test_engine_is_deterministic(dll_index):
     def run():
         alloc = Allocator()
-        res = se(dll_index, _sym_append_call(alloc), Limits(unroll_bound=2), alloc)
+        res = se(dll_index, "append", _append_args(alloc), Limits(unroll_bound=2), alloc)
         return [render_pattern(p) for p in res.patterns]
     assert run() == run()
 
@@ -150,7 +146,7 @@ def test_all_or_nothing_run_stops_at_the_shallow_rejected_leaf(dll_index):
     the run ends at the first leaf `reject` holds for."""
     def run(reject):
         alloc = Allocator()
-        res = se(dll_index, CallPattern("length", [alloc.fresh_addr("list")]),
+        res = se(dll_index, "length", [alloc.fresh_addr("list")],
                  Limits(), alloc, reject=reject)
         return res, [(render_tv(p.return_value), render_constraint(p.mem_path_condition))
                      for p in res.patterns]
@@ -182,8 +178,8 @@ def test_lazy_aliasing_adds_the_overlap_world():
 
     def run(flag):
         alloc = Allocator()
-        cp = CallPattern("touch", [alloc.fresh_addr("a"), alloc.fresh_addr("b")])
-        return se(idx, cp, Limits(), alloc, lazy_aliasing=flag)
+        args = [alloc.fresh_addr("a"), alloc.fresh_addr("b")]
+        return se(idx, "touch", args, Limits(), alloc, lazy_aliasing=flag)
 
     plain = run(False)
     assert len(plain.patterns) == 3  # one final, two NULL-deref worlds
@@ -209,8 +205,8 @@ def test_alias_worlds_inherit_an_unknown_non_null_verdict(monkeypatch):
 
     monkeypatch.setattr(SatCache, "check", unknown_b_non_null)
     alloc = Allocator()
-    cp = CallPattern("touch", [alloc.fresh_addr("a"), alloc.fresh_addr("b")])
-    res = se(load_program(ALIAS_SRC), cp, Limits(), alloc, lazy_aliasing=True)
+    args = [alloc.fresh_addr("a"), alloc.fresh_addr("b")]
+    res = se(load_program(ALIAS_SRC), "touch", args, Limits(), alloc, lazy_aliasing=True)
     assert sorted(render_tv(p.return_value) for p in res.final_patterns) == \
         ["tv(int, 1)", "tv(int, 2)"]
     assert all(p.approx for p in res.final_patterns)
@@ -226,9 +222,9 @@ def test_aliases_map_undiscovered_addresses_to_lazy_objects(dll_index):
     for index, fname in runs:
         alloc = Allocator()
         args = [alloc.fresh_addr(pname) if ptype.kind == "structptr"
-                else alloc.fresh_data(pname)
+                else fresh_value(alloc, N.VOIDPTR, pname)
                 for pname, ptype in index.functions[fname].params]
-        res = se(index, CallPattern(fname, args), Limits(), alloc, lazy_aliasing=True)
+        res = se(index, fname, args, Limits(), alloc, lazy_aliasing=True)
         for p in res.patterns:
             for target, cand in p.aliases.items():
                 aliases += 1
@@ -244,7 +240,7 @@ def test_recursion_is_cut_at_the_unroll_bound():
     idx = load_program("int rec(int n) { if (n > 0) return rec(n - 1); return n; }")
     for bound, finals in ((1, 2), (2, 3)):
         alloc = Allocator()
-        res = se(idx, _sym_int_call("rec", ["n"], alloc), Limits(unroll_bound=bound), alloc)
+        res = se(idx, "rec", _sym_ints(["n"], alloc), Limits(unroll_bound=bound), alloc)
         assert len(res.final_patterns) == finals
         assert res.truncated_paths == 1
 
@@ -267,7 +263,7 @@ def test_each_call_counts_its_own_loop_and_restores_the_callers(bound, returns):
     counts, on every path: one path's iterations never use up another's."""
     idx = load_program(NESTED_LOOPS_SRC)
     alloc = Allocator()
-    res = se(idx, CallPattern("sum", [alloc.fresh_addr("n")]),
+    res = se(idx, "sum", [alloc.fresh_addr("n")],
              Limits(unroll_bound=bound), alloc)
     assert sorted(p.return_value.value for p in res.final_patterns) == returns
     # every path that would take one more counted iteration is cut
@@ -275,15 +271,14 @@ def test_each_call_counts_its_own_loop_and_restores_the_callers(bound, returns):
     assert res.error_patterns == []
 
 
-def test_clones_share_only_what_is_replaced_on_write():
+def test_clones_share_only_what_is_replaced_on_write(entry_pattern):
     """`Pattern.clone` shares `loop_counts` and `aliases` with the original,
     so the engine replaces them and never writes them in place. A handler
     that keeps its pattern returns None."""
     idx = load_program(NESTED_LOOPS_SRC)
     alloc = Allocator()
     eng = _Engine(idx, Limits(unroll_bound=2), alloc, True, SatCache())
-    p = make_call_pattern(idx, CallPattern("upto", [alloc.fresh_int("k")]),
-                          alloc)
+    p = entry_pattern(idx, "upto", [alloc.fresh_int("k")])
     loop = idx.functions["upto"].body[1]
     q = p.clone()
     q.vals.append(IntConst(1))
@@ -293,8 +288,7 @@ def test_clones_share_only_what_is_replaced_on_write():
     assert p.loop_counts == {}
 
     a, b = alloc.fresh_addr("a"), alloc.fresh_addr("b")
-    ok = make_call_pattern(idx, CallPattern("sum", [b], initial_heap={
-        a: HeapObject("N", {})}), alloc)
+    ok = entry_pattern(idx, "sum", [b], heap={a: HeapObject("N", {})})
     worlds = eng._alias_worlds(ok, b, "N")
     assert [(w.aliases, obj) for w, obj in worlds] == [({b: a}, a)]
     assert ok.aliases == {}
@@ -305,7 +299,7 @@ def test_concrete_guards_do_not_consume_the_loop_budget():
     # a fully determined loop runs to completion even at unroll 1
     idx = load_program(
         "int summ(int n) { int s; s = 0; while (n > 0) { s = s + n; n = n - 1; } return s; }")
-    res = se(idx, CallPattern("summ", [IntConst(5)]), Limits(unroll_bound=1))
+    res = se(idx, "summ", [IntConst(5)], Limits(unroll_bound=1))
     assert res.truncated_paths == 0
     assert [render_tv(p.return_value) for p in res.final_patterns] == ["tv(int, 15)"]
 
@@ -314,7 +308,7 @@ def test_concrete_guards_do_not_consume_the_loop_budget():
 
 def test_pattern_budget(branch_index):
     alloc = Allocator()
-    res = se(branch_index, _sym_int_call("branch", ["x", "y"], alloc),
+    res = se(branch_index, "branch", _sym_ints(["x", "y"], alloc),
              Limits(max_patterns=1), alloc)
     assert res.budget_error
     assert len(res.patterns) == 1
@@ -322,7 +316,7 @@ def test_pattern_budget(branch_index):
 
 def test_step_budget_catches_divergence():
     idx = load_program("int spin(int x) { while (0 < 1) x = x + 1; return x; }")
-    res = se(idx, CallPattern("spin", [IntConst(9)]), Limits(max_steps=500))
+    res = se(idx, "spin", [IntConst(9)], Limits(max_steps=500))
     assert res.budget_error
     assert [p.error_reason for p in res.error_patterns] == ["step budget exceeded"]
 
@@ -348,7 +342,7 @@ def test_exploration_of_each_dll_modifier_is_pinned(dll_index, fname):
     alloc = Allocator()
     args = [fresh_value(alloc, ptype, pname)
             for pname, ptype in dll_index.functions[fname].params]
-    res = se(dll_index, CallPattern(fname, args), Limits(unroll_bound=8), alloc)
+    res = se(dll_index, fname, args, Limits(unroll_bound=8), alloc)
     assert (len(res.split_log), res.truncated_paths,
             sum(p.steps for p in res.patterns)) == EXPLORATION_AT_UNROLL_8[fname]
 
@@ -372,7 +366,7 @@ def test_each_frame_costs_one_step():
 
     def run(max_steps):
         alloc = Allocator()
-        return se(idx, _sym_int_call("spin_once", ["x"], alloc), Limits(max_steps=max_steps),
+        return se(idx, "spin_once", _sym_ints(["x"], alloc), Limits(max_steps=max_steps),
                   alloc)
 
     res = run(28)
@@ -428,34 +422,35 @@ def test_comparing_an_address_with_itself_asks_the_solver_nothing(monkeypatch):
     monkeypatch.setattr(SatCache, "check", check)
     alloc = Allocator()
     a, b = alloc.fresh_addr("a"), alloc.fresh_addr("b")
-    res = se(idx, CallPattern("same", [a, a]), Limits(), alloc)
+    res = se(idx, "same", [a, a], Limits(), alloc)
     assert asked == []
     assert [render_tv(p.return_value) for p in res.patterns] == ["tv(int, 1)"]
     # two distinct addresses may or may not be equal: the solver is asked
-    res = se(idx, CallPattern("same", [a, b]), Limits(), alloc)
+    res = se(idx, "same", [a, b], Limits(), alloc)
     assert asked
     assert [render_tv(p.return_value) for p in res.patterns] == ["tv(int, 1)", "tv(int, 0)"]
 
 
 @pytest.mark.parametrize("lazy_aliasing", [False, True])
 def test_a_value_is_undef_or_its_own_term(dll_index, lazy_aliasing):
-    """Every env cell, object field and return value of every dll.c
+    """Every variable, object field and return value of every dll.c
     modifier's terminal patterns is UNDEF or one of the five value terms,
-    never a compound term such as `Add`, `Sub` or `FieldPath`."""
+    never a compound term such as `Add`, `Sub` or `FieldPath`; both heaps
+    hold struct objects and nothing else."""
     value_terms = (SymAddrRef, NullRef, IntConst, SymIntRef, SymDataRef)
     seen = set()
-    for fname in sorted(dll_index.modifiers):
+    for fname in sorted(dll_index.functions):
         alloc = Allocator()
         args = [fresh_value(alloc, ptype, pname)
                 for pname, ptype in dll_index.functions[fname].params]
-        res = se(dll_index, CallPattern(fname, args), Limits(unroll_bound=1), alloc,
+        res = se(dll_index, fname, args, Limits(unroll_bound=1), alloc,
                  lazy_aliasing)
         for p in res.patterns:
-            values = [p.return_value, *(p.heap[cell] for cell in p.env.values())]
+            values = [p.return_value, *p.env.values()]
             for heap in (p.heap, p.entry_heap):
                 for obj in heap.values():
-                    if isinstance(obj, HeapObject):
-                        values += obj.fields.values()
+                    assert isinstance(obj, HeapObject), (fname, p.provenance_id, obj)
+                    values += obj.fields.values()
             for v in values:
                 assert v is UNDEF or type(v) in value_terms, (fname, p.provenance_id, v)
                 seen.add(type(v))
@@ -471,7 +466,7 @@ def test_arithmetic_on_an_undefined_call_result_is_an_error_leaf():
                        "int h(int x) { return g(x) < 1; }\n")
     for fname, value in (("f", "tv(int, 2)"), ("h", "tv(int, 0)")):
         alloc = Allocator()
-        res = se(idx, _sym_int_call(fname, ["x"], alloc), Limits(), alloc)
+        res = se(idx, fname, _sym_ints(["x"], alloc), Limits(), alloc)
         assert [(p.status, p.error_reason or render_tv(p.return_value))
                 for p in res.patterns] == \
             [("final", value), ("error", "read of undefined value")], fname
@@ -479,9 +474,64 @@ def test_arithmetic_on_an_undefined_call_result_is_an_error_leaf():
 
 def test_undefined_variable_read_is_an_error_leaf():
     idx = load_program("int f(int a) { int t; return t; }")
-    res = se(idx, CallPattern("f", [IntConst(1)]))
+    res = se(idx, "f", [IntConst(1)])
     assert [(p.status, p.error_reason) for p in res.patterns] == \
         [("error", "read of undefined variable 't'")]
+
+
+def test_se_checks_arity_and_the_function_name(dll_index):
+    with pytest.raises(TypeError):
+        se(dll_index, "append", [])
+    with pytest.raises(KeyError):
+        se(dll_index, "nosuch", [])
+
+
+# ---------------------------------------------------------------- env
+
+# `g` assigns a parameter and a local that share their names with `f`'s;
+# each call of `r` sets its own `t` before the call below it does
+FRAMES_SRC = """
+int g(int x) { int t; t = x + 1; x = 7; return t; }
+int f(int x) { int t; t = 5; x = g(x); return t + x; }
+int r(int n) { int t; int s; t = n; if (n > 0) s = r(n - 1); return t; }
+"""
+
+
+@pytest.mark.parametrize("arg", [IntConst(1), "symbolic"])
+def test_a_callee_never_assigns_the_callers_variables(arg):
+    idx = load_program(FRAMES_SRC)
+    alloc = Allocator()
+    x = alloc.fresh_int("x") if arg == "symbolic" else arg
+    [p] = se(idx, "f", [x], Limits(), alloc).patterns
+    assert p.status == "final"
+    # f's t is still 5, and f's x holds what g returned, g's t
+    t = p.env["t"]
+    assert t == IntConst(5)
+    if arg == "symbolic":
+        assert p.env["x"] != x and isinstance(p.env["x"], SymIntRef)
+        assert render_tv(p.return_value).startswith("tv(int, ?i")
+    else:
+        assert p.env == {"x": IntConst(2), "t": IntConst(5)}
+        assert p.return_value == IntConst(7)
+
+
+def test_each_recursive_call_keeps_its_own_locals():
+    idx = load_program(FRAMES_SRC)
+    res = se(idx, "r", [IntConst(2)], Limits(unroll_bound=3))
+    [p] = res.patterns
+    assert (p.status, p.return_value) == ("final", IntConst(2))
+    assert p.env == {"n": IntConst(2), "t": IntConst(2), "s": IntConst(1)}
+
+
+def test_an_assignment_after_a_split_leaves_the_other_successor_alone():
+    """The successors of a split share the env until one assigns a
+    variable; the true side runs first, and its `t = 1` must not reach the
+    false side."""
+    idx = load_program("int f(int x) { int t; t = 0; if (x > 0) t = 1; return t; }")
+    alloc = Allocator()
+    res = se(idx, "f", _sym_ints(["x"], alloc), Limits(), alloc)
+    assert [(render_tv(p.return_value), render_tv(p.env["t"])) for p in res.patterns] == \
+        [("tv(int, 1)", "tv(int, 1)"), ("tv(int, 0)", "tv(int, 0)")]
 
 
 # ---------------------------------------------------------------- differential
@@ -502,7 +552,7 @@ def test_engine_agrees_with_concrete_interpreter_on_closed_int_programs():
         for _ in range(25):
             args = [rng.randrange(0, 12) for _ in f.params]
             want, _h = concrete_run(idx, name, {}, list(args))
-            res = se(idx, CallPattern(name, [IntConst(a) for a in args]))
+            res = se(idx, name, [IntConst(a) for a in args])
             assert res.truncated_paths == 0 and not res.split_log
             [p] = res.final_patterns
             assert p.return_value.value == want, (name, args)
@@ -518,7 +568,7 @@ def test_engine_agrees_with_concrete_append_via_pattern_selection(dll_index):
         want_spine = _concrete_spine_len(want_ret, want_heap)
 
         alloc = Allocator()
-        res = se(dll_index, _sym_append_call(alloc), Limits(unroll_bound=3), alloc)
+        res = se(dll_index, "append", _append_args(alloc), Limits(unroll_bound=3), alloc)
         matches = [p for p in res.final_patterns
                    if _covers_concrete_list(p, len(values))]
         assert len(matches) == 1, values

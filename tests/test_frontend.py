@@ -15,8 +15,8 @@ from specminer.frontend import (
     nodes as N,
     parse,
     resolve,
-    tokenize,
 )
+from specminer.frontend.lexer import scan
 
 
 # ---------------------------------------------------------------- lexer
@@ -29,13 +29,13 @@ def test_struct_keyword_count_in_append_matches_scan(dll_src):
     snippet = dll_src[dll_src.index("struct List* append"):dll_src.index("int length")]
     scanned = len(re.findall(r"\bstruct\b", snippet))
     assert scanned == 6  # frozen by hand-count
-    lexed = [t for t in tokenize(snippet) if t.kind == "kw" and t.text == "struct"]
+    lexed = [t for t in scan(snippet) if t[:2] == ("kw", "struct")]
     assert len(lexed) == scanned
 
 
 def test_token_kinds_and_arrow():
-    toks = tokenize("while (x->next != NULL) x = x->next;")
-    kinds = [(t.kind, t.text) for t in toks if t.kind != "eof"]
+    toks = scan("while (x->next != NULL) x = x->next;")
+    kinds = [(kind, text) for kind, text, _line, _col in toks if kind != "eof"]
     assert ("kw", "while") in kinds
     assert ("kw", "NULL") in kinds
     assert ("ident", "x") in kinds
@@ -45,27 +45,28 @@ def test_token_kinds_and_arrow():
 
 def test_comments_and_preprocessor_lines_are_skipped():
     src = "#include <stdlib.h>\n// line comment\nint /* inline */ x\n"
-    toks = tokenize(src)
-    texts = [t.text for t in toks if t.kind != "eof"]
+    toks = scan(src)
+    texts = [text for kind, text, _line, _col in toks if kind != "eof"]
     assert texts == ["int", "x"]
 
 
 def test_number_then_ident_lexes_without_error():
     # "3x" is two tokens for the lexer; rejecting it is the parser's job
-    toks = tokenize("3x")
-    assert [(t.kind, t.text) for t in toks[:2]] == [("int", "3"), ("ident", "x")]
+    toks = scan("3x")
+    assert [(kind, text) for kind, text, _line, _col in toks[:2]] == \
+        [("int", "3"), ("ident", "x")]
     with pytest.raises(ParseError):
         parse("int f(int a) { return 3x; }")
 
 
 def test_illegal_character():
     with pytest.raises(IllegalCharacter) as ei:
-        tokenize("int $;")
+        scan("int $;")
     assert ei.value.ch == "$"
 
 
 def _positions(src):
-    return [(t.text, t.line, t.col) for t in tokenize(src)]
+    return [(text, line, col) for _kind, text, line, col in scan(src)]
 
 
 @pytest.mark.parametrize("src, want", [
@@ -133,8 +134,9 @@ def test_corpus_token_counts_and_ends(corpus_dir):
     }
     assert sorted(p.name for p in corpus_dir.glob("*.c")) == sorted(want)
     for name, (count, first, last, eof) in want.items():
-        toks = tokenize((corpus_dir / name).read_text())
-        got = (len(toks), repr(toks[0]), repr(toks[-2]), repr(toks[-1]))
+        toks = [f"{kind}({text})@{line}:{col}"
+                for kind, text, line, col in scan((corpus_dir / name).read_text())]
+        got = (len(toks), toks[0], toks[-2], toks[-1])
         assert got == (count, first, last, eof), name
 
 
@@ -272,10 +274,10 @@ def test_observer_and_modifier_sets(dll_index, branch_index, setter_index):
     # a potential modifier
     assert dll_index.observers == {"append", "find", "head", "init",
                                    "last", "length", "reverse"}
-    assert dll_index.modifiers == dll_index.observers
+    assert set(dll_index.functions) == dll_index.observers
     assert branch_index.observers == {"branch"}
     assert setter_index.observers == set()
-    assert setter_index.modifiers == {"set_val"}
+    assert set(setter_index.functions) == {"set_val"}
 
 
 def test_pointer_conversion_warning(dll_index):

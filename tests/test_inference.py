@@ -29,7 +29,6 @@ from specminer.inference import (
     infer_spec,
     simplify_spec,
 )
-from specminer.symstate import CallPattern, HeapObject
 
 
 def _shape(spec):
@@ -353,11 +352,8 @@ def _exhaustive_explain(index, heap, condition, args, limits, alloc,
     equations, diagnostics, unruled = [], [], []
     for oname, call_args in build_universe(index, observer_names, args):
         def replay(limits):
-            return se(index,
-                      CallPattern(oname, [v for _d, v in call_args],
-                                  initial_constraint=condition, initial_heap=heap,
-                                  initial_malloced=malloced),
-                      limits, alloc, lazy_aliasing)
+            return se(index, oname, [v for _d, v in call_args], limits, alloc,
+                      lazy_aliasing, heap=heap, condition=condition, malloced=malloced)
 
         res = replay(limits)
         if res.budget_error:
@@ -473,7 +469,7 @@ def _heap_objects(patterns):
     object in the heap and the entry heap of each pattern."""
     return [(p.provenance_id, name, a, o, dict(o.fields))
             for p in patterns for name in ("heap", "entry_heap")
-            for a, o in getattr(p, name).items() if isinstance(o, HeapObject)]
+            for a, o in getattr(p, name).items()]
 
 
 def _spy_runs(monkeypatch) -> list:

@@ -1,4 +1,4 @@
-"""Symbolic state model: values, heap, allocator, call patterns."""
+"""Symbolic state model: values, heap, allocator, frames and patterns."""
 import dataclasses
 
 import pytest
@@ -8,12 +8,9 @@ from specminer.constraints import (
 from specminer.frontend import nodes as N
 from specminer.symstate import (
     Allocator,
-    ArityMismatch,
-    CallPattern,
     HeapObject,
     UNDEF,
     fresh_value,
-    make_call_pattern,
     render_pattern,
     render_tv,
     render_value,
@@ -23,7 +20,7 @@ from specminer.symstate import (
 def test_render_typed_values():
     assert render_tv(IntConst(1)) == "tv(int, 1)"
     alloc = Allocator()
-    assert render_tv(alloc.fresh_data("d")) == "tv(void*, ?d)"
+    assert render_tv(fresh_value(alloc, N.VOIDPTR, "d")) == "tv(void*, ?d)"
     assert render_value(NULL) == "NULL"
     assert render_value(UNDEF) == "undef"
 
@@ -56,34 +53,33 @@ def test_allocator_is_monotone_and_label_scoped():
     assert labeled.display == "run1:x"
 
 
-def test_make_call_pattern_binds_params_and_locals(dll_index):
+def test_bind_frame_binds_params_and_locals(dll_index, entry_pattern):
     alloc = Allocator()
     root = alloc.fresh_addr("list")
-    cp = CallPattern("append", [root, alloc.fresh_data("d")])
-    p = make_call_pattern(dll_index, cp, alloc)
+    d = fresh_value(alloc, N.VOIDPTR, "d")
+    p = entry_pattern(dll_index, "append", [root, d])
     assert sorted(p.env) == ["d", "final", "list", "new_node"]
-    assert p.heap[p.env["list"]] == root
-    assert p.heap[p.env["final"]] is UNDEF
+    assert p.env["list"] is root and p.env["d"] is d
+    assert p.env["final"] is UNDEF
     assert p.status == "running"
+    # a variable is no heap object: binding a frame allocates nothing
+    assert p.heap == {}
+    assert alloc.fresh_addr("x").sid == d.sid + 1
 
 
-def test_make_call_pattern_checks_arity(dll_index):
-    with pytest.raises(ArityMismatch):
-        make_call_pattern(dll_index, CallPattern("append", []), Allocator())
-
-
-def test_clone_isolates_heap_env_and_conditions(dll_index):
+def test_clone_isolates_heap_env_and_conditions(dll_index, entry_pattern):
     alloc = Allocator()
     root = alloc.fresh_addr("list")
     obj = HeapObject("List", {"data": NULL})
-    cp = CallPattern("length", [root], initial_heap={root: obj})
-    p = make_call_pattern(dll_index, cp, alloc)
+    p = entry_pattern(dll_index, "length", [root], heap={root: obj})
     q = p.clone()
     # the clones share the object; a field write replaces it in q's heap
     q.heap[root] = q.heap[root].with_field("data", IntConst(9))
-    q.heap[q.env["len"]] = IntConst(3)
+    # and they share the env, which an assignment replaces
+    assert q.env is p.env
+    q.env = {**q.env, "len": IntConst(3)}
     assert p.heap[root].fields["data"] is NULL
-    assert p.heap[p.env["len"]] is UNDEF
+    assert p.env["len"] is UNDEF
     # the written object is still an input object, which drives field
     # materialization
     assert root not in q.malloced
@@ -92,7 +88,7 @@ def test_clone_isolates_heap_env_and_conditions(dll_index):
 def test_typed_values_are_frozen():
     alloc = Allocator()
     for obj, name in ((alloc.fresh_addr("x"), "sid"), (alloc.fresh_int("n"), "sid"),
-                      (alloc.fresh_data("d"), "display"), (IntConst(1), "value")):
+                      (fresh_value(alloc, N.VOIDPTR, "d"), "display"), (IntConst(1), "value")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, None)
 
@@ -102,13 +98,12 @@ def _union(p, *alloc_atoms):
     return conjoin(conjoin(p.path_condition, p.mem_path_condition), constraint(*alloc_atoms))
 
 
-def test_stored_conjunction_follows_every_cell(dll_index):
+def test_stored_conjunction_follows_every_cell(dll_index, entry_pattern):
     alloc = Allocator()
     root = alloc.fresh_addr("list")
     n = alloc.fresh_int("n")
-    cp = CallPattern("length", [root],
-                     initial_constraint=constraint(Atom(EQ, n, IntConst(1))))
-    p = make_call_pattern(dll_index, cp, alloc)
+    p = entry_pattern(dll_index, "length", [root],
+                      condition=constraint(Atom(EQ, n, IntConst(1))))
     assert p.condition == _union(p) and not p.condition.is_true
     q = p.clone()
     assert q.condition == _union(q) == _union(p)
@@ -130,13 +125,13 @@ def test_stored_conjunction_follows_every_cell(dll_index):
     assert len(p.condition.atoms) == 1
 
 
-def test_render_pattern_shape(dll_index):
+def test_render_pattern_shape(dll_index, entry_pattern):
     alloc = Allocator()
     root = alloc.fresh_addr("list")
-    cp = CallPattern("length", [root])
-    p = make_call_pattern(dll_index, cp, alloc)
+    p = entry_pattern(dll_index, "length", [root])
     dump = render_pattern(p)
     assert "<env> list |-> list </env>" in dump
+    assert "<env> len |-> undef </env>" in dump
     assert "<cond> true </cond>" in dump
     assert "<memcond> true </memcond>" in dump
 
