@@ -10,7 +10,7 @@ language with its decision procedure, `symstate` the shared state model,
 command-line entry point.
 """
 
-from .constraints import Constraint, SatResult, check_sat, entails
+from .constraints import SatResult, check_sat, entails
 from .engine import Limits, SEResult, se
 from .frontend import load_program
 from .inference import Axiom, Equation, SpecSet, infer_spec
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocator",
     "Axiom",
-    "Constraint",
     "Equation",
     "Limits",
     "SEResult",

@@ -61,7 +61,8 @@ options:
   --dump-patterns       include the raw result patterns in the output
   --observers NAMES     comma-separated observer whitelist (default: every
                         non-void function)
-  --seed-label PREFIX   prefix for generated symbol names
+  --seed-label PREFIX   prefix for generated symbol names (letters, digits,
+                        '_' and '-')
 
 A flag's value is the next argument or follows '=', as in --unroll=2.
 """
@@ -70,6 +71,9 @@ A flag's value is the next argument or follows '=', as in --unroll=2.
 _SWITCHES = {"--lazy-aliasing": "lazy_aliasing", "--dump-patterns": "dump_patterns"}
 _VALUED = {"-f": "function", "--function": "function", "--unroll": "unroll",
            "--format": "format", "--observers": "observers", "--seed-label": "seed_label"}
+# what a seed label may hold: it prefixes symbol displays, where a '.'
+# would render as '->' like a field path's
+_LABEL_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
 
 
 class _UsageError(Exception):
@@ -119,6 +123,9 @@ def parse_args(argv) -> SimpleNamespace | None:
                           f"(choose from 'text', 'json')")
     if ns.unroll < 1:
         raise _UsageError("--unroll must be at least 1")
+    if not _LABEL_CHARS.issuperset(ns.seed_label):
+        raise _UsageError(f"argument --seed-label: invalid label {ns.seed_label!r} "
+                          f"(use letters, digits, '_' and '-')")
     if ns.observers is not None:
         ns.observers = [s.strip() for s in ns.observers.split(",") if s.strip()]
         if not ns.observers:
@@ -224,6 +231,8 @@ def main(argv=None) -> int:
     except (IllegalCharacter, ParseError, ResolveError) as e:
         print(f"specminer: {args.input}: {e}", file=sys.stderr)
         return EXIT_SOURCE
+    for w in index.warnings:
+        print(f"specminer: {args.input}: warning: {w}", file=sys.stderr)
 
     limits = Limits(unroll_bound=args.unroll, max_patterns=args.max_patterns)
     try:

@@ -1,9 +1,10 @@
-"""Constraint language for the two condition cells, with a built-in decision
+"""The language of the two condition cells, with a built-in decision
 procedure (no external solver).
 
 Terms cover symbolic addresses, NULL, field paths, integer constants and
-symbols, opaque data tokens, and +/- over integers. A Constraint is a set of
-atoms (conjunction); the empty set is True.
+symbols, opaque data tokens, and +/- over integers. A condition is the
+`frozenset` of its atoms, read as their conjunction, and the empty set,
+`TRUE`, is true.
 
 Five of the terms are also the engine's values: a pointer is a
 `SymAddrRef` or `NULL`, an int an `IntConst` or a `SymIntRef`, a void*
@@ -41,8 +42,8 @@ per invocation, on the empty condition. Its answers are `check_sat`'s, so
 the one-sided Unsat contract holds for them too.
 
 The cache also interns the invocation's atoms: one `Atom` object per
-`(op, lhs, rhs)`. Each atom stores its hash, so the atom sets that key the
-closures, and the membership tests on them, match atoms by identity
+`(op, lhs, rhs)`. Each atom stores its hash, so the conditions that key
+the closures, and the membership tests on them, match atoms by identity
 instead of comparing their terms.
 """
 
@@ -170,32 +171,7 @@ def negate_atom(a: Atom) -> Atom:
     return Atom(_NEGATION[a.op], a.lhs, a.rhs)
 
 
-class Constraint(Frozen):
-    __slots__ = ("atoms",)
-
-    def __init__(self, atoms: frozenset[Atom]):
-        setfield(self, "atoms", atoms)
-
-    def _key(self):
-        return (self.atoms,)
-
-    @property
-    def is_true(self) -> bool:
-        return not self.atoms
-
-    def with_atom(self, a: Atom) -> "Constraint":
-        return Constraint(self.atoms | {a})
-
-
-TRUE = Constraint(frozenset())
-
-
-def constraint(*atoms: Atom) -> Constraint:
-    return Constraint(frozenset(atoms))
-
-
-def conjoin(a: Constraint, b: Constraint) -> Constraint:
-    return Constraint(a.atoms | b.atoms)
+TRUE = frozenset()  # the empty condition
 
 
 class SatResult(enum.Enum):
@@ -230,10 +206,10 @@ def render_atom(a: Atom) -> str:
     return f"{render_term(a.lhs)} {a.op} {render_term(a.rhs)}"
 
 
-def render_constraint(c: Constraint) -> str:
-    if c.is_true:
+def render_constraint(c: frozenset[Atom]) -> str:
+    if not c:
         return "true"
-    return " /\\ ".join(sorted(render_atom(a) for a in c.atoms))
+    return " /\\ ".join(sorted(render_atom(a) for a in c))
 
 
 # ---------------------------------------------------------------- sorts
@@ -543,8 +519,8 @@ class Closure:
                        refuted, self.int_verdict)
 
 
-def check_sat(c: Constraint) -> SatResult:
-    return Closure.of(c.atoms).verdict
+def check_sat(c: frozenset[Atom]) -> SatResult:
+    return Closure.of(c).verdict
 
 
 class SatCache:
@@ -583,16 +559,16 @@ class SatCache:
             closure = self.closures[atoms] = Closure.of(atoms)
         return closure
 
-    def extend(self, base: Constraint, atom: Atom) -> Closure:
-        if atom in base.atoms:
-            return self._closure(base.atoms)
-        key = base.atoms | {atom}
+    def extend(self, base: frozenset[Atom], atom: Atom) -> Closure:
+        if atom in base:
+            return self._closure(base)
+        key = base | {atom}
         closure = self.closures.get(key)
         if closure is None:
-            closure = self.closures[key] = self._closure(base.atoms).extended(atom)
+            closure = self.closures[key] = self._closure(base).extended(atom)
         return closure
 
-    def check(self, base: Constraint, atom: Atom) -> SatResult:
+    def check(self, base: frozenset[Atom], atom: Atom) -> SatResult:
         return self.extend(base, atom).verdict
 
 
@@ -602,8 +578,8 @@ class Entailment(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def entails(c: Constraint, a: Atom) -> Entailment:
-    r = check_sat(conjoin(c, constraint(negate_atom(a))))
+def entails(c: frozenset[Atom], a: Atom) -> Entailment:
+    r = check_sat(c | {negate_atom(a)})
     if r == SatResult.UNSAT:
         return Entailment.YES
     if r == SatResult.SAT:

@@ -117,7 +117,7 @@ class SEResult:
         self.patterns = patterns  # terminal patterns in emission order
         self.truncated_paths = truncated_paths
         self.budget_error = budget_error
-        self.split_log = split_log  # [(Constraint, Constraint)] per genuine split
+        self.split_log = split_log  # [(condition, condition)] per genuine split
         # the run stopped early: `reject` held for its last pattern, or a path
         # was cut at the unroll bound
         self.rejected = rejected
@@ -249,8 +249,8 @@ class _Engine:
         successor, anything else keeps `p` on the recorded side."""
         base = p.condition
         # the negation is only looked up when the atom itself is not recorded
-        neg = None if atom in base.atoms else self.sat.negation(atom)
-        if neg is None or neg in base.atoms:
+        neg = None if atom in base else self.sat.negation(atom)
+        if neg is None or neg in base:
             verdict = self.sat.check(base, atom if neg is None else neg)
             if verdict == SatResult.UNSAT:
                 return []
@@ -610,7 +610,7 @@ def se(
     sat: C.SatCache | None = None,
     *,
     heap: dict | None = None,
-    condition: C.Constraint = C.TRUE,
+    condition: frozenset = C.TRUE,
     malloced: frozenset = frozenset(),
 ) -> SEResult:
     """Execute `fname` on the values `args` symbolically and return every

@@ -18,8 +18,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from . import constraints as C
-from .constraints import (Constraint, IntConst, SatCache, SatResult, SymAddrRef,
-                          SymDataRef, SymIntRef)
+from .constraints import IntConst, SatCache, SatResult, SymAddrRef, SymDataRef, SymIntRef
 from .engine import Limits, se
 from .record import Frozen, setfield
 from .symstate import FINAL, Allocator, Pattern, fresh_value
@@ -166,7 +165,7 @@ def _normalize_return(leaf: Pattern, sym_map: dict, sat: SatCache):
 def explain(
     index,
     heap,
-    condition: Constraint,
+    condition: frozenset,
     args,
     limits: Limits,
     alloc: Allocator,

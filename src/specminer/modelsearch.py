@@ -24,7 +24,6 @@ import itertools
 from .constraints import (
     Add,
     Atom,
-    Constraint,
     FieldPath,
     IntConst,
     NullRef,
@@ -158,7 +157,7 @@ def _holds(a: Atom, env, tables) -> bool:
 
 
 def find_model(
-    c: Constraint,
+    c: frozenset[Atom],
     addr_pool: int = 4,
     int_lo: int = -8,
     int_hi: int = 8,
@@ -175,7 +174,7 @@ def find_model(
     nonnull = [a for a in addr_vals if a is not None]
 
     model: dict = {}
-    for comp in _components(sorted(c.atoms, key=repr)):
+    for comp in _components(sorted(c, key=repr)):
         var_sort, field_sort = _infer_sorts(comp)
         variables = sorted(var_sort, key=lambda v: (v.display, v.sid))
         domains = []

@@ -10,11 +10,12 @@ A pattern is one branch of the symbolic execution: a continuation stack of
 engine frames (top last), an environment mapping each variable of the
 running call straight to its value, the heap, and the two condition cells
 (one for ordinary branch facts, one for decisions taken while
-materializing unexplored parts of the heap on demand). The pattern also
-keeps `condition`, the conjunction of the two cells and of the
-undisplayed distinctness facts for fresh storage, which every solver
-question starts from. Pending calls live only in the continuation: a
-call's frame holds the caller's env and loop counts.
+materializing unexplored parts of the heap on demand). A condition is the
+frozenset of its atoms (see `constraints`), and recording an atom replaces
+a cell with a larger set. The pattern also keeps `condition`, the union of
+the two cells and of the undisplayed distinctness facts for fresh storage,
+which every solver question starts from. Pending calls live only in the
+continuation: a call's frame holds the caller's env and loop counts.
 
 `Pattern.clone` copies only the containers that are written in place: the
 continuation `k`, the value stack `vals`, and the two heap dicts. Every
@@ -40,12 +41,10 @@ from collections import Counter
 from .constraints import (
     TRUE,
     Atom,
-    Constraint,
     IntConst,
     SymAddrRef,
     SymDataRef,
     SymIntRef,
-    conjoin,
     render_constraint,
     render_term,
 )
@@ -153,8 +152,8 @@ ERROR = "error"
 
 class Pattern:
     def __init__(self, k: list, env: dict[str, Value], heap: Heap, entry_heap: Heap,
-                 path_condition: Constraint = TRUE, mem_path_condition: Constraint = TRUE,
-                 condition: Constraint | None = None,
+                 path_condition: frozenset = TRUE, mem_path_condition: frozenset = TRUE,
+                 condition: frozenset | None = None,
                  status: str = RUNNING, error_reason: str = "", return_value: Value = UNDEF,
                  malloced: frozenset = frozenset(), aliases: dict | None = None,
                  vals: list | None = None, loop_counts: dict | None = None,
@@ -170,7 +169,7 @@ class Pattern:
         # facts for fresh storage (malloc results, materialized input
         # objects), which only it holds; kept by the add_*_atom methods,
         # built from the two cells when not given
-        self.condition = (conjoin(path_condition, mem_path_condition)
+        self.condition = (path_condition | mem_path_condition
                           if condition is None else condition)
         self.status = status
         self.error_reason = error_reason
@@ -220,17 +219,17 @@ class Pattern:
         return a
 
     def add_path_atom(self, a: Atom) -> None:
-        self.path_condition = self.path_condition.with_atom(a)
-        self.condition = self.condition.with_atom(a)
+        self.path_condition = self.path_condition | {a}
+        self.condition = self.condition | {a}
 
     def add_mem_atom(self, a: Atom) -> None:
-        self.mem_path_condition = self.mem_path_condition.with_atom(a)
-        self.condition = self.condition.with_atom(a)
+        self.mem_path_condition = self.mem_path_condition | {a}
+        self.condition = self.condition | {a}
 
     def add_alloc_atom(self, a: Atom) -> None:
         """Record a distinctness fact for fresh storage: every solver
         question sees it, the dump does not."""
-        self.condition = self.condition.with_atom(a)
+        self.condition = self.condition | {a}
 
 
 # ---------------------------------------------------------------- frames

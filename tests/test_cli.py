@@ -285,6 +285,34 @@ def test_seed_label_prefixes_symbols_once(capsys):
     assert "length(list) = 2" in out
 
 
+def test_seed_label_may_use_letters_digits_underscore_and_dash(capsys):
+    code, out, _err = run(capsys, DLL, "-f", "append", "--dump-patterns",
+                          "--seed-label", "Run_1-b")
+    assert code == EXIT_OK
+    assert "<heap> Run_1-b:list |-> " in out
+
+
+@pytest.mark.parametrize("label", ["v1.2", "a b", "x:y", "é"])
+def test_seed_label_with_another_character_exits_64(capsys, label):
+    # a '.' rendered as '->' in conditions and env but not as a heap key
+    code, out, err = run(capsys, DLL, "-f", "append", "--dump-patterns",
+                         "--seed-label", label)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage: specminer")
+    assert "specminer: error: argument --seed-label: " in err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_resolver_warnings_go_to_stderr(capsys, fmt):
+    code, out, err = run(capsys, DLL, "-f", "append", *fmt)
+    assert code == EXIT_OK
+    assert (f"specminer: {DLL}: warning: implicit pointer conversion "
+            f"void* -> struct List* in return of last\n") in err.splitlines(True)
+    assert "warning" not in out
+    _code, _out, err = run(capsys, BRANCH, "-f", "branch", *fmt)
+    assert "warning" not in err
+
+
 def test_lazy_aliasing_flag_runs(capsys, tmp_path):
     src = tmp_path / "touch.c"
     src.write_text(TOUCH_SRC)

@@ -13,9 +13,9 @@ import pytest
 
 from specminer.constraints import (
     EQ, GE, GT, LE, LT, NEQ,
-    Add, Atom, Constraint, Entailment, FieldPath, IntConst, NullRef, SatCache,
+    Add, Atom, Entailment, FieldPath, IntConst, NullRef, SatCache,
     SatResult, Sub, SymAddrRef, SymDataRef, SymIntRef, TRUE,
-    check_sat, conjoin, constraint, entails, negate_atom,
+    check_sat, entails, negate_atom,
     render_atom, render_constraint,
 )
 from specminer.modelsearch import find_model
@@ -37,7 +37,7 @@ def _build() -> list:
     return [a, NullRef(), FieldPath(a, ("next",)), IntConst(3), i,
             SymDataRef(4, "d"), Add(i, IntConst(1)), Sub(i, IntConst(1)),
             Atom(NEQ, a, NullRef()), Atom(EQ, Add(i, IntConst(1)), IntConst(3)),
-            constraint(Atom(NEQ, a, NullRef()))]
+            frozenset({Atom(NEQ, a, NullRef())})]
 
 
 def test_terms_built_twice_are_equal_and_hash_equal():
@@ -57,9 +57,11 @@ def test_symbols_with_one_sid_and_display_are_pairwise_unequal():
 def test_value_objects_are_frozen():
     for obj, name in ((SymAddrRef(1, "a"), "sid"), (SymIntRef(1, "x"), "display"),
                       (IntConst(1), "value"), (Atom(EQ, X, Y), "op"),
-                      (FieldPath(A, ("next",)), "base"), (TRUE, "atoms")):
+                      (FieldPath(A, ("next",)), "base")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, None)
+    # a condition is a frozenset, immutable by its type
+    assert type(TRUE) is frozenset
 
 
 # ---------------------------------------------------------------- rendering
@@ -72,10 +74,10 @@ def test_render_atoms():
 
 
 def test_render_constraint_sorted_and_true():
-    c = constraint(Atom(GT, X, IntConst(0)), Atom(EQ, A, NullRef()))
+    c = frozenset({Atom(GT, X, IntConst(0)), Atom(EQ, A, NullRef())})
     assert render_constraint(c) == "?x > 0 /\\ list = NULL"
     assert render_constraint(TRUE) == "true"
-    assert TRUE.is_true
+    assert TRUE == frozenset()
 
 
 def test_negate_atom_is_an_involution():
@@ -86,10 +88,13 @@ def test_negate_atom_is_an_involution():
     assert negate_atom(Atom(EQ, A, NullRef())) == Atom(NEQ, A, NullRef())
 
 
-def test_conjoin_dedupes():
-    c1 = constraint(Atom(GT, X, Y))
-    c2 = constraint(Atom(GT, X, Y), Atom(EQ, A, NullRef()))
-    assert conjoin(c1, c2) == c2
+def test_condition_union_dedupes():
+    """Atoms equal by structure are one member of a condition, so a union
+    with a condition's own atoms, even ones built afresh, gives it back."""
+    c1 = frozenset({Atom(GT, X, Y)})
+    c2 = frozenset({Atom(GT, X, Y), Atom(EQ, A, NullRef())})
+    assert c1 | c2 == c2
+    assert c2 | {Atom(EQ, A, NullRef())} == c2
 
 
 # ---------------------------------------------------------------- check_sat
@@ -99,38 +104,38 @@ def test_true_is_sat():
 
 
 def test_strict_cycle_is_unsat():
-    assert check_sat(constraint(Atom(LT, X, Y), Atom(LT, Y, X))) == SatResult.UNSAT
+    assert check_sat(frozenset({Atom(LT, X, Y), Atom(LT, Y, X)})) == SatResult.UNSAT
 
 
 def test_equality_chain_contradiction():
-    c = constraint(Atom(EQ, A, B), Atom(NEQ, B, A))
+    c = frozenset({Atom(EQ, A, B), Atom(NEQ, B, A)})
     assert check_sat(c) == SatResult.UNSAT
 
 
 def test_field_congruence():
     # list = p forces list->next = p->next; pinning one to NULL and the
     # other away from it is contradictory
-    c = constraint(
+    c = frozenset({
         Atom(EQ, A, B),
         Atom(EQ, FieldPath(A, ("next",)), NullRef()),
         Atom(NEQ, FieldPath(B, ("next",)), NullRef()),
-    )
+    })
     assert check_sat(c) == SatResult.UNSAT
 
 
 def test_integer_tightening():
     # over the integers, y < x < y + 1 has no solution
-    c = constraint(Atom(GT, X, Y), Atom(LT, X, Add(Y, IntConst(1))))
+    c = frozenset({Atom(GT, X, Y), Atom(LT, X, Add(Y, IntConst(1)))})
     assert check_sat(c) == SatResult.UNSAT
 
 
 def test_pinned_disequality():
-    c = constraint(Atom(LE, X, Y), Atom(GE, X, Y), Atom(NEQ, X, Y))
+    c = frozenset({Atom(LE, X, Y), Atom(GE, X, Y), Atom(NEQ, X, Y)})
     assert check_sat(c) == SatResult.UNSAT
 
 
 def test_difference_terms():
-    c = constraint(Atom(EQ, Sub(X, Y), IntConst(3)), Atom(LT, X, Y))
+    c = frozenset({Atom(EQ, Sub(X, Y), IntConst(3)), Atom(LT, X, Y)})
     assert check_sat(c) == SatResult.UNSAT
 
 
@@ -144,23 +149,23 @@ def test_constant_atoms_get_the_exact_verdict(op):
     # directions: never a false SAT, never UNKNOWN
     for l, r in itertools.product((-1, 0, 1), repeat=2):
         want = SatResult.SAT if _PY_CMP[op](l, r) else SatResult.UNSAT
-        assert check_sat(constraint(Atom(op, IntConst(l), IntConst(r)))) == want, (l, op, r)
+        assert check_sat(frozenset({Atom(op, IntConst(l), IntConst(r))})) == want, (l, op, r)
 
 
 def test_a_negative_leading_coefficient_gets_the_exact_verdict():
     # 0 - x >= -2 is x <= 2; y - x >= 1 is x - y <= -1 (x sorts first)
     x_le_2 = Atom(GE, Sub(IntConst(0), X), IntConst(-2))
-    assert check_sat(constraint(x_le_2, Atom(EQ, X, IntConst(3)))) == SatResult.UNSAT
-    assert check_sat(constraint(x_le_2, Atom(EQ, X, IntConst(2)))) == SatResult.SAT
+    assert check_sat(frozenset({x_le_2, Atom(EQ, X, IntConst(3))})) == SatResult.UNSAT
+    assert check_sat(frozenset({x_le_2, Atom(EQ, X, IntConst(2))})) == SatResult.SAT
     y_gt_x = Atom(GE, Sub(Y, X), IntConst(1))
     pinned = [Atom(EQ, X, IntConst(3)), Atom(EQ, Y, IntConst(3))]
-    assert check_sat(constraint(y_gt_x, *pinned)) == SatResult.UNSAT
+    assert check_sat(frozenset({y_gt_x, *pinned})) == SatResult.UNSAT
     pinned[1] = Atom(EQ, Y, IntConst(4))
-    assert check_sat(constraint(y_gt_x, *pinned)) == SatResult.SAT
+    assert check_sat(frozenset({y_gt_x, *pinned})) == SatResult.SAT
 
 
 def test_mixed_sorts_give_unknown_not_a_crash():
-    assert check_sat(constraint(Atom(EQ, X, A))) == SatResult.UNKNOWN
+    assert check_sat(frozenset({Atom(EQ, X, A)})) == SatResult.UNKNOWN
 
 
 def test_incompleteness_is_one_sided():
@@ -169,26 +174,26 @@ def test_incompleteness_is_one_sided():
     # UNKNOWN are both acceptable here; UNSAT would also be fine — what the
     # contract forbids is UNSAT on a satisfiable input (see the randomized
     # cross-check in test_modelsearch.py).
-    c = constraint(
+    c = frozenset({
         Atom(NEQ, X, IntConst(0)), Atom(GE, X, IntConst(0)),
         Atom(LE, X, IntConst(1)), Atom(NEQ, X, IntConst(1)),
-    )
+    })
     assert check_sat(c) in (SatResult.SAT, SatResult.UNKNOWN, SatResult.UNSAT)
 
 
 # ---------------------------------------------------------------- entails
 
 def test_entails_yes():
-    assert entails(constraint(Atom(EQ, X, IntConst(1))), Atom(GE, X, IntConst(1))) == Entailment.YES
+    assert entails(frozenset({Atom(EQ, X, IntConst(1))}), Atom(GE, X, IntConst(1))) == Entailment.YES
 
 
 def test_entails_no_on_open_field():
     # a non-null list says nothing about its next pointer
-    assert entails(constraint(Atom(NEQ, A, NullRef())), Atom(EQ, A_NEXT, NullRef())) == Entailment.NO
+    assert entails(frozenset({Atom(NEQ, A, NullRef())}), Atom(EQ, A_NEXT, NullRef())) == Entailment.NO
 
 
 def test_entails_unknown_on_mixed_sorts():
-    assert entails(constraint(Atom(EQ, X, A)), Atom(GT, Y, IntConst(0))) == Entailment.UNKNOWN
+    assert entails(frozenset({Atom(EQ, X, A)}), Atom(GT, Y, IntConst(0))) == Entailment.UNKNOWN
 
 
 # ---------------------------------------------------------------- SatCache
@@ -226,7 +231,7 @@ def test_sat_cache_agrees_with_check_sat():
         # an address question over what the base already constrains, so
         # that new equalities merge classes with field paths on them
         found = {t.base if isinstance(t, FieldPath) else t
-                 for a in base.atoms for t in (a.lhs, a.rhs)}
+                 for a in base for t in (a.lhs, a.rhs)}
         pool = [q for q in addrs if q in found] or addrs
         terms = pool + [FieldPath(q, ("next",)) for q in pool]
         return Atom(rng.choice([EQ, NEQ]), rng.choice(terms),
@@ -236,23 +241,23 @@ def test_sat_cache_agrees_with_check_sat():
 
     def assert_no_model(c):
         # a conjunction containing one without a model has none either
-        if not any(r <= c.atoms for r in refuted):
+        if not any(r <= c for r in refuted):
             assert find_model(c, addr_pool=4) is None, render_constraint(c)
-            refuted.append(c.atoms)
+            refuted.append(c)
 
     cache = SatCache()
     verdicts = {r: 0 for r in SatResult}
     for _ in range(40):
-        base = constraint(*(random_atom() for _ in range(rng.randrange(2, 6))))
+        base = frozenset(random_atom() for _ in range(rng.randrange(2, 6)))
         for i in range(6):
             base_unsat = check_sat(base) == SatResult.UNSAT
             if base_unsat:
                 assert_no_model(base)
             atom = near_atom(base) if i % 2 else random_atom()
-            both = conjoin(base, constraint(atom))
+            both = base | {atom}
             expected = check_sat(both)
             assert cache.check(base, atom) == expected, render_constraint(both)
-            assert both.atoms in cache.closures
+            assert both in cache.closures
             assert cache.check(base, atom) == expected, render_constraint(both)
             verdicts[expected] += 1
             if expected == SatResult.UNSAT and not base_unsat:

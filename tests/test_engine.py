@@ -8,7 +8,7 @@ import pytest
 from specminer.concrete import build_dll, concrete_run
 from specminer.constraints import (
     GT, NULL, Atom, IntConst, NullRef, SatCache, SatResult, SymAddrRef, SymDataRef, SymIntRef,
-    check_sat, conjoin, constraint, negate_atom, render_constraint,
+    check_sat, negate_atom, render_constraint,
 )
 from specminer.engine import _HANDLERS, Limits, _Engine, se
 from specminer.frontend import load_program, nodes as N
@@ -56,7 +56,7 @@ def test_a_recorded_atom_decides_its_branch_with_one_question(
     x, y = alloc.fresh_int("x"), alloc.fresh_int("y")
     atom = Atom(GT, x, y)
     recorded = atom if holds else negate_atom(atom)
-    p = entry_pattern(branch_index, "branch", [x, y], condition=constraint(recorded))
+    p = entry_pattern(branch_index, "branch", [x, y], condition=frozenset({recorded}))
     base = p.condition
     asked = []
     real_check = SatCache.check
@@ -121,8 +121,8 @@ def test_append_emission_order_is_depth_first_true_first(dll_index):
     # fresh-node facts stay out of the displayed conditions but are part of
     # what entailment sees
     p2 = res.patterns[2]
-    assert p2.condition.atoms - conjoin(p2.path_condition, p2.mem_path_condition).atoms
-    assert len(p2.condition.atoms) > len(p2.mem_path_condition.atoms)
+    assert p2.condition - (p2.path_condition | p2.mem_path_condition)
+    assert len(p2.condition) > len(p2.mem_path_condition)
 
 
 def test_split_log_pairs_are_mutually_unsat(dll_index):
@@ -130,7 +130,31 @@ def test_split_log_pairs_are_mutually_unsat(dll_index):
     res = se(dll_index, "append", _append_args(alloc), Limits(unroll_bound=2), alloc)
     assert res.split_log
     for left, right in res.split_log:
-        assert check_sat(conjoin(left, right)) == SatResult.UNSAT
+        assert check_sat(left | right) == SatResult.UNSAT
+
+
+@pytest.mark.parametrize("lazy_aliasing", [False, True])
+@pytest.mark.parametrize("fname", ["append", "find", "head", "init", "last", "length",
+                                   "reverse"])
+def test_a_condition_is_the_set_of_the_caches_atoms(dll_index, fname, lazy_aliasing):
+    """Each condition cell of a terminal pattern is a frozenset of the
+    run's interned atoms, and the stored conjunction holds both displayed
+    cells."""
+    alloc = Allocator()
+    sat = SatCache()
+    args = [fresh_value(alloc, ptype, pname)
+            for pname, ptype in dll_index.functions[fname].params]
+    # the step cap keeps init's divergent --lazy-aliasing run short
+    res = se(dll_index, fname, args, Limits(unroll_bound=1, max_steps=2000), alloc,
+             lazy_aliasing, sat=sat)
+    assert res.patterns
+    for p in res.patterns:
+        cells = (p.condition, p.path_condition, p.mem_path_condition)
+        assert all(type(c) is frozenset for c in cells), p.provenance_id
+        assert p.path_condition <= p.condition and p.mem_path_condition <= p.condition
+        for c in cells:
+            for a in c:
+                assert sat.interned[(a.op, a.lhs, a.rhs)] is a, (p.provenance_id, a)
 
 
 def test_engine_is_deterministic(dll_index):

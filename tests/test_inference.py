@@ -14,7 +14,7 @@ import pytest
 from specminer import engine, inference
 from specminer.concrete import CAddr, CObject, concrete_run
 from specminer.constraints import (
-    Closure, SatCache, check_sat, conjoin, constraint, render_constraint,
+    Closure, SatCache, check_sat, render_constraint,
 )
 from specminer.engine import Limits, se
 from specminer.frontend import load_program, nodes as N
@@ -454,9 +454,9 @@ def test_one_invocation_asks_one_solver_cache(dll_index, branch_index, setter_in
                 caches.append(asked[0][0])
                 want: dict = {}
                 for _c, base, atom, verdict in asked:
-                    key = (base.atoms, atom)
+                    key = (base, atom)
                     if key not in want:
-                        want[key] = check_sat(conjoin(base, constraint(atom)))
+                        want[key] = check_sat(base | {atom})
                     assert verdict == want[key], (case, base, atom)
     assert len({id(c) for c in caches}) == len(caches)
 
@@ -511,7 +511,7 @@ def test_every_recorded_atom_is_the_caches_own(dll_index, monkeypatch, modifier)
     assert len(runs) > 1
     for res, sat, _heaps in runs:
         for p in res.patterns:
-            for a in p.condition.atoms:
+            for a in p.condition:
                 assert sat.atom(a.op, a.lhs, a.rhs) is a, (modifier, p.provenance_id, a)
 
 

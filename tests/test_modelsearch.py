@@ -10,7 +10,7 @@ import pytest
 from specminer.constraints import (
     EQ, GE, GT, LE, LT, NEQ,
     Atom, FieldPath, IntConst, NullRef, SatResult, SymAddrRef, SymIntRef,
-    check_sat, constraint,
+    check_sat,
 )
 from specminer.modelsearch import find_model
 
@@ -55,48 +55,48 @@ def _check(model, atoms):
 
 
 def test_simple_sat_model():
-    c = constraint(Atom(GT, X, Y), Atom(EQ, A, NullRef()))
+    c = frozenset({Atom(GT, X, Y), Atom(EQ, A, NullRef())})
     m = find_model(c)
     assert m is not None
-    assert _check(m, c.atoms)
+    assert _check(m, c)
     assert m[X] > m[Y] and m[A] is None
 
 
 def test_unsat_gives_none():
-    assert find_model(constraint(Atom(LT, X, Y), Atom(LT, Y, X))) is None
-    assert find_model(constraint(Atom(EQ, A, B), Atom(NEQ, A, B))) is None
+    assert find_model(frozenset({Atom(LT, X, Y), Atom(LT, Y, X)})) is None
+    assert find_model(frozenset({Atom(EQ, A, B), Atom(NEQ, A, B)})) is None
 
 
 def test_null_rooted_field_path_has_no_model():
     # a field read through NULL falsifies its atom in every model
-    c = constraint(Atom(EQ, A, NullRef()), Atom(EQ, A_NEXT, NullRef()))
+    c = frozenset({Atom(EQ, A, NullRef()), Atom(EQ, A_NEXT, NullRef())})
     assert find_model(c) is None
 
 
 def test_field_path_with_live_root():
-    c = constraint(Atom(NEQ, A, NullRef()), Atom(EQ, A_NEXT, NullRef()))
+    c = frozenset({Atom(NEQ, A, NullRef()), Atom(EQ, A_NEXT, NullRef())})
     m = find_model(c)
-    assert m is not None and _check(m, c.atoms)
+    assert m is not None and _check(m, c)
 
 
 def test_countermodel_for_open_next_pointer():
     """The witness behind entails({list != NULL}, list->next = NULL) == NO:
     a one-node world whose next pointer is some other live cell."""
-    c = constraint(Atom(NEQ, A, NullRef()), Atom(NEQ, A_NEXT, NullRef()))
+    c = frozenset({Atom(NEQ, A, NullRef()), Atom(NEQ, A_NEXT, NullRef())})
     m = find_model(c)
-    assert m is not None and _check(m, c.atoms)
+    assert m is not None and _check(m, c)
     assert m[("table", ("next",))][m[A]] is not None
 
 
 def test_components_enumerated_independently():
     # 4 address variables and 3 integer variables in one conjunction; joint
     # enumeration would be ~5^4 * 17^3 states, decomposition keeps it trivial
-    c = constraint(
+    c = frozenset({
         Atom(NEQ, A, B), Atom(NEQ, B, C), Atom(NEQ, C, D), Atom(NEQ, A, NullRef()),
         Atom(LT, X, Y), Atom(LT, Y, Z), Atom(GT, Z, IntConst(3)),
-    )
+    })
     m = find_model(c)
-    assert m is not None and _check(m, c.atoms)
+    assert m is not None and _check(m, c)
 
 
 def _random_conjunction(rng):
@@ -115,7 +115,7 @@ def _random_conjunction(rng):
             lhs = FieldPath(base, ("next",)) if rng.random() < 0.3 else base
             rhs = rng.choice(addrs + [NullRef()])
             atoms.append(Atom(op, lhs, rhs))
-    return constraint(*atoms)
+    return frozenset(atoms)
 
 
 def test_randomized_no_false_unsat():
@@ -129,7 +129,7 @@ def test_randomized_no_false_unsat():
         m = find_model(c)
         if m is not None:
             model_seen += 1
-            assert _check(m, c.atoms)
+            assert _check(m, c)
             assert verdict != SatResult.UNSAT, c
         if verdict == SatResult.UNSAT:
             unsat_seen += 1

@@ -4,7 +4,7 @@ import dataclasses
 import pytest
 
 from specminer.constraints import (
-    EQ, NEQ, NULL, Atom, IntConst, SymAddrRef, SymDataRef, SymIntRef, conjoin, constraint)
+    EQ, NEQ, NULL, Atom, IntConst, SymAddrRef, SymDataRef, SymIntRef)
 from specminer.frontend import nodes as N
 from specminer.symstate import (
     Allocator,
@@ -95,7 +95,7 @@ def test_typed_values_are_frozen():
 
 def _union(p, *alloc_atoms):
     """The two displayed cells plus the distinctness facts `alloc_atoms`."""
-    return conjoin(conjoin(p.path_condition, p.mem_path_condition), constraint(*alloc_atoms))
+    return p.path_condition | p.mem_path_condition | frozenset(alloc_atoms)
 
 
 def test_stored_conjunction_follows_every_cell(dll_index, entry_pattern):
@@ -103,8 +103,8 @@ def test_stored_conjunction_follows_every_cell(dll_index, entry_pattern):
     root = alloc.fresh_addr("list")
     n = alloc.fresh_int("n")
     p = entry_pattern(dll_index, "length", [root],
-                      condition=constraint(Atom(EQ, n, IntConst(1))))
-    assert p.condition == _union(p) and not p.condition.is_true
+                      condition=frozenset({Atom(EQ, n, IntConst(1))}))
+    assert p.condition == _union(p) and p.condition
     q = p.clone()
     assert q.condition == _union(q) == _union(p)
     q.add_path_atom(Atom(NEQ, n, IntConst(0)))
@@ -115,14 +115,14 @@ def test_stored_conjunction_follows_every_cell(dll_index, entry_pattern):
     q.add_alloc_atom(fresh)
     assert q.condition == _union(q, fresh)
     # a distinctness fact stays out of both displayed cells
-    assert fresh not in _union(q).atoms
+    assert fresh not in _union(q)
     # an atom already in the conjunction through another cell
     q.add_path_atom(Atom(NEQ, root, NULL))
     assert q.condition == _union(q, fresh)
-    assert len(q.condition.atoms) == 4
+    assert len(q.condition) == 4
     # the clone's updates leave the original alone
     assert p.condition == _union(p)
-    assert len(p.condition.atoms) == 1
+    assert len(p.condition) == 1
 
 
 def test_render_pattern_shape(dll_index, entry_pattern):
