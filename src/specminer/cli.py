@@ -2,7 +2,8 @@
 
 Exit codes:
   0   success
-  2   the input file failed to lex, parse, or type-check
+  2   the input file failed to lex, parse, or type-check, or is nested
+      too deeply to analyze (Python's recursion limit)
   3   a run lost a leaf to its pattern or step budget (partial output
       was printed)
   64  usage errors: bad flags, unreadable input, unknown function names
@@ -226,10 +227,14 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
+    too_deep = f"specminer: {args.input}: input nested too deeply"
     try:
         index = load_program(source)
     except (IllegalCharacter, ParseError, ResolveError) as e:
         print(f"specminer: {args.input}: {e}", file=sys.stderr)
+        return EXIT_SOURCE
+    except RecursionError:
+        print(too_deep, file=sys.stderr)
         return EXIT_SOURCE
     for w in index.warnings:
         print(f"specminer: {args.input}: warning: {w}", file=sys.stderr)
@@ -247,6 +252,9 @@ def main(argv=None) -> int:
     except (UnknownFunction, NotAnObserver) as e:
         print(f"specminer: error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print(too_deep, file=sys.stderr)
+        return EXIT_SOURCE
 
     patterns = spec.patterns if args.dump_patterns else None
     if args.format == "json":

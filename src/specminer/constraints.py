@@ -35,11 +35,12 @@ for a whole inference invocation (the modifier run and every observer
 replay, which start from the modifier's path conditions), keeping the
 closure of every atom set it has seen. A question extends the path
 condition's closure by one atom (a copied union-find re-closed over field
-paths, or a re-run of the interval check on the integer atoms) and keeps
-the result, where the path's next question starts. An atom a path records
-without asking gets its closure the same way, so `Closure.of` runs once
-per invocation, on the empty condition. Its answers are `check_sat`'s, so
-the one-sided Unsat contract holds for them too.
+paths, or a re-run of the interval check on the stored normal forms plus
+the new atom's) and keeps the result, where the path's next question
+starts. An atom a path records without asking gets its closure the same
+way, so `Closure.of` runs once per invocation, on the empty condition.
+Its answers are `check_sat`'s, so the one-sided Unsat contract holds for
+them too.
 
 The cache also interns the invocation's atoms: one `Atom` object per
 `(op, lhs, rhs)`. Each atom stores its hash, so the conditions that key
@@ -279,30 +280,13 @@ def _close(uf: _UnionFind, paths) -> None:
                 changed = True
 
 
-def _congruence_classes(atoms) -> tuple[_UnionFind, list[Atom], set[Term]]:
-    """Union-find over the non-integer terms, closed under field-path
-    congruence (equal bases and equal field chains collapse)."""
-    uf = _UnionFind()
-    terms: set[Term] = set()
-    eqs, neqs = [], []
-    for a in atoms:
-        terms.update(_atom_terms(a))
-        if a.op == EQ:
-            eqs.append(a)
-        elif a.op == NEQ:
-            neqs.append(a)
-    uf.register(terms)
-    for a in eqs:
-        uf.union(a.lhs, a.rhs)
-    _close(uf, [t for t in terms if isinstance(t, FieldPath)])
-    return uf, neqs, terms
-
-
 # ---------------------------------------------------------------- integers
 
 def _linearize(t: Term):
-    """Return (coeffs: {SymIntRef: int}, const: int) or None if non-linear
-    scaffolding shows up (it cannot, with only Add/Sub)."""
+    """Return (coeffs: {SymIntRef: int}, const: int), or None when `t` has
+    a non-integer term in it. That is how an atom that mixes sorts, such
+    as `x = q` for an int `x` and a pointer `q`, leaves the fragment and
+    makes the verdict Unknown."""
     if isinstance(t, IntConst):
         return {}, t.value
     if isinstance(t, SymIntRef):
@@ -358,10 +342,11 @@ def _scaled(c: int, lo, hi):
     return (None if hi is None else -hi), (None if lo is None else -lo)
 
 
-def _int_sat(atoms) -> SatResult:
-    """Interval propagation over canonical linear keys. Returns UNSAT only on
-    a genuine crossing; SAT when every atom was representable; UNKNOWN
-    otherwise."""
+def _int_sat(forms) -> SatResult:
+    """Interval propagation over the normal forms of integer atoms
+    (`_norm_int_atom`, None for an atom outside the fragment). Returns
+    UNSAT only on a genuine crossing; SAT when every atom was
+    representable; UNKNOWN otherwise."""
     unknown = False
     bounds: dict[tuple, list] = {}  # key -> [lo, hi] (None = unbounded)
     neqs: list[tuple[tuple, int]] = []
@@ -389,8 +374,7 @@ def _int_sat(atoms) -> SatResult:
             hi = None if hi is None or vhi is None else hi + vhi
         return lo, hi
 
-    for a in atoms:
-        norm = _norm_int_atom(a)
+    for norm in forms:
         if norm is None:
             unknown = True
             continue
@@ -435,68 +419,63 @@ def _int_sat(atoms) -> SatResult:
 
 # ---------------------------------------------------------------- checkSat
 
-def _addrish(t: Term) -> bool:
-    return isinstance(t, (SymAddrRef, NullRef, FieldPath, SymDataRef))
-
-
 def _refuted(uf: _UnionFind, neqs) -> bool:
     """Whether some disequality has both sides in one class."""
     return any(uf.find(a.lhs) is uf.find(a.rhs) for a in neqs)
 
 
-def _verdict(eq_refuted: bool, int_verdict: SatResult | None, bad_sorts: bool) -> SatResult:
-    if eq_refuted or int_verdict == SatResult.UNSAT:
-        return SatResult.UNSAT
-    if bad_sorts or int_verdict == SatResult.UNKNOWN:
-        return SatResult.UNKNOWN
-    return SatResult.SAT
-
-
 class Closure:
-    """The closed state of one conjunction: union-find parents over its
-    non-integer terms, its field paths and disequalities, its integer atoms
-    with their interval verdict, and whether an equality mixes sorts.
+    """What decides the verdict of one conjunction: union-find parents
+    over its non-integer terms, its field paths and disequalities, and
+    the normal form of each integer atom (None outside the fragment).
+
+    `verdict` is Unsat when congruence closure refutes a disequality, and
+    otherwise the interval verdict over the normal forms. Only an integer
+    atom can leave the fragment: a non-integer one equates or separates
+    addresses, NULL, data tokens and field paths, and an atom that mixes
+    an int with one of those is an integer atom (see `_linearize`).
 
     `Closure.of(atoms)` builds it; `extended(atom)` returns the closure of
-    the conjunction plus one atom without rebuilding it. An extension that
-    leaves the partition as it is shares the parent map, which later
-    lookups only ever change in ways that keep the partition.
+    the conjunction plus one atom without rebuilding it, normalizing only
+    that atom. An extension that leaves the partition as it is shares the
+    parent map, which later lookups only ever change in ways that keep the
+    partition.
     """
 
-    def __init__(self, parent: dict, paths: set, neqs: list, int_atoms: list,
-                 bad_sorts: bool, eq_refuted: bool, int_verdict: SatResult | None):
+    def __init__(self, parent: dict, paths: set, neqs: list, int_forms: list,
+                 verdict: SatResult):
         self.parent = parent
         self.paths = paths
         self.neqs = neqs
-        self.int_atoms = int_atoms
-        self.bad_sorts = bad_sorts
-        self.eq_refuted = eq_refuted
-        self.int_verdict = int_verdict
-        self.verdict = _verdict(eq_refuted, int_verdict, bad_sorts)
+        self.int_forms = int_forms
+        self.verdict = verdict
 
     @classmethod
     def of(cls, atoms) -> "Closure":
-        int_atoms, eq_atoms = [], []
+        uf = _UnionFind()
+        paths, neqs, int_forms = set(), [], []
         for a in atoms:
-            (int_atoms if _is_int_atom(a) else eq_atoms).append(a)
-        uf, neqs, terms = _congruence_classes(eq_atoms)
-        eq_refuted = _refuted(uf, neqs)
-        return cls(
-            uf.parent, {t for t in terms if isinstance(t, FieldPath)}, neqs, int_atoms,
-            not all(_addrish(t) for a in eq_atoms for t in (a.lhs, a.rhs)),
-            eq_refuted,
-            # the integer side is only consulted once the equalities stand
-            None if eq_refuted else _int_sat(int_atoms),
-        )
+            if _is_int_atom(a):
+                int_forms.append(_norm_int_atom(a))
+                continue
+            uf.register(_atom_terms(a))
+            paths.update(t for t in (a.lhs, a.rhs) if isinstance(t, FieldPath))
+            if a.op == EQ:
+                uf.union(a.lhs, a.rhs)
+            else:
+                neqs.append(a)
+        _close(uf, paths)
+        # the integer side is only consulted once the equalities stand
+        verdict = SatResult.UNSAT if _refuted(uf, neqs) else _int_sat(int_forms)
+        return cls(uf.parent, paths, neqs, int_forms, verdict)
 
     def extended(self, atom: Atom) -> "Closure":
-        if self.eq_refuted:
-            return self  # no atom undoes a refutation of the equalities
+        if self.verdict is SatResult.UNSAT:
+            return self  # no atom undoes a refutation
         if _is_int_atom(atom):
-            int_atoms = self.int_atoms + [atom]
-            return Closure(self.parent, self.paths, self.neqs, int_atoms,
-                           self.bad_sorts, False, _int_sat(int_atoms))
-        bad_sorts = self.bad_sorts or not (_addrish(atom.lhs) and _addrish(atom.rhs))
+            int_forms = self.int_forms + [_norm_int_atom(atom)]
+            return Closure(self.parent, self.paths, self.neqs, int_forms,
+                           _int_sat(int_forms))
         neqs = self.neqs + [atom] if atom.op == NEQ else self.neqs
         new_paths = {t for t in (atom.lhs, atom.rhs)
                      if isinstance(t, FieldPath) and t not in self.paths}
@@ -515,8 +494,8 @@ class Closure:
             uf.register(_atom_terms(atom))
             paths = self.paths
             refuted = atom.op == NEQ and uf.find(atom.lhs) is uf.find(atom.rhs)
-        return Closure(uf.parent, paths, neqs, self.int_atoms, bad_sorts,
-                       refuted, self.int_verdict)
+        return Closure(uf.parent, paths, neqs, self.int_forms,
+                       SatResult.UNSAT if refuted else self.verdict)
 
 
 def check_sat(c: frozenset[Atom]) -> SatResult:

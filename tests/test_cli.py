@@ -554,6 +554,31 @@ def test_resolve_error_exits_2(capsys, tmp_path):
     assert run(capsys, str(bad), "-f", "f")[0] == EXIT_SOURCE
 
 
+# shape -> (source nested n deep, a depth past Python's recursion limit)
+DEEP = {
+    "parens": (lambda n: "int f(int x) { return " + "(" * n + "x" + ")" * n + "; }\n", 3000),
+    "ifs": (lambda n: "int f(int x) { " + "if (x) " * n + "return 1; return 0; }\n", 3000),
+    "nots": (lambda n: "int f(int x) { return " + "!" * n + "x; }\n", 3000),
+    "sum": (lambda n: "int f(int x) { return " + " + ".join(["x"] * n) + "; }\n", 5000),
+    # the front end accepts this one; the engine's `_build` recurses deeper
+    "blocks": (lambda n: "int f(int x) { " + "if (x) { x = 1; " * n + "}" * n
+               + " return x; }\n", 330),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_input_nested_too_deeply_exits_2(capsys, tmp_path, shape):
+    source, deep = DEEP[shape]
+    src = tmp_path / "deep.c"
+    src.write_text(source(deep))
+    code, out, err = run(capsys, str(src), "-f", "f")
+    assert (code, out, err) == (EXIT_SOURCE, "", f"specminer: {src}: input nested too deeply\n")
+    if shape == "blocks":
+        load_program(source(deep))  # so the engine is what gives up
+    src.write_text(source(50))
+    assert run(capsys, str(src), "-f", "f")[0] == EXIT_OK
+
+
 # ---------------------------------------------------------------- exit 64
 
 def test_missing_file_exits_64(capsys):

@@ -168,6 +168,44 @@ def test_mixed_sorts_give_unknown_not_a_crash():
     assert check_sat(frozenset({Atom(EQ, X, A)})) == SatResult.UNKNOWN
 
 
+Q = SymAddrRef(12, "q")
+
+
+@pytest.mark.parametrize("mixed", [
+    Atom(EQ, X, Q),
+    Atom(NEQ, FieldPath(Q, ("next",)), IntConst(0)),
+    Atom(EQ, SymDataRef(4, "d"), IntConst(1)),
+], ids=["int-addr", "field-int", "data-int"])
+def test_a_mixed_sort_atom_is_unknown_never_unsat(mixed):
+    """An atom that sets an int against an address, field path or data
+    token is an integer atom outside the fragment: Unknown, alone and
+    after any extension that refutes nothing, and through the cache as
+    through `check_sat`."""
+    assert check_sat(frozenset({mixed})) == SatResult.UNKNOWN
+    cache = SatCache()
+    base = TRUE
+    for a in (Atom(NEQ, A, NullRef()), Atom(GT, Y, IntConst(0)), mixed,
+              Atom(NEQ, Q, NullRef()), Atom(EQ, Y, IntConst(2))):
+        a = cache.atom(a.op, a.lhs, a.rhs)
+        want = SatResult.SAT if mixed not in base | {a} else SatResult.UNKNOWN
+        assert check_sat(base | {a}) == cache.check(base, a) == want, render_atom(a)
+        base = base | {a}
+
+
+def test_a_mixed_sort_atom_does_not_hide_a_refutation():
+    """Refuted equalities make the conjunction Unsat, whatever a mixed-sort
+    atom leaves Unknown."""
+    refuted = [Atom(EQ, X, Q), Atom(EQ, Q, NullRef()), Atom(NEQ, Q, NullRef())]
+    assert check_sat(frozenset(refuted)) == SatResult.UNSAT
+    cache = SatCache()
+    base = TRUE
+    for a in refuted:
+        a = cache.atom(a.op, a.lhs, a.rhs)
+        verdict = cache.check(base, a)
+        base = base | {a}
+    assert verdict == SatResult.UNSAT
+
+
 def test_incompleteness_is_one_sided():
     # x in [0,1] with both endpoints excluded is unsatisfiable over the
     # integers, but needs a case split this solver does not do. SAT or

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from specminer import engine, inference
+from specminer import constraints, engine, inference
 from specminer.concrete import CAddr, CObject, concrete_run
 from specminer.constraints import (
     Closure, SatCache, check_sat, render_constraint,
@@ -529,6 +529,31 @@ def test_one_closure_is_built_from_scratch_per_invocation(dll_index, monkeypatch
     monkeypatch.setattr(Closure, "of", classmethod(counted))
     infer_spec(dll_index, modifier, Limits(unroll_bound=2))
     assert built == [frozenset()]
+
+
+def test_one_normalization_per_integer_extension(monkeypatch):
+    """A closure keeps the normal form of each integer atom, so extending
+    it by an integer atom normalizes that atom alone."""
+    real_norm = constraints._norm_int_atom
+    real_extended = Closure.extended
+    normalized, int_extensions = [], []
+
+    def norm(a):
+        normalized.append(a)
+        return real_norm(a)
+
+    def extended(self, atom):
+        if constraints._is_int_atom(atom):
+            int_extensions.append(atom)
+        return real_extended(self, atom)
+
+    monkeypatch.setattr(constraints, "_norm_int_atom", norm)
+    monkeypatch.setattr(Closure, "extended", extended)
+    index = load_program(
+        "struct N { int v; struct N* next; };\n"
+        "int sum(struct N* n) { if (n == NULL) return 0; return n->v + sum(n->next); }\n")
+    infer_spec(index, "sum", Limits(unroll_bound=8))
+    assert len(normalized) == len(int_extensions) == 36
 
 
 def test_frames_are_built_once_per_program(dll_src, monkeypatch):
