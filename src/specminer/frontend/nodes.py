@@ -17,7 +17,7 @@ class CType(Frozen):
     __slots__ = ("kind", "struct")
 
     def __init__(self, kind: str, struct: str | None = None):
-        setfield(self, "kind", kind)  # "int" | "void" | "voidptr" | "structptr"
+        setfield(self, "kind", kind)  # "int" | "void" | "voidptr" | "structptr" | "nullptr"
         setfield(self, "struct", struct)
 
     def _key(self):
@@ -30,6 +30,8 @@ class CType(Frozen):
             return "void"
         if self.kind == "voidptr":
             return "void*"
+        if self.kind == "nullptr":
+            return "NULL"
         return f"struct {self.struct}*"
 
     @property
@@ -217,7 +219,9 @@ class Program(Record):
 
 # ---- pretty printer ----
 
-_BINARY_PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3, "+": 4, "-": 4}
+# binding strength of each binary operator, loosest first; the parser climbs
+# the same table, so it is the one record of precedence
+BINARY_PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3, "+": 4, "-": 4}
 
 
 def render_expr(e: Expr, prec: int = 0) -> str:
@@ -230,9 +234,10 @@ def render_expr(e: Expr, prec: int = 0) -> str:
     if isinstance(e, FieldAccess):
         return f"{render_expr(e.base, 6)}->{e.fieldname}"
     if isinstance(e, Unary):
-        return f"!{render_expr(e.operand, 5)}"
+        s = f"!{render_expr(e.operand, 5)}"
+        return f"({s})" if prec > 5 else s
     if isinstance(e, Binary):
-        p = _BINARY_PREC[e.op]
+        p = BINARY_PREC[e.op]
         s = f"{render_expr(e.left, p)} {e.op} {render_expr(e.right, p + 1)}"
         return f"({s})" if p < prec else s
     if isinstance(e, Assign):

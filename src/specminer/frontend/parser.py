@@ -2,8 +2,9 @@
 
 It reads the `(kind, text, line, col)` tuples of `lexer.scan`; a
 `ParseError` carries the line and column of the token it stopped at.
-Precedence, tightest first: unary ! > + - > comparisons > && > ||;
-assignment is a (right-associative) expression and binds loosest. Local
+Binary operators are parsed by precedence climbing over `nodes.BINARY_PREC`,
+the table the printer reads; `!` and `->` bind tighter than any of them, and
+assignment is a (right-associative) expression that binds loosest. Local
 declarations must precede statements in a function body. A single-statement
 brace block is unwrapped to the statement itself.
 """
@@ -177,59 +178,31 @@ class _Parser:
     # -- expressions --
 
     def expression(self) -> N.Expr:
-        return self.assignment()
-
-    def assignment(self) -> N.Expr:
-        left = self.logical_or()
+        left = self.binary(1)
         if self.at("="):
-            t = self.peek()
-            self.take()
+            t = self.take()
             if not isinstance(left, (N.Var, N.FieldAccess)):
                 raise ParseError("assignment target must be a variable or field", t[2], t[3])
-            value = self.assignment()
-            return N.Assign(left, value)
+            return N.Assign(left, self.expression())
         return left
 
-    def logical_or(self) -> N.Expr:
-        e = self.logical_and()
-        while self.at("||"):
-            self.take()
-            e = N.Binary("||", e, self.logical_and())
-        return e
-
-    def logical_and(self) -> N.Expr:
-        e = self.comparison()
-        while self.at("&&"):
-            self.take()
-            e = N.Binary("&&", e, self.comparison())
-        return e
-
-    def comparison(self) -> N.Expr:
-        e = self.arith()
-        while self.peek()[1] in ("==", "!=", "<", "<=", ">", ">="):
-            op = self.take()[1]
-            e = N.Binary(op, e, self.arith())
-        return e
-
-    def arith(self) -> N.Expr:
+    def binary(self, min_prec: int) -> N.Expr:
+        # precedence climbing: the right operand binds only tighter operators,
+        # so operators of one level nest to the left
         e = self.unary()
-        while self.peek()[1] in ("+", "-"):
+        while (prec := N.BINARY_PREC.get(self.peek()[1], 0)) >= min_prec:
             op = self.take()[1]
-            e = N.Binary(op, e, self.unary())
+            e = N.Binary(op, e, self.binary(prec + 1))
         return e
 
     def unary(self) -> N.Expr:
         if self.at("!"):
             self.take()
             return N.Unary("!", self.unary())
-        return self.postfix()
-
-    def postfix(self) -> N.Expr:
         e = self.primary()
         while self.at("->"):
             self.take()
-            fname = self.expect("ident")[1]
-            e = N.FieldAccess(e, fname)
+            e = N.FieldAccess(e, self.expect("ident")[1])
         return e
 
     def primary(self) -> N.Expr:
@@ -237,7 +210,10 @@ class _Parser:
         kind, text = t[0], t[1]
         if kind == "int":
             self.take()
-            return N.IntLit(int(text))
+            try:
+                return N.IntLit(int(text))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError("integer literal too long", t[2], t[3]) from None
         if text == "NULL":
             self.take()
             return N.NullLit()

@@ -150,11 +150,7 @@ class _Checker:
         if isinstance(e, N.Binary):
             lt = self.expr(e.left)
             rt = self.expr(e.right)
-            if e.op in ("&&", "||"):
-                if lt.kind != "int" or rt.kind != "int":
-                    raise TypeMismatch(f"{self.fn.name}: {e.op} needs int operands")
-                return N.INT
-            if e.op in ("+", "-", "<", "<=", ">", ">="):
+            if e.op not in ("==", "!="):
                 if lt.kind != "int" or rt.kind != "int":
                     raise TypeMismatch(f"{self.fn.name}: {e.op} needs int operands")
                 return N.INT

@@ -554,6 +554,28 @@ def test_resolve_error_exits_2(capsys, tmp_path):
     assert run(capsys, str(bad), "-f", "f")[0] == EXIT_SOURCE
 
 
+def test_integer_literal_too_long_exits_2(capsys, tmp_path):
+    bad = tmp_path / "f.c"
+    bad.write_text("int f(int x) { return " + "1" * 5000 + "; }\n")
+    code, out, err = run(capsys, str(bad), "-f", "f")
+    assert (code, out) == (EXIT_SOURCE, "")
+    assert err == f"specminer: {bad}: integer literal too long at 1:23\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("return x == NULL;", "cannot compare int with NULL"),
+    ("return NULL;", "cannot return NULL as int"),
+    ("if (NULL) return 1; return 0;", "condition must be int, got NULL"),
+    ("x = NULL; return x;", "cannot assign NULL to int"),
+], ids=["compare", "return", "condition", "assign"])
+def test_null_is_named_null_in_type_errors(capsys, tmp_path, body, message):
+    bad = tmp_path / "f.c"
+    bad.write_text(f"int f(int x) {{ {body} }}\n")
+    code, out, err = run(capsys, str(bad), "-f", "f")
+    assert (code, out) == (EXIT_SOURCE, "")
+    assert err == f"specminer: {bad}: f: {message}\n"
+
+
 # shape -> (source nested n deep, a depth past Python's recursion limit)
 DEEP = {
     "parens": (lambda n: "int f(int x) { return " + "(" * n + "x" + ")" * n + "; }\n", 3000),
@@ -576,6 +598,12 @@ def test_input_nested_too_deeply_exits_2(capsys, tmp_path, shape):
     if shape == "blocks":
         load_program(source(deep))  # so the engine is what gives up
     src.write_text(source(50))
+    assert run(capsys, str(src), "-f", "f")[0] == EXIT_OK
+
+
+def test_150_nested_parentheses_exit_0(capsys, tmp_path):
+    src = tmp_path / "deep.c"
+    src.write_text(DEEP["parens"][0](150))
     assert run(capsys, str(src), "-f", "f")[0] == EXIT_OK
 
 

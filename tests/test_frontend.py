@@ -181,6 +181,56 @@ def test_operator_precedence_via_rerender():
     assert N.render_expr(ret.value) == "a + b < c && !(a == b) || c > 0"
 
 
+def _returned(expr: str) -> N.Expr:
+    return parse(f"int f() {{ return {expr}; }}").functions[0].body[0].value
+
+
+def test_every_operator_pair_nests_by_the_precedence_table():
+    """`a op1 b op2 c` nests to the left exactly when op1 binds at least as
+    loosely as op2, for all 100 ordered pairs of binary operators."""
+    a, b, c = N.Var("a"), N.Var("b"), N.Var("c")
+    wrong = []
+    for op1 in N.BINARY_PREC:
+        for op2 in N.BINARY_PREC:
+            if N.BINARY_PREC[op1] >= N.BINARY_PREC[op2]:
+                want = N.Binary(op2, N.Binary(op1, a, b), c)
+            else:
+                want = N.Binary(op1, a, N.Binary(op2, b, c))
+            if _returned(f"a {op1} b {op2} c") != want:
+                wrong.append((op1, op2))
+    assert len(N.BINARY_PREC) == 10
+    assert wrong == []
+
+
+def test_assignment_is_right_associative():
+    a, b, c = N.Var("a"), N.Var("b"), N.Var("c")
+    assert _returned("a = b = c") == N.Assign(a, N.Assign(b, c))
+
+
+@pytest.mark.parametrize("op", sorted(N.BINARY_PREC))
+def test_not_and_arrow_bind_tighter_than_any_binary_operator(op):
+    a, b, p = N.Var("a"), N.Var("b"), N.Var("p")
+    assert _returned(f"!a {op} !b") == N.Binary(op, N.Unary("!", a), N.Unary("!", b))
+    assert _returned(f"p->v {op} p->w") == N.Binary(
+        op, N.FieldAccess(p, "v"), N.FieldAccess(p, "w"))
+
+
+def test_printer_brackets_a_negation_under_an_arrow():
+    p = N.Var("p")
+    assert _returned("!p->v") == N.Unary("!", N.FieldAccess(p, "v"))
+    e = N.FieldAccess(N.Unary("!", p), "v")
+    assert N.render_expr(e) == "(!p)->v"
+    assert _returned(N.render_expr(e)) == e
+
+
+def test_integer_literal_too_long_is_a_parse_error():
+    assert _returned("9" * 4300) == N.IntLit(int("9" * 4300))
+    with pytest.raises(ParseError) as ei:
+        parse("int f(int x) { return " + "1" * 5000 + "; }")
+    assert (str(ei.value), ei.value.line, ei.value.col) == (
+        "integer literal too long at 1:23", 1, 23)
+
+
 def test_malloc_with_cast_round_trips():
     src = ("struct S { int a; };\n"
            "struct S* f() { struct S* p; p = (struct S*) malloc(sizeof(struct S)); return p; }")
@@ -233,8 +283,17 @@ def _rand_expr(rng, depth):
         return N.Unary("!", _rand_expr(rng, depth - 1))
     if roll < 0.25:
         return N.Call("g", [_rand_expr(rng, depth - 1)])
+    if roll < 0.32:
+        target = N.Var(rng.choice(names)) if rng.random() < 0.5 else _rand_field(rng, depth)
+        return N.Assign(target, _rand_expr(rng, depth - 1))
+    if roll < 0.39:
+        return _rand_field(rng, depth)
     op = rng.choice(["+", "-", "<", "<=", ">", ">=", "==", "!=", "&&", "||"])
     return N.Binary(op, _rand_expr(rng, depth - 1), _rand_expr(rng, depth - 1))
+
+
+def _rand_field(rng, depth):
+    return N.FieldAccess(_rand_expr(rng, depth - 1), rng.choice(["v", "next"]))
 
 
 def _rand_stmt(rng, depth):
