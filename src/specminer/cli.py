@@ -2,8 +2,9 @@
 
 Exit codes:
   0   success
-  2   the input file failed to lex, parse, or type-check, or is nested
-      too deeply to analyze (Python's recursion limit)
+  2   the input file failed to lex, parse, or type-check, is nested
+      too deeply to analyze (Python's recursion limit), or folds two
+      constants into an int longer than a literal may be
   3   a run lost a leaf to its pattern or step budget (partial output
       was printed)
   64  usage errors: bad flags, unreadable input, unknown function names
@@ -17,7 +18,7 @@ import sys
 import time
 from types import SimpleNamespace
 
-from .engine import Limits
+from .engine import ConstantTooLong, Limits
 from .frontend import load_program
 from .frontend.lexer import IllegalCharacter
 from .frontend.parser import ParseError
@@ -254,6 +255,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RecursionError:
         print(too_deep, file=sys.stderr)
+        return EXIT_SOURCE
+    except ConstantTooLong as e:
+        print(f"specminer: {args.input}: {e}", file=sys.stderr)
         return EXIT_SOURCE
 
     patterns = spec.patterns if args.dump_patterns else None

@@ -33,12 +33,15 @@ The engine asks a narrower question at every branch and dereference: "is
 this path condition plus one atom satisfiable?". One `SatCache` answers it
 for a whole inference invocation (the modifier run and every observer
 replay, which start from the modifier's path conditions), keeping the
-closure of every atom set it has seen. A question extends the path
+closure of every atom set it has seen, up to the end of the replay phase
+that added it: `mark` and `release` drop what one `explain` call added,
+since no condition of a replay outlives it. A question extends the path
 condition's closure by one atom (a copied union-find re-closed over field
 paths, or a re-run of the interval check on the stored normal forms plus
 the new atom's) and keeps the result, where the path's next question
 starts. An atom a path records without asking gets its closure the same
-way, so `Closure.of` runs once per invocation, on the empty condition.
+way, so `Closure.of` runs once per invocation, on the empty condition,
+when the cache is made.
 Its answers are `check_sat`'s, so the one-sided Unsat contract holds for
 them too.
 
@@ -515,12 +518,33 @@ class SatCache:
     is where the path's next question starts. Every atom a run records
     goes through it, whether or not a question decided it, so only the
     closure a run starts from may need building from scratch; every later
-    one of its paths is an extension. `check` is its verdict. Answers equal `check_sat` on the conjunction, which
-    depends on the atom set alone, so runs may share one cache."""
+    one of its paths is an extension. `check` is its verdict. Answers
+    equal `check_sat` on the conjunction, which depends on the atom set
+    alone, so runs may share one cache.
+
+    `mark()` notes the sizes of both tables, and `release(mark)` drops,
+    newest first, every atom and closure added since. A condition built
+    before the mark holds only atoms interned before it, so its closure
+    stays and its atoms stay the cache's own; a condition built after the
+    mark must not outlive the release. `explain` releases what its
+    replays added when it returns. The closure of the empty condition is
+    built here, before any mark, so a released closure is only ever
+    rebuilt as an extension."""
 
     def __init__(self):
         self.interned: dict[tuple, Atom] = {}
-        self.closures: dict[frozenset, Closure] = {}
+        self.closures: dict[frozenset, Closure] = {TRUE: Closure.of(TRUE)}
+
+    def mark(self) -> tuple[int, int]:
+        return len(self.interned), len(self.closures)
+
+    def release(self, mark: tuple[int, int]) -> None:
+        # a dict pops its newest entry first, and the tables only grow
+        n_interned, n_closures = mark
+        while len(self.closures) > n_closures:
+            self.closures.popitem()
+        while len(self.interned) > n_interned:
+            self.interned.popitem()
 
     def atom(self, op: str, lhs: Term, rhs: Term) -> Atom:
         key = (op, lhs, rhs)

@@ -81,6 +81,7 @@ Three mechanisms matter beyond plain evaluation:
 from __future__ import annotations
 
 import operator
+import sys
 
 from . import constraints as C
 from .constraints import Atom, IntConst, NullRef, SatResult, SymAddrRef
@@ -109,6 +110,15 @@ class Limits(Record):
 
     def _key(self):
         return (self.unroll_bound, self.max_patterns, self.max_steps)
+
+
+class ConstantTooLong(Exception):
+    """A constant fold gave an int with more decimal digits than
+    `sys.get_int_max_str_digits()`, the limit the parser puts on a
+    literal, so literals and folds share one magnitude bound."""
+
+    def __init__(self):
+        super().__init__("integer constant too long")
 
 
 class SEResult:
@@ -146,6 +156,11 @@ class _Engine:
         # satisfiability of "path condition plus one atom"; the caller may
         # share it with other runs
         self.sat = sat
+        # the literal limit (0: none, as before CPython 3.10.7, which
+        # lacks the function); a fold of at most `fold_bits` bits has
+        # fewer digits than it, since 2**(3 * d) < 10**d
+        self.fold_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        self.fold_bits = 3 * self.fold_digits if self.fold_digits else float("inf")
         if not getattr(index, "frames_built", False):
             _build_frames(index)
 
@@ -455,7 +470,10 @@ class _Engine:
             self._error(p, "read of undefined value")
             return
         if isinstance(l, IntConst) and isinstance(r, IntConst):
-            p.vals.append(IntConst(l.value + r.value if e.op == "+" else l.value - r.value))
+            v = l.value + r.value if e.op == "+" else l.value - r.value
+            if v.bit_length() > self.fold_bits and abs(v) >= 10 ** self.fold_digits:
+                raise ConstantTooLong()
+            p.vals.append(IntConst(v))
             return
         s = self.alloc.fresh_int(f"i{self.alloc._next}")
         self._record(p, p.add_path_atom,

@@ -183,7 +183,9 @@ def explain(
     `args` is [(display, value, ctype)] — the vocabulary; `post_root`
     optionally names (sid, display) for the updated-structure root. `sat`
     answers every solver question of the replays and may be shared with
-    other runs.
+    other runs. The replays are one phase: the atoms and closures they
+    add to `sat` are released when it returns, since no condition they
+    build outlives them; the conditions the caller holds keep theirs.
 
     A call's replay rejects a leaf that is not final, whose value the
     caller cannot name, or whose value differs from the first leaf's, and
@@ -193,6 +195,7 @@ def explain(
     sym_map = _sym_id_map(args, post_root)
     equations = []
     budget_hit = False
+    mark = sat.mark()
     for oname, call_args in build_universe(index, observer_names, args):
         values = []  # the nameable value of each accepted leaf, all equal
 
@@ -218,6 +221,7 @@ def explain(
         approx = any(leaf.approx for leaf in res.patterns)
         equations.append(Equation(oname, tuple(d for d, _v in call_args),
                                   values[0], approx))
+    sat.release(mark)
     return equations, budget_hit
 
 
@@ -256,7 +260,8 @@ def infer_spec(
 
     alloc = Allocator(seed_label)
     # one solver cache for every run below: replays start from the path
-    # conditions whose closures the modifier run already built
+    # conditions whose closures the modifier run already built, and each
+    # replay phase releases what it added
     sat = SatCache()
     seeded = _seed_args(f, alloc)
     res = se(index, modifier, [v for _n, v, _t in seeded],
@@ -271,6 +276,13 @@ def infer_spec(
         reasons = "; ".join(sorted({p.error_reason for p in res.error_patterns}))
         diagnostics.append(f"{modifier}: every path ends in an error ({reasons}); "
                            f"no axiom can be inferred")
+    elif not res.final_patterns and res.truncated_paths:
+        why = f"{res.truncated_paths} cut at the bound"
+        if res.error_patterns:
+            reasons = ", ".join(sorted({p.error_reason for p in res.error_patterns}))
+            why += f"; errors: {reasons}"
+        diagnostics.append(f"{modifier}: no path ends normally at this bound ({why}); "
+                           f"a larger --unroll may find one")
 
     root_param = next((pname for pname, pt in f.params if pt.kind == "structptr"),
                       None)

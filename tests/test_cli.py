@@ -432,6 +432,8 @@ ALL_ERRORS_SRC = (
 
 ALL_ERRORS = ("fresh: every path ends in an error (read of uninitialized field 'v'); "
               "no axiom can be inferred")
+ALL_CUT = ("walk: no path ends normally at this bound (1 cut at the bound; "
+           "errors: NULL dereference); a larger --unroll may find one")
 
 
 def test_a_modifier_whose_every_path_ends_in_an_error_is_noted(capsys, tmp_path):
@@ -448,11 +450,15 @@ def test_a_modifier_whose_every_path_ends_in_an_error_is_noted(capsys, tmp_path)
     assert doc["stats"]["finalPatterns"] == 0 and doc["stats"]["errorPatterns"] == 1
     assert "note:" not in err
     # paths cut at the bound might end normally at a larger one, so a run
-    # with no final pattern but cut paths is not said to end in errors
+    # with no final pattern but cut paths is not said to end in errors:
+    # it gets its own note, which names the cuts and the errors
+    code, out, err = run(capsys, str(src), "-f", "walk")
+    assert (code, out) == (EXIT_OK, "no axioms inferable at this bound\n")
+    assert f"note: {ALL_CUT}\n" in err
     code, out, _err = run(capsys, str(src), "-f", "walk", "--format", "json")
     doc = json.loads(out)
     assert doc["stats"]["finalPatterns"] == 0 and doc["stats"]["truncatedPaths"] > 0
-    assert doc["diagnostics"] == []
+    assert doc["diagnostics"] == [ALL_CUT]
     # a modifier with a final pattern gets no such note
     code, out, err = run(capsys, DLL, "-f", "append")
     assert "every path ends in an error" not in err
@@ -560,6 +566,21 @@ def test_integer_literal_too_long_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, str(bad), "-f", "f")
     assert (code, out) == (EXIT_SOURCE, "")
     assert err == f"specminer: {bad}: integer literal too long at 1:23\n"
+
+
+@pytest.mark.parametrize("digits, fits", [(4300, False), (4299, True)])
+def test_a_constant_fold_shares_the_literal_limit(capsys, tmp_path, digits, fits):
+    # two literals of at most 4,300 digits parse; their sum has one digit
+    # more, which passes the limit only when they are shorter
+    src = tmp_path / "f.c"
+    src.write_text(f"int f(int x) {{ return {'9' * digits} + {'9' * digits}; }}\n")
+    code, out, err = run(capsys, str(src), "-f", "f")
+    if fits:
+        assert code == EXIT_OK
+        assert f"ret = 1{'9' * (digits - 1)}8" in out
+    else:
+        assert (code, out) == (EXIT_SOURCE, "")
+        assert err == f"specminer: {src}: integer constant too long\n"
 
 
 @pytest.mark.parametrize("body, message", [
