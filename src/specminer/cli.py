@@ -12,7 +12,6 @@ Exit codes:
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -177,6 +176,8 @@ def emit_text(spec: SpecSet, patterns=None) -> str:
 
 
 def emit_json(spec: SpecSet, patterns=None) -> str:
+    import json  # only JSON output loads it, so text runs start faster
+
     doc = {
         "tool": "specminer",
         "modifier": spec.modifier,

@@ -427,10 +427,21 @@ def _refuted(uf: _UnionFind, neqs) -> bool:
     return any(uf.find(a.lhs) is uf.find(a.rhs) for a in neqs)
 
 
+def _by_class(uf: _UnionFind, neqs) -> dict:
+    """Each disequality under the root of each of its sides."""
+    index: dict = {}
+    for a in neqs:
+        for t in (a.lhs, a.rhs):
+            r = uf.find(t)
+            index[r] = index.get(r, ()) + (a,)
+    return index
+
+
 class Closure:
     """What decides the verdict of one conjunction: union-find parents
-    over its non-integer terms, its field paths and disequalities, and
-    the normal form of each integer atom (None outside the fragment).
+    over its non-integer terms, its field paths, its disequalities indexed
+    by class, and the normal form of each integer atom (None outside the
+    fragment).
 
     `verdict` is Unsat when congruence closure refutes a disequality, and
     otherwise the interval verdict over the normal forms. Only an integer
@@ -438,18 +449,27 @@ class Closure:
     addresses, NULL, data tokens and field paths, and an atom that mixes
     an int with one of those is an integer atom (see `_linearize`).
 
+    `diseqs` maps the root of each class to the disequalities with a side
+    in it, so each one is listed under both of its sides' roots. A merge
+    of one class into another can only refute a disequality between the
+    two, so it rechecks those listed at the merged root and moves them to
+    the root that stays. With field paths, a merge may collapse further
+    classes by congruence, so it re-closes the partition and rechecks
+    every disequality instead.
+
     `Closure.of(atoms)` builds it; `extended(atom)` returns the closure of
     the conjunction plus one atom without rebuilding it, normalizing only
     that atom. An extension that leaves the partition as it is shares the
     parent map, which later lookups only ever change in ways that keep the
-    partition.
+    partition. Closures share the index and its tuples, so an extension
+    that changes it copies the map.
     """
 
-    def __init__(self, parent: dict, paths: set, neqs: list, int_forms: list,
+    def __init__(self, parent: dict, paths: set, diseqs: dict, int_forms: list,
                  verdict: SatResult):
         self.parent = parent
         self.paths = paths
-        self.neqs = neqs
+        self.diseqs = diseqs
         self.int_forms = int_forms
         self.verdict = verdict
 
@@ -470,34 +490,56 @@ class Closure:
         _close(uf, paths)
         # the integer side is only consulted once the equalities stand
         verdict = SatResult.UNSAT if _refuted(uf, neqs) else _int_sat(int_forms)
-        return cls(uf.parent, paths, neqs, int_forms, verdict)
+        return cls(uf.parent, paths, _by_class(uf, neqs), int_forms, verdict)
 
     def extended(self, atom: Atom) -> "Closure":
         if self.verdict is SatResult.UNSAT:
             return self  # no atom undoes a refutation
         if _is_int_atom(atom):
             int_forms = self.int_forms + [_norm_int_atom(atom)]
-            return Closure(self.parent, self.paths, self.neqs, int_forms,
+            return Closure(self.parent, self.paths, self.diseqs, int_forms,
                            _int_sat(int_forms))
-        neqs = self.neqs + [atom] if atom.op == NEQ else self.neqs
         new_paths = {t for t in (atom.lhs, atom.rhs)
                      if isinstance(t, FieldPath) and t not in self.paths}
         uf = _UnionFind(self.parent)
-        if new_paths or (atom.op == EQ and uf.find(atom.lhs) is not uf.find(atom.rhs)):
-            # the partition changes: close a copy
+        ra, rb = uf.find(atom.lhs), uf.find(atom.rhs)
+        merge = atom.op == EQ and ra is not rb
+        if new_paths or (merge and self.paths):
+            # congruence may collapse more classes: close a copy and
+            # recheck every disequality
             uf = _UnionFind(dict(self.parent))
             uf.register(_atom_terms(atom))
+            neqs = list(dict.fromkeys(a for group in self.diseqs.values() for a in group))
             if atom.op == EQ:
                 uf.union(atom.lhs, atom.rhs)
+            else:
+                neqs.append(atom)
             paths = self.paths | new_paths
             _close(uf, paths)
             refuted = _refuted(uf, neqs)
+            diseqs = _by_class(uf, neqs)
+        elif merge:
+            # `ra` joins `rb`: only a disequality listed at `ra` can now
+            # have both sides in one class
+            uf = _UnionFind(dict(self.parent))
+            uf.register(_atom_terms(atom))
+            uf.parent[ra] = rb
+            paths = self.paths
+            diseqs = dict(self.diseqs)
+            moved = diseqs.pop(ra, ())
+            refuted = any(uf.find(a.lhs) is uf.find(a.rhs) for a in moved)
+            if moved:
+                diseqs[rb] = diseqs.get(rb, ()) + moved
         else:
             # only new singleton classes, which the shared map may hold
             uf.register(_atom_terms(atom))
             paths = self.paths
-            refuted = atom.op == NEQ and uf.find(atom.lhs) is uf.find(atom.rhs)
-        return Closure(uf.parent, paths, neqs, self.int_forms,
+            diseqs = self.diseqs
+            refuted = atom.op == NEQ and ra is rb
+            if atom.op == NEQ and not refuted:
+                diseqs = {**diseqs, ra: diseqs.get(ra, ()) + (atom,),
+                          rb: diseqs.get(rb, ()) + (atom,)}
+        return Closure(uf.parent, paths, diseqs, self.int_forms,
                        SatResult.UNSAT if refuted else self.verdict)
 
 
@@ -573,6 +615,10 @@ class SatCache:
 
     def check(self, base: frozenset[Atom], atom: Atom) -> SatResult:
         return self.extend(base, atom).verdict
+
+    def verdict(self, base: frozenset[Atom]) -> SatResult:
+        """The verdict of `base` itself."""
+        return self._closure(base).verdict
 
 
 class Entailment(enum.Enum):

@@ -4,19 +4,24 @@ The machine is a small-step interpreter over a continuation stack (`k`) and
 an expression value stack, exploring branches depth-first with the true
 branch first (the false one first in an all-or-nothing run, see `se`).
 
-Every continuation frame is a `(handler, data)` pair, top last. The data
-is the AST node that pushed the frame, and the handler reads what it needs
-from it (an operator, a field name, the branches of an `if`). A statement or
-expression is pushed as its frame, with the handler `_HANDLERS` gives its
-node class; that handler pushes the frames for its operands and for the
-work after them. Frames are built once per program, not per step:
-`_build_frames` runs when the first engine for a `ProgramIndex` is built,
-and stores on every node of the function bodies its frame (`frame`) and
-the fixed tuple of frames its handler pushes (`push`), and on every
+Every continuation frame is a `(handler, data, weight)` triple, top last.
+The data is the AST node the frame works for, and the handler reads what
+it needs from it (an operator, a field name, the branches of an `if`). A
+statement or expression is pushed as the whole sequence of frames that
+evaluates it: its operands' frames, then the frames for the work after
+them. Frames are built once per program, not per step: `_build_frames`
+runs when the first engine for a `ProgramIndex` is built, and stores on
+every node of the function bodies that sequence (`push`), and on every
 function its body's frames. The only frame a step builds is a call's
-return frame, which holds the caller's env. One step pops and runs one
-frame, so `Limits.max_steps` counts frames. `_Engine.run` steps one
-pattern until it forks or ends: a handler that keeps its pattern returns
+return frame, which holds the caller's env.
+
+`Limits.max_steps` counts one step per frame of the nested layout, carried
+as weights. In that layout a compound node was one frame, whose step only
+pushed its sequence; that step now rides on the weight of the sequence's
+first frame (see `_build`), so a frame runs within the budget exactly when
+it did then, and every path takes as many steps. `_Engine.run` steps one
+pattern until it forks or ends: it pops a frame, adds its weight, checks
+the budget and runs the handler. A handler that keeps its pattern returns
 None, and any other returns the successors (none when the path is
 dropped), which go on the work stack.
 
@@ -56,6 +61,9 @@ Three mechanisms matter beyond plain evaluation:
   negation, that decides it with one solver question. The conditions are
   the pattern's stored conjunction (`Pattern.condition`), and
   the negation is built only when the atom itself is not recorded. A
+  dereference of a heap key, or its comparison with NULL, asks no
+  question at all: the conditions entail that a heap key is not NULL
+  (see `se`), so `_on_heap` reads their own verdict instead. A
   branch pushes the outcome as the shared 1 or 0; a dereference turns the
   NULL outcome into an error leaf. An int is true when it is not 0. The
   solver's answers come from a `SatCache` the caller may share between
@@ -174,17 +182,20 @@ class _Engine:
         stack = [start]
         while stack:
             p = stack.pop()
-            # Step `p` until it forks or ends. Each step pops and runs one
-            # frame; a handler that keeps `p` returns None, any other its
-            # successors (none when the path is dropped).
+            # Step `p` until it forks or ends. Each turn pops one frame,
+            # adds its weight to the steps and runs it; a handler that
+            # keeps `p` returns None, any other its successors (none when
+            # the path is dropped). A handler may clone `p`, so the steps
+            # are stored before it runs.
             succs = None
-            while succs is None and p.status == RUNNING:
-                p.steps += 1
-                if p.steps > max_steps:
+            steps = p.steps
+            while succs is None and p.status is RUNNING:
+                handler, node, weight = p.k.pop()
+                p.steps = steps = steps + weight
+                if steps > max_steps:
                     self.budget_error = True
                     self._error(p, "step budget exceeded")
                     break
-                handler, node = p.k.pop()
                 succs = handler(self, p, node)
             if succs is not None:
                 if reject is not None and self.truncated:
@@ -197,7 +208,7 @@ class _Engine:
                 # to the bound.
                 stack.extend(succs if reject is not None else reversed(succs))
                 continue
-            if p.status == FINAL:
+            if p.status is FINAL:
                 p.provenance_id = f"p{finals}"
                 finals += 1
             else:
@@ -319,6 +330,11 @@ class _Engine:
             self._error(p, "dereference of a non-address value")
             return None
         target = p.resolve(value)
+        if target in p.heap:
+            if not self._on_heap(p):
+                return []
+            then(self, p, target, e)
+            return None
         outcomes = self._decide(p, self.sat.atom(C.NEQ, target, C.NULL))
         succs = []
         for q, is_object in outcomes:
@@ -334,6 +350,17 @@ class _Engine:
                 succs.append(w)
         # one outcome is `p` on its own side, with no alias worlds
         return None if len(outcomes) == 1 else succs
+
+    def _on_heap(self, p: Pattern) -> bool:
+        """Decide `a != NULL` for a key `a` of `p.heap`, as `_decide` would,
+        from the verdict of `p`'s conditions alone. They entail that a heap
+        key is not NULL (see `se`), so adding the atom or refuting its
+        negation leaves that verdict as it is: False when it is Unsat (the
+        path is dropped), and `p` is approx when it is Unknown."""
+        verdict = self.sat.verdict(p.condition)
+        if verdict is SatResult.UNKNOWN:
+            p.approx = True
+        return verdict is not SatResult.UNSAT
 
     def _alias_worlds(self, ok: Pattern, target: SymAddrRef, struct_name: str):
         """With `target` newly found non-null on `ok`: one (pattern,
@@ -373,10 +400,9 @@ class _Engine:
 
     # -------------------------------------------------- statements
 
-    def _push(self, p: Pattern, n) -> None:
-        """Evaluate a compound node: push the frames it stores for its
-        operands and for the work after them (see `_build`)."""
-        p.k += n.push
+    def _empty(self, p: Pattern, n) -> None:
+        """The step of a compound node that has no frames: an empty
+        block."""
 
     def _pop(self, p: Pattern, s) -> list[Pattern] | None:
         p.vals.pop()
@@ -384,7 +410,7 @@ class _Engine:
     def _branch(self, p: Pattern, s) -> list[Pattern] | None:
         taken = s.then if p.vals.pop().value != 0 else s.els
         if taken is not None:
-            p.k.append(taken.frame)
+            p.k += taken.push
 
     def _loop_check(self, p: Pattern, s) -> list[Pattern] | None:
         p.guard_split = False
@@ -406,7 +432,7 @@ class _Engine:
         exit frame are dropped unrun."""
         rv = p.vals.pop() if s.value is not None else UNDEF
         while True:
-            handler, data = p.k.pop()
+            handler, data, _weight = p.k.pop()
             if handler is _Engine._resume or handler is _Engine._exit:
                 return handler(self, p, data, rv)
 
@@ -501,6 +527,14 @@ class _Engine:
         if (l is C.NULL or isinstance(l, SymAddrRef)) and l is r:
             p.vals.append(_ONE if e.op in ("==", "<=", ">=") else _ZERO)
             return None
+        # a heap key against NULL, with `==` or `!=` (the resolver admits
+        # no other pointer comparison)
+        key = r if l is C.NULL else l if r is C.NULL else None
+        if type(key) is SymAddrRef and key in p.heap:
+            if not self._on_heap(p):
+                return []
+            p.vals.append(_ONE if e.op == "!=" else _ZERO)
+            return None
         return self._binary_split(p, self.sat.atom(_CMP_TO_ATOM[e.op], l, r))
 
     def _assign_var(self, p: Pattern, e) -> list[Pattern] | None:
@@ -515,7 +549,7 @@ class _Engine:
 
     def _malloc(self, p: Pattern, e) -> list[Pattern] | None:
         # `x = malloc(...)` names the object after `x`
-        handler, below = p.k[-1]
+        handler, below, _weight = p.k[-1]
         name = below.target.name if handler is _Engine._assign_var else "obj"
         m = self.alloc.fresh_addr(name)
         for a in p.heap:
@@ -526,13 +560,13 @@ class _Engine:
         p.vals.append(m)
 
     def _invoke(self, p: Pattern, e) -> list[Pattern] | None:
-        active = sum(1 for h, data in p.k if h is _Engine._resume and data[0] is e)
+        active = sum(1 for h, data, _weight in p.k if h is _Engine._resume and data[0] is e)
         if active >= self.limits.unroll_bound:
             self.truncated += 1
             return []
         f = self.index.functions[e.fname]
         args = [p.vals.pop() for _ in e.args][::-1]
-        p.k.append((_Engine._resume, (e, p.env, p.loop_counts)))
+        p.k.append((_Engine._resume, (e, p.env, p.loop_counts), 1))
         p.k += f.push
         p.env = bind_frame(f, args)
         p.loop_counts = {}
@@ -546,16 +580,19 @@ _CMP_TO_ATOM = {"==": C.EQ, "!=": C.NEQ, "<": C.LT, "<=": C.LE, ">": C.GT, ">=":
 _CONCRETE_CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
                  "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
-# the step that evaluates a statement or expression, by node class
+# the step that evaluates a statement or expression, by node class. A
+# compound node's own step only pushed its frames in the nested layout;
+# they are now pushed with it, and that step rides on the weight of the
+# first of them (see `_build`). Only an empty block, with no frames to
+# carry it, runs it as a frame of its own.
 _HANDLERS = {
     nodes.IntLit: _Engine._int_lit,
     nodes.NullLit: _Engine._null_lit,
     nodes.Var: _Engine._var,
     nodes.Malloc: _Engine._malloc,
-    # a compound node's step pushes the frames `_build` stored on it
     **dict.fromkeys((nodes.Block, nodes.ExprStmt, nodes.If, nodes.While, nodes.Return,
                      nodes.FieldAccess, nodes.Unary, nodes.Binary, nodes.Assign,
-                     nodes.Call), _Engine._push),
+                     nodes.Call), _Engine._empty),
 }
 
 
@@ -565,54 +602,75 @@ def _build_frames(index) -> None:
     frames `_build` gives it. Runs once per program, before its first
     engine runs; the frames live as long as the nodes."""
     for f in index.functions.values():
-        f.frame = (_Engine._exit, f)
-        f.push = tuple(_build(s) for s in reversed(f.body))
+        f.frame = (_Engine._exit, f, 1)
+        f.push = _seq(f.body)
     index.frames_built = True
 
 
+def _seq(ns) -> tuple:
+    """The frames of the nodes `ns`, which run in order, top last."""
+    return tuple(fr for n in reversed(ns) for fr in _build(n))
+
+
 def _build(n) -> tuple:
-    """Store on node `n` and the nodes below it their frame, `(handler,
-    node)`, and the frames the handler pushes, top last: `push`, and a
-    loop's `test` and `again` or a `&&`/`||`'s `rest` for its later
-    steps. Returns `n.frame`."""
+    """Store on node `n` and the nodes below it the frames that evaluate
+    them, top last: `push`, and a loop's `test` and `again` or a
+    `&&`/`||`'s `rest` for the frames a handler pushes later. Returns
+    `n.push`.
+
+    A frame is `(handler, node, weight)`, and running it costs `weight`
+    steps: its own, plus one for each frame of the nested layout that only
+    pushed it. In that layout a compound node's frame pushed the frames
+    for its operands and for the work after them; here those come in its
+    place, and its step is added to the one that runs first. So a frame
+    runs within `Limits.max_steps` exactly when it did then."""
     E = _Engine
     t = type(n)
     if t is nodes.Block:
-        n.push = tuple(_build(s) for s in reversed(n.stmts))
+        frames = _seq(n.stmts)
     elif t is nodes.ExprStmt:
-        n.push = ((E._pop, n), _build(n.expr))
+        frames = ((E._pop, n, 1), *_build(n.expr))
     elif t is nodes.If:
         _build(n.then)
         if n.els is not None:
             _build(n.els)
-        n.push = ((E._branch, n), (E._truth, n), _build(n.cond))
+        frames = ((E._branch, n, 1), (E._truth, n, 1), *_build(n.cond))
     elif t is nodes.While:
-        n.push = ((E._loop_check, n),)
-        n.test = ((E._loop_decide, n), (E._truth, n), _build(n.cond))
-        n.again = n.push + (_build(n.body),)
+        frames = ((E._loop_check, n, 1),)
+        n.test = ((E._loop_decide, n, 1), (E._truth, n, 1), *_build(n.cond))
+        n.again = frames + _build(n.body)
     elif t is nodes.Return:
-        n.push = ((E._leave, n),) if n.value is None else ((E._leave, n), _build(n.value))
+        frames = ((E._leave, n, 1),)
+        if n.value is not None:
+            frames += _build(n.value)
     elif t is nodes.FieldAccess:
-        n.push = ((E._read_field, n), _build(n.base))
+        frames = ((E._read_field, n, 1), *_build(n.base))
     elif t is nodes.Unary:
-        n.push = ((E._not, n), (E._truth, n), _build(n.operand))
+        frames = ((E._not, n, 1), (E._truth, n, 1), *_build(n.operand))
     elif t is nodes.Binary:
         if n.op in ("&&", "||"):
-            n.push = ((E._short_circuit, n), (E._truth, n), _build(n.left))
-            n.rest = ((E._truth, n), _build(n.right))
+            frames = ((E._short_circuit, n, 1), (E._truth, n, 1), *_build(n.left))
+            n.rest = ((E._truth, n, 1), *_build(n.right))
         else:
             then = E._arith if n.op in ("+", "-") else E._compare
-            n.push = ((then, n), _build(n.right), _build(n.left))
+            frames = ((then, n, 1), *_build(n.right), *_build(n.left))
     elif t is nodes.Assign:
         _build(n.target)
         if type(n.target) is nodes.Var:
-            n.push = ((E._assign_var, n), _build(n.value))
+            frames = ((E._assign_var, n, 1), *_build(n.value))
         else:
-            n.push = ((E._write_field, n), n.target.base.frame, _build(n.value))
+            frames = ((E._write_field, n, 1), *n.target.base.push, *_build(n.value))
     elif t is nodes.Call:
-        n.push = ((E._invoke, n), *(_build(a) for a in reversed(n.args)))
-    n.frame = frame = (_HANDLERS[t], n)
-    return frame
+        frames = ((E._invoke, n, 1), *_seq(n.args))
+    else:
+        frames = ()
+    if frames:
+        handler, node, weight = frames[-1]
+        frames = frames[:-1] + ((handler, node, weight + 1),)
+    else:
+        frames = ((_HANDLERS[t], n, 1),)  # a leaf, or an empty block
+    n.push = frames
+    return frames
 
 
 # ---------------------------------------------------------------- API
@@ -635,9 +693,19 @@ def se(
     terminal pattern (finals and errors), the count of bound-cut paths, and
     the log of genuine guard splits. The run starts from `heap`, under
     `condition`, with the objects in `malloced` known to be malloc'd (a
-    replay starts from the run it observes). `budget_error` is set when a
-    terminal pattern the run would keep finds `limits.max_patterns` already
-    kept, or when a path runs out of steps.
+    replay starts from the run it observes).
+
+    Every key `a` of `heap` must be non-null under `condition`: the solver
+    refutes `condition` plus `a = NULL`. The run keeps this for the keys
+    it adds, since it materializes an object only once `a = NULL` is
+    refuted or split off, and records `m != NULL` for each malloc; so the
+    heap and condition of any pattern it returns may start another run.
+    The engine decides `a != NULL` for a heap key from the condition's
+    verdict alone (see `_Engine._on_heap`).
+
+    `budget_error` is set when a terminal pattern the run would keep
+    finds `limits.max_patterns` already kept, or when a path runs out of
+    steps.
 
     `reject` is an optional predicate over terminal patterns. With it, the
     run is all-or-nothing: it stops at the first terminal pattern `reject`

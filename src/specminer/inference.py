@@ -114,20 +114,27 @@ class SpecSet:
 
 # ---------------------------------------------------------------- universe
 
-def build_universe(index, observer_names, args):
+def call_shapes(index, observer_names, args):
     """All well-typed observer calls over permutations of subsets of the
-    modifier's arguments. `args` is [(display, value, ctype)]; returns
-    [(observer, ((display, value), ...))] sorted by observer then args."""
+    modifier's arguments. `args` is [(display, value, ctype)], of which
+    only the displays and types count; returns [(observer, positions)],
+    each position an index into `args`, sorted by observer then by the
+    displays of the arguments."""
     calls = []
-    indexed = list(enumerate(args))
     for oname in sorted(observer_names):
         f = index.functions[oname]
-        k = len(f.params)
-        for combo in permutations(indexed, k):
-            if all(a[1][2] == pt for a, (_pn, pt) in zip(combo, f.params)):
-                calls.append((oname, tuple((d, v) for _i, (d, v, _t) in combo)))
-    calls.sort(key=lambda cv: (cv[0], tuple(d for d, _v in cv[1])))
+        for combo in permutations(range(len(args)), len(f.params)):
+            if all(args[i][2] == pt for i, (_pn, pt) in zip(combo, f.params)):
+                calls.append((oname, combo))
+    calls.sort(key=lambda call: (call[0], tuple(args[i][0] for i in call[1])))
     return calls
+
+
+def build_universe(index, observer_names, args):
+    """`call_shapes` with each position replaced by its argument:
+    [(observer, ((display, value), ...))]."""
+    return [(oname, tuple(args[i][:2] for i in positions))
+            for oname, positions in call_shapes(index, observer_names, args)]
 
 
 # ---------------------------------------------------------------- explain
@@ -169,7 +176,7 @@ def explain(
     args,
     limits: Limits,
     alloc: Allocator,
-    observer_names,
+    calls,
     *,
     sat: SatCache,
     malloced=frozenset(),
@@ -180,12 +187,14 @@ def explain(
 ):
     """Equations observed to hold on `heap` under `condition`.
 
-    `args` is [(display, value, ctype)] — the vocabulary; `post_root`
-    optionally names (sid, display) for the updated-structure root. `sat`
-    answers every solver question of the replays and may be shared with
-    other runs. The replays are one phase: the atoms and closures they
-    add to `sat` are released when it returns, since no condition they
-    build outlives them; the conditions the caller holds keep theirs.
+    `args` is [(display, value, ctype)] — the vocabulary; `calls` are the
+    observer calls to replay over it, as `call_shapes` gives them;
+    `post_root` optionally names (sid, display) for the updated-structure
+    root. `sat` answers every solver question of the replays and may be
+    shared with other runs. The replays are one phase: the atoms and
+    closures they add to `sat` are released when it returns, since no
+    condition they build outlives them; the conditions the caller holds
+    keep theirs.
 
     A call's replay rejects a leaf that is not final, whose value the
     caller cannot name, or whose value differs from the first leaf's, and
@@ -196,7 +205,8 @@ def explain(
     equations = []
     budget_hit = False
     mark = sat.mark()
-    for oname, call_args in build_universe(index, observer_names, args):
+    for oname, positions in calls:
+        call_args = [args[i] for i in positions]
         values = []  # the nameable value of each accepted leaf, all equal
 
         def reject(leaf: Pattern) -> bool:
@@ -206,12 +216,12 @@ def explain(
             values.append(v)
             return False
 
-        res = se(index, oname, [v for _d, v in call_args], limits, alloc,
+        res = se(index, oname, [v for _d, v, _t in call_args], limits, alloc,
                  lazy_aliasing, reject, sat=sat,
                  heap=heap, condition=condition, malloced=malloced)
         if res.budget_error:
             budget_hit = True
-            names = ", ".join(d for d, _v in call_args)
+            names = ", ".join(d for d, _v, _t in call_args)
             diagnostics.append(
                 f"{context}: observer run {oname}({names}) exhausted its "
                 f"budget; inconclusive")
@@ -219,7 +229,7 @@ def explain(
         if res.rejected or not values:
             continue
         approx = any(leaf.approx for leaf in res.patterns)
-        equations.append(Equation(oname, tuple(d for d, _v in call_args),
+        equations.append(Equation(oname, tuple(d for d, _v, _t in call_args),
                                   values[0], approx))
     sat.release(mark)
     return equations, budget_hit
@@ -290,13 +300,17 @@ def infer_spec(
         diagnostics.append(f"{modifier}: no pointer argument; post-state "
                            f"equations use unprimed names")
 
+    # the calls a phase replays depend only on the names and types of its
+    # arguments, which are the same on every path
+    pre_calls = call_shapes(index, observer_names, seeded)
+    post_calls = None
     axioms = []
     for p in res.patterns:
         if p.status != "final":
             continue
         cond = p.condition
         pre_eqs, hit = explain(
-            index, p.entry_heap, cond, seeded, limits, alloc, observer_names,
+            index, p.entry_heap, cond, seeded, limits, alloc, pre_calls,
             sat=sat, malloced=p.malloced, lazy_aliasing=lazy_aliasing,
             diagnostics=diagnostics, context=f"{modifier}/{p.provenance_id} pre")
         budget_error = budget_error or hit
@@ -314,8 +328,10 @@ def infer_spec(
                     post_root = (p.resolve(root_v).sid, display)
             else:
                 post_args.append((pname, p.env[pname], ptype))
+        if post_calls is None:
+            post_calls = call_shapes(index, observer_names, post_args)
         post_eqs, hit = explain(
-            index, p.heap, cond, post_args, limits, alloc, observer_names,
+            index, p.heap, cond, post_args, limits, alloc, post_calls,
             sat=sat, malloced=p.malloced, post_root=post_root,
             lazy_aliasing=lazy_aliasing,
             diagnostics=diagnostics, context=f"{modifier}/{p.provenance_id} post")

@@ -525,6 +525,16 @@ def test_import_loads_no_code_generating_or_locale_modules():
     assert proc.stdout.split() == []
 
 
+def test_import_leaves_json_unloaded():
+    # only JSON output needs the json package, which takes about 2.5 ms to
+    # import without a bytecode cache
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import specminer.cli; "
+            "print('json' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(SRC)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]
+
+
 # ---------------------------------------------------------------- exit 2
 
 def test_parse_error_exits_2(capsys, tmp_path):

@@ -13,7 +13,7 @@ import pytest
 
 from specminer.constraints import (
     EQ, GE, GT, LE, LT, NEQ,
-    Add, Atom, Entailment, FieldPath, IntConst, NullRef, SatCache,
+    Add, Atom, Closure, Entailment, FieldPath, IntConst, NullRef, SatCache,
     SatResult, Sub, SymAddrRef, SymDataRef, SymIntRef, TRUE,
     check_sat, entails, negate_atom,
     render_atom, render_constraint,
@@ -304,6 +304,43 @@ def test_sat_cache_agrees_with_check_sat():
                 base = both  # the path takes the branch it asked about
     # the generator must reach every verdict
     assert all(n > 10 for n in verdicts.values()), verdicts
+
+
+def test_a_closure_extended_atom_by_atom_agrees_with_check_sat():
+    """Differential for the disequality index: chains of address `=`/`!=`
+    atoms, extended one at a time from the empty closure, get
+    `check_sat`'s verdict on every prefix. A merge without field paths
+    rechecks only the disequalities at the merged class; one in three
+    chains uses field paths, so its merges close the partition and recheck
+    every disequality instead."""
+    rng = random.Random(20261019)
+    addrs = [SymAddrRef(200 + i, f"a{i}") for i in range(6)]
+    verdicts = {r: 0 for r in SatResult}
+    merges = {False: 0, True: 0}  # merges of two classes, by whether paths were on
+
+    def term(paths):
+        q = rng.choice(addrs)
+        return FieldPath(q, ("next",)) if paths and rng.random() < 0.3 else q
+
+    for chain in range(300):
+        paths = chain % 3 == 0
+        closure = Closure.of(TRUE)
+        atoms = set()
+        for _ in range(rng.randrange(1, 14)):
+            op = EQ if rng.random() < 0.4 else NEQ
+            atom = Atom(op, term(paths), rng.choice([term(paths), NullRef()]))
+            # `lhs = rhs` merges two classes when `lhs != rhs` is not refuted
+            apart = check_sat(frozenset(atoms | {Atom(NEQ, atom.lhs, atom.rhs)}))
+            if op == EQ and apart != SatResult.UNSAT:
+                merges[bool(closure.paths)] += 1
+            atoms.add(atom)
+            closure = closure.extended(atom)
+            expected = check_sat(frozenset(atoms))
+            assert closure.verdict == expected, render_constraint(frozenset(atoms))
+            verdicts[expected] += 1
+    assert verdicts[SatResult.SAT] > 100 and verdicts[SatResult.UNSAT] > 100, verdicts
+    assert verdicts[SatResult.UNKNOWN] == 0  # no integer atom
+    assert min(merges.values()) > 50, merges
 
 
 if __name__ == "__main__":

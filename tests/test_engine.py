@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+from specminer import inference
 from specminer.concrete import build_dll, concrete_run
 from specminer.constraints import (
-    GT, NULL, Atom, IntConst, NullRef, SatCache, SatResult, SymAddrRef, SymDataRef, SymIntRef,
-    check_sat, negate_atom, render_constraint,
+    EQ, GT, LT, NEQ, NULL, Add, Atom, IntConst, NullRef, SatCache, SatResult, SymAddrRef,
+    SymDataRef, SymIntRef, check_sat, negate_atom, render_constraint,
 )
 from specminer.engine import _HANDLERS, Limits, _Engine, se
 from specminer.frontend import load_program, nodes as N
@@ -403,6 +404,23 @@ def test_each_frame_costs_one_step():
         [("error", "step budget exceeded"), ("final", "")]
 
 
+def test_an_empty_block_costs_its_step():
+    """An empty block has no frames to carry its step, so it keeps a frame
+    of its own. By hand, as above: `if` (1), `x > 0` (2), `x` (3), `0`
+    (4), the comparison that splits (5), truth (6), branch (7), the empty
+    block (8), `return x;` (9), `x` (10), its return (11); the path that
+    skips the block takes 10 steps."""
+    idx = load_program("int f(int x) { if (x > 0) { } return x; }")
+
+    def run(max_steps):
+        alloc = Allocator()
+        return se(idx, "f", _sym_ints(["x"], alloc), Limits(max_steps=max_steps), alloc)
+
+    assert [(p.status, p.steps) for p in run(11).patterns] == [("final", 11), ("final", 10)]
+    assert [(p.status, p.error_reason) for p in run(10).patterns] == \
+        [("error", "step budget exceeded"), ("final", "")]
+
+
 def test_every_statement_and_expression_class_has_a_handler():
     def concrete(base):
         for sub in base.__subclasses__():
@@ -414,19 +432,38 @@ def test_every_statement_and_expression_class_has_a_handler():
     assert [c.__name__ for c in classes if c not in _HANDLERS] == []
 
 
+_LEAVES = (N.IntLit, N.NullLit, N.Var, N.Malloc)
+
+
 def test_every_corpus_node_carries_its_frame(corpus_dir, ast_nodes):
     """The first engine built for a program stores on every function its
-    exit frame and its body's frames, and on every statement and expression
-    node its `(handler, node)` frame."""
+    exit frame and its body's frames, which are its statements' frames
+    concatenated, and on every statement and expression node the frames
+    that evaluate it (`push`). Each frame is `(handler, node, weight)` with
+    a weight of at least 1. A leaf is its one frame with its class's
+    handler, and a block is its statements' frames, the one that runs
+    first carrying the block's own step, or one frame of its own when it
+    is empty."""
     for path in sorted(corpus_dir.glob("*.c")):
         idx = load_program(path.read_text())
         _Engine(idx, Limits(), Allocator(), False, SatCache())
         for f in idx.functions.values():
-            assert f.frame == (_Engine._exit, f)
-            assert f.push == tuple(s.frame for s in reversed(f.body))
+            assert f.frame == (_Engine._exit, f, 1)
+            assert f.push == tuple(fr for s in reversed(f.body) for fr in s.push)
             for n in ast_nodes(f.body):
-                handler, node = n.frame
-                assert handler is _HANDLERS[type(n)] and node is n, (path.name, f.name, n)
+                where = (path.name, f.name, n)
+                for handler, node, weight in n.push:
+                    assert type(weight) is int and weight >= 1, where
+                    assert handler in vars(_Engine).values(), where
+                    assert isinstance(node, (N.Stmt, N.Expr)), where
+                if isinstance(n, _LEAVES):
+                    assert n.push == ((_HANDLERS[type(n)], n, 1),), where
+                elif isinstance(n, N.Block) and n.stmts:
+                    frames = tuple(fr for s in reversed(n.stmts) for fr in s.push)
+                    h, node, w = frames[-1]
+                    assert n.push == frames[:-1] + ((h, node, w + 1),), where
+                elif isinstance(n, N.Block):
+                    assert n.push == ((_HANDLERS[N.Block], n, 1),), where
 
 
 SAME_SRC = ("struct N { int v; };\n"
@@ -453,6 +490,89 @@ def test_comparing_an_address_with_itself_asks_the_solver_nothing(monkeypatch):
     res = se(idx, "same", [a, b], Limits(), alloc)
     assert asked
     assert [render_tv(p.return_value) for p in res.patterns] == ["tv(int, 1)", "tv(int, 0)"]
+
+
+def test_a_walk_over_a_seeded_heap_asks_the_solver_nothing(dll_index, monkeypatch):
+    """Dereferencing a heap key, or comparing it with NULL, reads the
+    verdict of the path's conditions instead of asking a question: the
+    conditions already entail that the key is not NULL."""
+    asked = []
+    real_check = SatCache.check
+
+    def check(self, base, atom):
+        asked.append(atom)
+        return real_check(self, base, atom)
+
+    monkeypatch.setattr(SatCache, "check", check)
+    alloc = Allocator()
+    nodes = [alloc.fresh_addr(f"n{i}") for i in range(3)]
+    succ = nodes[1:] + [NULL]
+    heap = {a: HeapObject("List", {"next": b}) for a, b in zip(nodes, succ)}
+    sat = SatCache()
+    condition = frozenset(sat.atom(NEQ, a, NULL) for a in nodes)
+    res = se(dll_index, "length", [nodes[0]], Limits(unroll_bound=8), alloc, sat=sat,
+             heap=heap, condition=condition)
+    assert asked == []
+    assert [render_tv(p.return_value) for p in res.patterns] == ["tv(int, 3)"]
+    assert not res.split_log and not res.patterns[0].approx
+
+
+@pytest.mark.parametrize("extra", ["none", "unknown", "unsat"])
+@pytest.mark.parametrize("entailed", ["recorded", "through an equality"])
+def test_a_heap_key_is_decided_as_decide_would(branch_index, entry_pattern, extra,
+                                               entailed):
+    """`_on_heap` keeps exactly the effects of `_decide` on `a != NULL`
+    for a heap key `a`: no successor when the conditions are Unsat, and
+    `approx` when they are Unknown. Here `a`'s non-nullness is recorded,
+    or follows from `a = b` and `b != NULL`."""
+    alloc = Allocator()
+    a, b, x = alloc.fresh_addr("a"), alloc.fresh_addr("b"), alloc.fresh_int("x")
+    sat = SatCache()
+    facts = ([sat.atom(NEQ, a, NULL)] if entailed == "recorded"
+             else [sat.atom(EQ, a, b), sat.atom(NEQ, b, NULL)])
+    facts += {"none": [],
+              "unknown": [sat.atom(EQ, Add(x, x), IntConst(1))],  # outside the fragment
+              "unsat": [sat.atom(GT, x, IntConst(0)), sat.atom(LT, x, IntConst(0))],
+              }[extra]
+    p = entry_pattern(branch_index, "branch", [x, x], heap={a: HeapObject("List", {})},
+                      condition=frozenset(facts))
+    eng = _Engine(branch_index, Limits(), alloc, False, sat)
+    q = p.clone()
+    want = eng._decide(q, sat.atom(NEQ, a, NULL))
+    assert want in ([], [(q, True)])
+    assert eng._on_heap(p) == bool(want)
+    assert p.approx == q.approx == (extra == "unknown")
+    assert eng.split_log == []
+
+
+@pytest.mark.parametrize("lazy_aliasing", [False, True])
+@pytest.mark.parametrize("unroll", [1, 2])
+def test_every_heap_key_is_non_null_under_its_condition(corpus_dir, monkeypatch, unroll,
+                                                        lazy_aliasing):
+    """What `_on_heap` rests on: in every run of an invocation, the
+    modifier's and each replay's, every final pattern's conditions refute
+    `a = NULL` for each key `a` of its heap and of its entry heap. The
+    from-scratch `check_sat` decides it."""
+    real_se = inference.se
+    checked = []
+
+    def spy(*args, **kwargs):
+        res = real_se(*args, **kwargs)
+        for p in res.final_patterns:
+            for a in {**p.entry_heap, **p.heap}:
+                assert check_sat(p.condition | {Atom(EQ, a, NULL)}) == SatResult.UNSAT, \
+                    (args[1], p.provenance_id, a)
+                checked.append(a)
+        return res
+
+    monkeypatch.setattr(inference, "se", spy)
+    for path in sorted(corpus_dir.glob("*.c")):
+        idx = load_program(path.read_text())
+        for fname in sorted(idx.functions):
+            # the step cap keeps init's divergent --lazy-aliasing run short
+            inference.infer_spec(idx, fname, Limits(unroll_bound=unroll, max_steps=2000),
+                                 lazy_aliasing=lazy_aliasing)
+    assert checked
 
 
 @pytest.mark.parametrize("lazy_aliasing", [False, True])
