@@ -36,12 +36,14 @@ replay, which start from the modifier's path conditions), keeping the
 closure of every atom set it has seen, up to the end of the replay phase
 that added it: `mark` and `release` drop what one `explain` call added,
 since no condition of a replay outlives it. A question extends the path
-condition's closure by one atom (a copied union-find re-closed over field
-paths, or a re-run of the interval check on the stored normal forms plus
-the new atom's) and keeps the result, where the path's next question
+condition's closure by one atom (an equality merges two classes of a
+copied union-find and rechecks only the disequalities of the merged one;
+an integer atom re-runs the interval check on the stored normal forms
+plus its own) and keeps the result, where the path's next question
 starts. An atom a path records without asking gets its closure the same
 way, so `Closure.of` runs once per invocation, on the empty condition,
-when the cache is made.
+when the cache is made. The engine never builds a field path; a
+condition that holds one is closed from scratch by `Closure.of`.
 Its answers are `check_sat`'s, so the one-sided Unsat contract holds for
 them too.
 
@@ -270,6 +272,10 @@ def _atom_terms(a: Atom):
             yield t.base
 
 
+def _has_path(a: Atom) -> bool:
+    return isinstance(a.lhs, FieldPath) or isinstance(a.rhs, FieldPath)
+
+
 def _close(uf: _UnionFind, paths) -> None:
     """Close `uf` under field-path congruence: paths with the same field
     chain over unified bases collapse into one class."""
@@ -450,19 +456,18 @@ class Closure:
     an int with one of those is an integer atom (see `_linearize`).
 
     `diseqs` maps the root of each class to the disequalities with a side
-    in it, so each one is listed under both of its sides' roots. A merge
-    of one class into another can only refute a disequality between the
-    two, so it rechecks those listed at the merged root and moves them to
-    the root that stays. With field paths, a merge may collapse further
-    classes by congruence, so it re-closes the partition and rechecks
-    every disequality instead.
+    in it, so each one is listed under both of its sides' roots.
 
-    `Closure.of(atoms)` builds it; `extended(atom)` returns the closure of
-    the conjunction plus one atom without rebuilding it, normalizing only
-    that atom. An extension that leaves the partition as it is shares the
-    parent map, which later lookups only ever change in ways that keep the
-    partition. Closures share the index and its tuples, so an extension
-    that changes it copies the map.
+    `Closure.of(atoms)` builds it, closing the partition under field-path
+    congruence. `extended(atom)` returns the closure of the conjunction
+    plus one atom without rebuilding it, normalizing only that atom. It
+    takes only path-free cases (`SatCache.extend` builds the others with
+    `of`), where a merge of one class into another can only refute a
+    disequality between the two, so it rechecks those listed at the merged
+    root and moves them to the root that stays. An extension that leaves
+    the partition as it is shares the parent map, which later lookups only
+    ever change in ways that keep the partition. Closures share the index
+    and its tuples, so an extension that changes it copies the map.
     """
 
     def __init__(self, parent: dict, paths: set, diseqs: dict, int_forms: list,
@@ -499,32 +504,14 @@ class Closure:
             int_forms = self.int_forms + [_norm_int_atom(atom)]
             return Closure(self.parent, self.paths, self.diseqs, int_forms,
                            _int_sat(int_forms))
-        new_paths = {t for t in (atom.lhs, atom.rhs)
-                     if isinstance(t, FieldPath) and t not in self.paths}
         uf = _UnionFind(self.parent)
         ra, rb = uf.find(atom.lhs), uf.find(atom.rhs)
-        merge = atom.op == EQ and ra is not rb
-        if new_paths or (merge and self.paths):
-            # congruence may collapse more classes: close a copy and
-            # recheck every disequality
-            uf = _UnionFind(dict(self.parent))
-            uf.register(_atom_terms(atom))
-            neqs = list(dict.fromkeys(a for group in self.diseqs.values() for a in group))
-            if atom.op == EQ:
-                uf.union(atom.lhs, atom.rhs)
-            else:
-                neqs.append(atom)
-            paths = self.paths | new_paths
-            _close(uf, paths)
-            refuted = _refuted(uf, neqs)
-            diseqs = _by_class(uf, neqs)
-        elif merge:
+        if atom.op == EQ and ra is not rb:
             # `ra` joins `rb`: only a disequality listed at `ra` can now
             # have both sides in one class
             uf = _UnionFind(dict(self.parent))
             uf.register(_atom_terms(atom))
             uf.parent[ra] = rb
-            paths = self.paths
             diseqs = dict(self.diseqs)
             moved = diseqs.pop(ra, ())
             refuted = any(uf.find(a.lhs) is uf.find(a.rhs) for a in moved)
@@ -533,13 +520,12 @@ class Closure:
         else:
             # only new singleton classes, which the shared map may hold
             uf.register(_atom_terms(atom))
-            paths = self.paths
             diseqs = self.diseqs
             refuted = atom.op == NEQ and ra is rb
             if atom.op == NEQ and not refuted:
                 diseqs = {**diseqs, ra: diseqs.get(ra, ()) + (atom,),
                           rb: diseqs.get(rb, ()) + (atom,)}
-        return Closure(uf.parent, paths, diseqs, self.int_forms,
+        return Closure(uf.parent, self.paths, diseqs, self.int_forms,
                        SatResult.UNSAT if refuted else self.verdict)
 
 
@@ -557,7 +543,9 @@ class SatCache:
 
     `extend(base, atom)` is the closure of `base` plus one atom: it
     extends the closure of `base` by the atom and keeps the result, which
-    is where the path's next question starts. Every atom a run records
+    is where the path's next question starts. When `base` or the atom has
+    a field path, it builds the closure with `Closure.of` instead, since
+    `extended` takes only path-free cases. Every atom a run records
     goes through it, whether or not a question decided it, so only the
     closure a run starts from may need building from scratch; every later
     one of its paths is an extension. `check` is its verdict. Answers
@@ -610,7 +598,10 @@ class SatCache:
         key = base | {atom}
         closure = self.closures.get(key)
         if closure is None:
-            closure = self.closures[key] = self._closure(base).extended(atom)
+            start = self._closure(base)
+            closure = self.closures[key] = (
+                Closure.of(key) if start.paths or _has_path(atom)
+                else start.extended(atom))
         return closure
 
     def check(self, base: frozenset[Atom], atom: Atom) -> SatResult:

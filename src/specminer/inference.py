@@ -9,8 +9,10 @@ own branches finishes normally with the same value, and that value is
 expressible in the caller's vocabulary: a literal, NULL, an input
 argument, or the updated structure root. So a replay stops at its first leaf
 that rules the call out (see `explain`). The surviving equations become
-one axiom per branch; axioms are then merged (same conclusion — intersect
-premises; same premises — union conclusions) and canonically ordered.
+one axiom per branch. Two axioms with the same conclusion merge when one
+premise contains the other, keeping the weaker premise; axioms with
+different conclusions stay apart, since each describes its own paths.
+The axioms are then canonically ordered.
 """
 
 from __future__ import annotations
@@ -128,13 +130,6 @@ def call_shapes(index, observer_names, args):
                 calls.append((oname, combo))
     calls.sort(key=lambda call: (call[0], tuple(args[i][0] for i in call[1])))
     return calls
-
-
-def build_universe(index, observer_names, args):
-    """`call_shapes` with each position replaced by its argument:
-    [(observer, ((display, value), ...))]."""
-    return [(oname, tuple(args[i][:2] for i in positions))
-            for oname, positions in call_shapes(index, observer_names, args)]
 
 
 # ---------------------------------------------------------------- explain
@@ -374,20 +369,13 @@ def _same_conclusion(a: Axiom, b: Axiom):
     return None
 
 
-def _same_premise(a: Axiom, b: Axiom):
-    """Same premise: the conclusions can be joined."""
-    if a.pre == b.pre and a.ret == b.ret:
-        return a.pre, _canonical(set(a.post) | set(b.post))
-    return None
-
-
-def _merge_first(axioms: list, rule) -> list | None:
-    """`axioms` with the first pair `rule` merges, by `(pre, post)`,
-    replaced by their merge at the end; None when it merges no pair."""
+def _merge_first(axioms: list) -> list | None:
+    """`axioms` with the first pair `_same_conclusion` merges replaced by
+    their merge at the end; None when it merges no pair."""
     for i, a in enumerate(axioms):
         for j in range(i + 1, len(axioms)):
             b = axioms[j]
-            merged = rule(a, b)
+            merged = _same_conclusion(a, b)
             if merged is not None:
                 rest = [x for k, x in enumerate(axioms) if k not in (i, j)]
                 return rest + [Axiom(*merged, a.ret, a.provenance + "+" + b.provenance,
@@ -396,12 +384,12 @@ def _merge_first(axioms: list, rule) -> list | None:
 
 
 def simplify_spec(axioms: list) -> list:
-    """Merge same-conclusion pairs until none is left, then join one
-    same-premise pair, and start again; then order the axioms."""
+    """Merge same-conclusion pairs until none is left, then order the
+    axioms. Axioms whose conclusions differ are never joined: the union
+    of two paths' posts describes neither path."""
     axioms = [Axiom(_canonical(a.pre), _canonical(a.post), a.ret,
                     a.provenance, a.approx) for a in axioms]
-    while merged := (_merge_first(axioms, _same_conclusion)
-                     or _merge_first(axioms, _same_premise)):
+    while merged := _merge_first(axioms):
         axioms = merged
 
     def size(a: Axiom) -> tuple:

@@ -390,8 +390,8 @@ PICK_SRC = (
 
 
 def test_one_call_with_two_values_prints_the_same_under_any_hash_seed(tmp_path):
-    # the joined post of `pick` holds getv(b) = 1 and getv(b) = 2; equations
-    # that share observer and arguments must still print in a fixed order
+    # the aliased and the separate world of `pick` give getv(b) the values 1
+    # and 2 under one premise; their axioms must still print in a fixed order
     src = tmp_path / "pick.c"
     src.write_text(PICK_SRC)
     outs = set()

@@ -306,37 +306,55 @@ def test_sat_cache_agrees_with_check_sat():
     assert all(n > 10 for n in verdicts.values()), verdicts
 
 
-def test_a_closure_extended_atom_by_atom_agrees_with_check_sat():
+def test_a_closure_extended_atom_by_atom_agrees_with_check_sat(monkeypatch):
     """Differential for the disequality index: chains of address `=`/`!=`
-    atoms, extended one at a time from the empty closure, get
-    `check_sat`'s verdict on every prefix. A merge without field paths
-    rechecks only the disequalities at the merged class; one in three
-    chains uses field paths, so its merges close the partition and recheck
-    every disequality instead."""
+    atoms, extended one at a time from the empty condition through a
+    `SatCache`, get `check_sat`'s verdict on every prefix. A merge without
+    field paths rechecks only the disequalities at the merged class; one
+    in three chains uses field paths, and the cache builds each of their
+    closures with `Closure.of` instead of `Closure.extended`."""
     rng = random.Random(20261019)
     addrs = [SymAddrRef(200 + i, f"a{i}") for i in range(6)]
     verdicts = {r: 0 for r in SatResult}
     merges = {False: 0, True: 0}  # merges of two classes, by whether paths were on
+    real_of, real_extended = Closure.of.__func__, Closure.extended
+    built = []  # how each closure the cache lacked was made: "of" or "extended"
+
+    def of(cls, atoms):
+        built.append("of")
+        return real_of(cls, atoms)
+
+    def extended(self, atom):
+        built.append("extended")
+        return real_extended(self, atom)
 
     def term(paths):
         q = rng.choice(addrs)
         return FieldPath(q, ("next",)) if paths and rng.random() < 0.3 else q
 
+    cache = SatCache()
+    monkeypatch.setattr(Closure, "of", classmethod(of))
+    monkeypatch.setattr(Closure, "extended", extended)
     for chain in range(300):
         paths = chain % 3 == 0
-        closure = Closure.of(TRUE)
-        atoms = set()
+        atoms = TRUE
+        closure = cache.closures[atoms]
         for _ in range(rng.randrange(1, 14)):
             op = EQ if rng.random() < 0.4 else NEQ
             atom = Atom(op, term(paths), rng.choice([term(paths), NullRef()]))
             # `lhs = rhs` merges two classes when `lhs != rhs` is not refuted
-            apart = check_sat(frozenset(atoms | {Atom(NEQ, atom.lhs, atom.rhs)}))
+            apart = check_sat(atoms | {Atom(NEQ, atom.lhs, atom.rhs)})
             if op == EQ and apart != SatResult.UNSAT:
                 merges[bool(closure.paths)] += 1
-            atoms.add(atom)
-            closure = closure.extended(atom)
-            expected = check_sat(frozenset(atoms))
-            assert closure.verdict == expected, render_constraint(frozenset(atoms))
+            new = atom not in atoms and atoms | {atom} not in cache.closures
+            with_paths = bool(closure.paths) or any(
+                isinstance(t, FieldPath) for t in (atom.lhs, atom.rhs))
+            built.clear()
+            closure = cache.extend(atoms, atom)
+            assert built == (["of" if with_paths else "extended"] if new else [])
+            atoms = atoms | {atom}
+            expected = check_sat(atoms)
+            assert closure.verdict == expected, render_constraint(atoms)
             verdicts[expected] += 1
     assert verdicts[SatResult.SAT] > 100 and verdicts[SatResult.UNSAT] > 100, verdicts
     assert verdicts[SatResult.UNKNOWN] == 0  # no integer atom

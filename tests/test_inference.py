@@ -26,7 +26,7 @@ from specminer.inference import (
     RET,
     Rhs,
     UnknownFunction,
-    build_universe,
+    call_shapes,
     infer_spec,
     simplify_spec,
 )
@@ -157,11 +157,16 @@ def _render_all(spec):
 
 # ---------------------------------------------------------------- universe
 
+def _displays(args, calls):
+    """Each call of `call_shapes` with its positions named by display."""
+    return [(o, tuple(args[i][0] for i in positions)) for o, positions in calls]
+
+
 def test_append_observer_universe(dll_index):
     args = [("list", object(), N.structptr("List")), ("d", object(), N.VOIDPTR)]
     observers = dll_index.observers - {"append"}
-    calls = build_universe(dll_index, observers, args)
-    assert [(o, tuple(d for d, _v in a)) for o, a in calls] == [
+    calls = call_shapes(dll_index, observers, args)
+    assert _displays(args, calls) == [
         ("find", ("list", "d")),
         ("head", ("list",)),
         ("init", ("list",)),
@@ -176,8 +181,8 @@ def test_universe_enumerates_typed_permutations():
         "int g(void* a, void* b) { if (a == b) return 1; return 0; }\n"
         "void m(void* d, void* e) { }")
     args = [("d", object(), N.VOIDPTR), ("e", object(), N.VOIDPTR)]
-    calls = build_universe(idx, {"g"}, args)
-    assert [(o, tuple(d for d, _v in a)) for o, a in calls] == [
+    calls = call_shapes(idx, {"g"}, args)
+    assert _displays(args, calls) == [
         ("g", ("d", "e")),
         ("g", ("e", "d")),
     ]
@@ -186,7 +191,7 @@ def test_universe_enumerates_typed_permutations():
 def test_universe_excludes_ill_typed_calls(dll_index):
     # length wants a struct List*, never the data argument
     args = [("d", object(), N.VOIDPTR)]
-    assert build_universe(dll_index, {"length"}, args) == []
+    assert call_shapes(dll_index, {"length"}, args) == []
 
 
 def test_inference_ignores_declaration_order(dll_src):
@@ -257,26 +262,28 @@ def test_simplify_keeps_incomparable_pres_apart():
     assert len(out) == 2
 
 
-def test_simplify_unions_posts_over_equal_pres():
+def test_simplify_keeps_equal_pres_with_different_posts_apart():
+    # each axiom describes its own paths; the union of their posts would
+    # describe neither
     pre = (_eq("length", ["l"], Rhs("int", 2)),)
     ret = Equation(RET, (), Rhs("null"))
     a = _ax(pre, [_eq("length", ["l'"], Rhs("int", 3))], ret)
     b = _ax(pre, [_eq("find", ["l'", "d"], Rhs("int", 1))], ret)
     out = simplify_spec([a, b])
-    assert len(out) == 1
-    assert sorted(e.render() for e in out[0].post) == \
-        ["find(l', d) = 1", "length(l') = 3"]
+    assert sorted([e.render() for e in ax.post] for ax in out) == \
+        [["find(l', d) = 1"], ["length(l') = 3"]]
 
 
-def test_a_same_premise_join_can_enable_a_later_merge():
-    # p0 and p1 only join, into pre {L0} and post {X, Y}, which then
-    # absorbs p2's stronger premise; a merge names its first axiom first
+def test_subsumption_merges_chain_and_name_their_first_axiom_first():
+    # p0 and p1 merge into pre {L0}, which goes last and then absorbs p2's
+    # stronger premise; a merge names its first axiom first
     l0, f0 = _eq("length", ["l"], Rhs("int", 0)), _eq("find", ["l", "d"], Rhs("int", 0))
-    x, y = _eq("length", ["l'"], Rhs("int", 1)), _eq("find", ["l'", "d"], Rhs("int", 1))
+    g0 = _eq("last", ["l"], Rhs("null"))
+    x = _eq("length", ["l'"], Rhs("int", 1))
     ret = Equation(RET, (), Rhs("null"))
-    [ax] = simplify_spec([Axiom((l0,), (x,), ret, "p0"), Axiom((l0,), (y,), ret, "p1"),
-                          Axiom((l0, f0), (x, y), ret, "p2")])
-    assert ax.pre == (l0,) and set(ax.post) == {x, y}
+    [ax] = simplify_spec([Axiom((l0, f0), (x,), ret, "p0"), Axiom((l0,), (x,), ret, "p1"),
+                          Axiom((l0, f0, g0), (x,), ret, "p2")])
+    assert ax.pre == (l0,) and ax.post == (x,)
     assert ax.provenance == "p2+p0+p1"
 
 
@@ -295,6 +302,16 @@ def test_the_rhs_kinds_are_those_of_the_spec_format():
     doc = (pathlib.Path(__file__).parents[1] / "docs" / "spec-format.md").read_text()
     listed = re.search(r"`rhs\.kind` is one of ([^.]*)\.", doc).group(1)
     assert re.findall(r"`(\w+)`", listed) == [rhs.kind for rhs, _t, _j in RHS_CASES]
+
+
+def test_merged_provenance_is_that_of_the_spec_format(dll_index):
+    doc = (pathlib.Path(__file__).parents[1] / "docs" / "spec-format.md").read_text()
+    documented = re.search(
+        r"For `head` of\s+`tests/corpus/dll.c`, bound 1 gives the provenance `([\w+]+)` and "
+        r"bound 2\s+gives `([\w+]+)`", doc).groups()
+    got = [[ax.provenance for ax in infer_spec(dll_index, "head", Limits(unroll_bound=u)).axioms]
+           for u in (1, 2)]
+    assert got == [[documented[0]], [documented[1]]]
 
 
 @pytest.mark.parametrize("rhs, text, doc", RHS_CASES)
@@ -351,14 +368,16 @@ def _exhaustive_explain(index, heap, condition, args, limits, alloc,
     sym_map = inference._sym_id_map(args, post_root)
     own_sat = SatCache()
     equations, diagnostics, unruled = [], [], []
-    for oname, call_args in build_universe(index, observer_names, args):
+    for oname, positions in call_shapes(index, observer_names, args):
+        call_args = [args[i] for i in positions]
+
         def replay(limits):
-            return se(index, oname, [v for _d, v in call_args], limits, alloc,
+            return se(index, oname, [v for _d, v, _t in call_args], limits, alloc,
                       lazy_aliasing, heap=heap, condition=condition, malloced=malloced)
 
         res = replay(limits)
         if res.budget_error:
-            names = ", ".join(d for d, _v in call_args)
+            names = ", ".join(d for d, _v, _t in call_args)
             note = (f"{context}: observer run {oname}({names}) exhausted its "
                     f"budget; inconclusive")
             diagnostics.append(note)
@@ -378,7 +397,7 @@ def _exhaustive_explain(index, heap, condition, args, limits, alloc,
             continue
         if any(v != values[0] for v in values[1:]):
             continue
-        equations.append(Equation(oname, tuple(d for d, _v in call_args),
+        equations.append(Equation(oname, tuple(d for d, _v, _t in call_args),
                                   values[0], any(p.approx for p in leaves)))
     return equations, diagnostics, unruled
 
@@ -667,16 +686,48 @@ int getv(struct Node* n) { return n->v; }
 """
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the aliased world (a == b) and the separate one share the premise "
-    "`true`, because no observer can express a == b, so their posts are "
-    "joined into getv(b) = 1 /\\ getv(b) = 2"))
+F_SRC = """
+struct N { int v; struct N* next; };
+int getv(struct N* n) { return n->v; }
+int f(struct N* a, int x) { if (x > 0) { a->v = 1; } else { a->v = 2; } return 0; }
+"""
+
+
 def test_lazy_aliasing_never_gives_one_observer_call_two_values():
-    spec = infer_spec(load_program(PICK_SRC), "pick", lazy_aliasing=True)
-    for ax in spec.axioms:
-        rhs = {}
-        for e in ax.post:
-            assert rhs.setdefault((e.observer, e.args), e.rhs) == e.rhs, e.render()
+    """No axiom's post gives one call two values. The aliased and the
+    separate world of `pick` share the premise `true`, as do the two
+    branches of `f` (no observer sees `x`); their posts stay apart."""
+    specs = [infer_spec(load_program(PICK_SRC), "pick", lazy_aliasing=True),
+             infer_spec(load_program(F_SRC), "f")]
+    for spec in specs:
+        for ax in spec.axioms:
+            rhs = {}
+            for e in ax.post:
+                assert rhs.setdefault((e.observer, e.args), e.rhs) == e.rhs, e.render()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "premises are only the observer equations on the pre-state; when they "
+    "do not separate two paths, both axioms claim their posts on the same "
+    "inputs (the separation check of ROADMAP item 4)"))
+@pytest.mark.parametrize("src, fn, lazy_aliasing", [
+    ((pathlib.Path(__file__).parent / "corpus" / "branch.c").read_text(), "branch", False),
+    (F_SRC, "f", False),
+    (PICK_SRC, "pick", True),
+], ids=["branch", "f", "pick-lazy-aliasing"])
+def test_axioms_with_equal_premises_agree_on_every_call(src, fn, lazy_aliasing):
+    """No two printed axioms with equal premises give one observer call,
+    or `ret`, different values."""
+    spec = infer_spec(load_program(src), fn, lazy_aliasing=lazy_aliasing)
+    for i, a in enumerate(spec.axioms):
+        for b in spec.axioms[i + 1:]:
+            if set(a.pre) != set(b.pre):
+                continue
+            values = {(e.observer, e.args): e.rhs for e in a.post + (a.ret,) if e is not None}
+            for e in b.post + (b.ret,):
+                if e is not None:
+                    assert values.get((e.observer, e.args), e.rhs) == e.rhs, \
+                        (a.provenance, b.provenance, e.render())
 
 
 TOUCH_NEXT_SRC = """
