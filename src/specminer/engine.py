@@ -44,10 +44,9 @@ its operands into the atom it decides as they are, and symbolic `+`/`-`
 records `s = l + r` for a fresh int `s` over the operands themselves.
 Every atom comes from the run's `SatCache` (`atom`, `negation`), which
 hands out one object per `(op, lhs, rhs)`. An atom recorded without a
-question — `s = l + r`, the distinctness facts for fresh storage, the
-separate alias world's disequalities — still goes through the cache
-(`_Engine._record`), so every closure a path needs is built by extending
-the one before it.
+question — `s = l + r`, the separate alias world's disequalities — still
+goes through the cache (`_Engine._record`), so every closure a path needs
+is built by extending the one before it.
 
 Three mechanisms matter beyond plain evaluation:
 
@@ -62,13 +61,17 @@ Three mechanisms matter beyond plain evaluation:
   the pattern's stored conjunction (`Pattern.condition`), and
   the negation is built only when the atom itself is not recorded. A
   dereference of a heap key, or its comparison with NULL, asks no
-  question at all: the conditions entail that a heap key is not NULL
-  (see `se`), so `_on_heap` reads their own verdict instead. A
-  branch pushes the outcome as the shared 1 or 0; a dereference turns the
-  NULL outcome into an error leaf. An int is true when it is not 0. The
-  solver's answers come from a `SatCache` the caller may share between
-  runs (`infer_spec` shares one between the modifier run and every
-  observer replay).
+  question at all: the conditions entail that an input object's heap key
+  is not NULL (see `se`), and malloc'd storage is not NULL by
+  construction, so `_on_heap` reads their own verdict instead. Nor does
+  a comparison of a malloc'd address with any other address: no input
+  pointer can point to fresh storage, so they differ, and no atom says
+  so (lazy initialization takes a fresh object to be distinct from every
+  input object the same way). A branch pushes the outcome as the shared
+  1 or 0; a dereference turns the NULL outcome into an error leaf. An int
+  is true when it is not 0. The solver's answers come from a `SatCache`
+  the caller may share between runs (`infer_spec` shares one between the
+  modifier run and every observer replay).
 
 * Lazy heaps. The input heap starts unknown. Dereferencing an address the
   conditions allow to be non-null conjures an empty object for it; reading
@@ -78,12 +81,18 @@ Three mechanisms matter beyond plain evaluation:
   With `lazy_aliasing`, a newly discovered object may also be one of the
   already-discovered input objects, one extra successor per candidate.
 
-* Loop budgets. Every loop-guard evaluation that required a genuine split
-  since the last check marks the iteration as a real decision; only those
-  iterations count against the unroll bound. Iterations whose guard was
-  entailed are free, so post-state walks over already-discovered heaps do
-  not burn budget. Paths cut at the bound are tallied, not emitted. A run
-  is out of its pattern budget only when a leaf it would keep does not fit.
+* Loop budgets. An iteration counts against the unroll bound when it is a
+  real decision: when its guard needed a genuine split, or when a NULL
+  test split genuinely since the loop's last guard check, in the body or
+  in a function it called. The pattern counts its NULL-test splits
+  (`null_splits`), and each loop keeps the count it saw at its last check,
+  so a callee's loop cannot hide a split from its caller's. An iteration
+  whose body dereferences the pointer that the next guard tests thus
+  still counts when the dereference discovered an object. Other
+  iterations whose guard was entailed are free, so post-state walks over
+  already-discovered heaps do not burn budget. Paths cut at the bound
+  are tallied, not emitted. A run is out of its pattern budget only when
+  a leaf it would keep does not fit.
 """
 
 from __future__ import annotations
@@ -236,19 +245,11 @@ class _Engine:
         return p
 
     def _record(self, p: Pattern, add, atom: Atom) -> None:
-        """Record `atom`, which no question decided, on `p` with `add`, one
-        of `p`'s `add_*_atom` methods. The cache extends the closure of
-        `p`'s conditions by it, as it does for a decided atom."""
+        """Record `atom`, which no question decided, on `p` with `add`,
+        `p.add_path_atom` or `p.add_mem_atom`. The cache extends the closure
+        of `p`'s conditions by it, as it does for a decided atom."""
         self.sat.extend(p.condition, atom)
         add(atom)
-
-    def _materialize(self, p: Pattern, a: SymAddrRef, struct_name: str) -> None:
-        if a in p.heap:
-            return
-        # both heaps hold the one new object until a write replaces it
-        p.heap[a] = p.entry_heap[a] = HeapObject(struct_name, {})
-        for m in sorted(p.malloced, key=lambda x: (x.display, x.sid)):
-            self._record(p, p.add_alloc_atom, self.sat.atom(C.NEQ, a, m))
 
     def _fill(self, p: Pattern, a: SymAddrRef, fname: str, ftype: nodes.CType):
         """Give the object at `a` a fresh value for its missing field
@@ -297,6 +298,7 @@ class _Engine:
         for r, a, verdict in ((p, atom, st), (q, neg, sf)):
             if mem:
                 r.add_mem_atom(a)
+                r.null_splits += 1
             else:
                 r.add_path_atom(a)
             if verdict == SatResult.UNKNOWN:
@@ -342,9 +344,10 @@ class _Engine:
                 succs.append(self._error(q, "NULL dereference"))
                 continue
             worlds = [(q, target)]
-            if len(outcomes) == 2 and self.lazy_aliasing and target not in q.heap:
+            if len(outcomes) == 2 and self.lazy_aliasing:
                 worlds += self._alias_worlds(q, target, struct_name)
-            self._materialize(q, target, struct_name)
+            # both heaps hold the one new object until a write replaces it
+            q.heap[target] = q.entry_heap[target] = HeapObject(struct_name, {})
             for w, obj in worlds:
                 then(self, w, obj, e)
                 succs.append(w)
@@ -352,11 +355,14 @@ class _Engine:
         return None if len(outcomes) == 1 else succs
 
     def _on_heap(self, p: Pattern) -> bool:
-        """Decide `a != NULL` for a key `a` of `p.heap`, as `_decide` would,
-        from the verdict of `p`'s conditions alone. They entail that a heap
-        key is not NULL (see `se`), so adding the atom or refuting its
-        negation leaves that verdict as it is: False when it is Unsat (the
-        path is dropped), and `p` is approx when it is Unknown."""
+        """Decide, as `_decide` would, that two pointers differ where `p`
+        knows it without a question: a key of `p.heap` and NULL, or a
+        malloc'd object and another address. The conditions entail that an
+        input object's key is not NULL (see `se`), and malloc'd storage
+        differs from NULL and every input object by construction, so adding
+        the fact or refuting its negation leaves their verdict as it is:
+        False when it is Unsat (the path is dropped), and `p` is approx
+        when it is Unknown."""
         verdict = self.sat.verdict(p.condition)
         if verdict is SatResult.UNKNOWN:
             p.approx = True
@@ -413,7 +419,15 @@ class _Engine:
             p.k += taken.push
 
     def _loop_check(self, p: Pattern, s) -> list[Pattern] | None:
-        p.guard_split = False
+        """Evaluate the guard of loop `s` next. The iteration it may start
+        counts against the unroll bound when a NULL test split since the
+        loop's last check, in its body or in a function it called; the
+        loop's entry under its guard's id in `loop_counts` holds the
+        path's `null_splits` at that check."""
+        seen = p.loop_counts.get(id(s.cond))
+        p.guard_split = seen is not None and seen != p.null_splits
+        if seen != p.null_splits:
+            p.loop_counts = {**p.loop_counts, id(s.cond): p.null_splits}
         p.k += s.test
 
     def _loop_decide(self, p: Pattern, s) -> list[Pattern] | None:
@@ -527,10 +541,17 @@ class _Engine:
         if (l is C.NULL or isinstance(l, SymAddrRef)) and l is r:
             p.vals.append(_ONE if e.op in ("==", "<=", ">=") else _ZERO)
             return None
-        # a heap key against NULL, with `==` or `!=` (the resolver admits
-        # no other pointer comparison)
-        key = r if l is C.NULL else l if r is C.NULL else None
-        if type(key) is SymAddrRef and key in p.heap:
+        # two different objects, compared with `==` or `!=` (the resolver
+        # admits no other pointer comparison): a heap key and NULL, or a
+        # malloc'd object and any other address, since no input pointer
+        # can point to fresh storage
+        if l is C.NULL:
+            apart = type(r) is SymAddrRef and r in p.heap
+        elif r is C.NULL:
+            apart = type(l) is SymAddrRef and l in p.heap
+        else:
+            apart = type(l) is SymAddrRef and (l in p.malloced or r in p.malloced)
+        if apart:
             if not self._on_heap(p):
                 return []
             p.vals.append(_ONE if e.op == "!=" else _ZERO)
@@ -552,9 +573,6 @@ class _Engine:
         handler, below, _weight = p.k[-1]
         name = below.target.name if handler is _Engine._assign_var else "obj"
         m = self.alloc.fresh_addr(name)
-        for a in p.heap:
-            self._record(p, p.add_alloc_atom, self.sat.atom(C.NEQ, m, a))
-        self._record(p, p.add_alloc_atom, self.sat.atom(C.NEQ, m, C.NULL))
         p.heap[m] = HeapObject(e.struct, {})
         p.malloced = p.malloced | {m}
         p.vals.append(m)
@@ -695,13 +713,14 @@ def se(
     `condition`, with the objects in `malloced` known to be malloc'd (a
     replay starts from the run it observes).
 
-    Every key `a` of `heap` must be non-null under `condition`: the solver
-    refutes `condition` plus `a = NULL`. The run keeps this for the keys
-    it adds, since it materializes an object only once `a = NULL` is
-    refuted or split off, and records `m != NULL` for each malloc; so the
-    heap and condition of any pattern it returns may start another run.
-    The engine decides `a != NULL` for a heap key from the condition's
-    verdict alone (see `_Engine._on_heap`).
+    Every key `a` of `heap` that is not malloc'd must be non-null under
+    `condition`: the solver refutes `condition` plus `a = NULL`. The run
+    keeps this for the keys it adds, since it materializes an input
+    object only once `a = NULL` is refuted or split off, and a malloc'd
+    key is non-null by construction; so the heap and condition of any
+    pattern it returns may start another run. The engine decides
+    `a != NULL` for a heap key from the condition's verdict alone (see
+    `_Engine._on_heap`).
 
     `budget_error` is set when a terminal pattern the run would keep
     finds `limits.max_patterns` already kept, or when a path runs out of

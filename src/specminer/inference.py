@@ -355,7 +355,7 @@ def infer_spec(
 # ---------------------------------------------------------------- simplify
 
 def _canonical(eqs) -> tuple:
-    return tuple(sorted(eqs, key=lambda e: (e.observer, e.args, e.render())))
+    return tuple(sorted(eqs, key=lambda e: (e.observer, e.args)))
 
 
 def _same_conclusion(a: Axiom, b: Axiom):

@@ -13,9 +13,11 @@ running call straight to its value, the heap, and the two condition cells
 materializing unexplored parts of the heap on demand). A condition is the
 frozenset of its atoms (see `constraints`), and recording an atom replaces
 a cell with a larger set. The pattern also keeps `condition`, the union of
-the two cells and of the undisplayed distinctness facts for fresh storage,
-which every solver question starts from. Pending calls live only in the
-continuation: a call's frame holds the caller's env and loop counts.
+the two cells, which every solver question starts from. No atom says that
+malloc'd storage differs from NULL and from every input object: the engine
+knows it by construction (see `engine._Engine._compare`). Pending calls
+live only in the continuation: a call's frame holds the caller's env and
+loop counts.
 
 `Pattern.clone` copies only the containers that are written in place: the
 continuation `k`, the value stack `vals`, and the two heap dicts. Every
@@ -157,18 +159,16 @@ class Pattern:
                  status: str = RUNNING, error_reason: str = "", return_value: Value = UNDEF,
                  malloced: frozenset = frozenset(), aliases: dict | None = None,
                  vals: list | None = None, loop_counts: dict | None = None,
-                 approx: bool = False, guard_split: bool = False, steps: int = 0,
-                 provenance_id: str = ""):
+                 approx: bool = False, guard_split: bool = False, null_splits: int = 0,
+                 steps: int = 0, provenance_id: str = ""):
         self.k = k  # continuation stack of engine frames, top last
         self.env = env
         self.heap = heap
         self.entry_heap = entry_heap  # the input heap as discovered: materializations + fills
         self.path_condition = path_condition
         self.mem_path_condition = mem_path_condition
-        # the conjunction of the two cells above and of the distinctness
-        # facts for fresh storage (malloc results, materialized input
-        # objects), which only it holds; kept by the add_*_atom methods,
-        # built from the two cells when not given
+        # the conjunction of the two cells above, kept by the add_*_atom
+        # methods, built from them when not given
         self.condition = (path_condition | mem_path_condition
                           if condition is None else condition)
         self.status = status
@@ -182,6 +182,8 @@ class Pattern:
         self.loop_counts = {} if loop_counts is None else loop_counts
         self.approx = approx
         self.guard_split = guard_split
+        # genuine NULL-test splits on this path so far; it only grows
+        self.null_splits = null_splits
         self.steps = steps
         self.provenance_id = provenance_id
 
@@ -203,6 +205,7 @@ class Pattern:
             loop_counts=self.loop_counts,
             approx=self.approx,
             guard_split=self.guard_split,
+            null_splits=self.null_splits,
             steps=self.steps,
             provenance_id=self.provenance_id,
         )
@@ -224,11 +227,6 @@ class Pattern:
 
     def add_mem_atom(self, a: Atom) -> None:
         self.mem_path_condition = self.mem_path_condition | {a}
-        self.condition = self.condition | {a}
-
-    def add_alloc_atom(self, a: Atom) -> None:
-        """Record a distinctness fact for fresh storage: every solver
-        question sees it, the dump does not."""
         self.condition = self.condition | {a}
 
 

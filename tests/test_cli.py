@@ -751,6 +751,14 @@ def test_lazy_aliasing_find_needs_no_step_budget(capsys):
     assert "note:" not in err
 
 
+def test_lazy_aliasing_init_ends_at_the_bound(capsys):
+    # each walk over the discovered list dereferences the node the next
+    # guard tests, so only the NULL splits in its body count the iterations
+    code, _out, err = run(capsys, DLL, "-f", "init", "--unroll", "1", "--lazy-aliasing")
+    assert code == EXIT_OK
+    assert "note:" not in err
+
+
 def test_generous_env_budget_is_fine(capsys, monkeypatch):
     monkeypatch.setenv(MAX_PATTERNS_ENV, "4096")
     assert run(capsys, BRANCH, "-f", "branch")[0] == EXIT_OK

@@ -119,11 +119,10 @@ def test_append_emission_order_is_depth_first_true_first(dll_index):
         "list != NULL /\\ list->next = NULL",
         "list = NULL",
     ]
-    # fresh-node facts stay out of the displayed conditions but are part of
-    # what entailment sees
-    p2 = res.patterns[2]
-    assert p2.condition - (p2.path_condition | p2.mem_path_condition)
-    assert len(p2.condition) > len(p2.mem_path_condition)
+    # the solver sees exactly the displayed conditions: a malloc'd node is
+    # distinct from NULL and from the input objects by construction
+    for p in res.patterns:
+        assert p.condition == p.path_condition | p.mem_path_condition, p.provenance_id
 
 
 def test_split_log_pairs_are_mutually_unsat(dll_index):
@@ -294,6 +293,35 @@ def test_each_call_counts_its_own_loop_and_restores_the_callers(bound, returns):
     # every path that would take one more counted iteration is cut
     assert res.truncated_paths == len(returns)
     assert res.error_patterns == []
+
+
+# walks over an ever longer input list: the dereference of `n->next` in the
+# body decides the next guard, so no guard splits after the first
+WALK_SRC = """
+struct N { int v; struct N* next; };
+int upto(int k) { int c; c = 0; while (c < k) c = c + 1; return c; }
+int poke(struct N* m) { m->v = 1; return 0; }
+int walk(struct N* n) { while (n != NULL) { n->next->v = 1; n = n->next; } return 0; }
+int walkup(struct N* n) { while (n != NULL) { upto(n->next->v); n = n->next; } return 0; }
+int walkpoke(struct N* n) { while (n != NULL) { poke(n->next); n = n->next; } return 0; }
+"""
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("fname", ["walk", "walkup", "walkpoke"])
+def test_an_iteration_that_discovers_heap_counts(fname, bound):
+    """A NULL test that splits in a loop's body, or in a function the body
+    calls (`poke`), counts the loop's next iteration against the bound,
+    and a callee's own loop (`upto`) does not hide it: the bound, not the
+    step cap, ends the walk."""
+    idx = load_program(WALK_SRC)
+    alloc = Allocator()
+    res = se(idx, fname, [alloc.fresh_addr("n")],
+             Limits(unroll_bound=bound, max_steps=2000), alloc)
+    assert not res.budget_error
+    assert res.truncated_paths
+    assert {p.error_reason for p in res.error_patterns} == {"NULL dereference"}
+    assert [p.return_value for p in res.final_patterns] == [IntConst(0)]
 
 
 def test_clones_share_only_what_is_replaced_on_write(entry_pattern):
@@ -551,15 +579,21 @@ def test_every_heap_key_is_non_null_under_its_condition(corpus_dir, monkeypatch,
                                                         lazy_aliasing):
     """What `_on_heap` rests on: in every run of an invocation, the
     modifier's and each replay's, every final pattern's conditions refute
-    `a = NULL` for each key `a` of its heap and of its entry heap. The
-    from-scratch `check_sat` decides it."""
+    `a = NULL` for each key `a` of its heap and of its entry heap that is
+    not malloc'd. The from-scratch `check_sat` decides it. A malloc'd
+    object is not NULL by construction, and no entry heap holds one but
+    those the run starts from: the modifier run's entry heaps, which the
+    pre replays start from, hold none."""
     real_se = inference.se
     checked = []
 
     def spy(*args, **kwargs):
         res = real_se(*args, **kwargs)
+        start = kwargs.get("heap") or {}
         for p in res.final_patterns:
-            for a in {**p.entry_heap, **p.heap}:
+            assert not (p.malloced & p.entry_heap.keys()) - start.keys(), \
+                (args[1], p.provenance_id)
+            for a in {**p.entry_heap, **p.heap}.keys() - p.malloced:
                 assert check_sat(p.condition | {Atom(EQ, a, NULL)}) == SatResult.UNSAT, \
                     (args[1], p.provenance_id, a)
                 checked.append(a)

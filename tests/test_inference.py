@@ -818,5 +818,47 @@ def test_lazy_aliasing_never_aliases_an_input_with_a_malloc(monkeypatch):
     assert all(cand not in p.malloced for p, cand in aliased)
 
 
+FRESH_SRC = """
+struct N { int v; struct N* next; };
+int getv(struct N* a) { return a->v; }
+int mnext(struct N* a) { struct N* m; m = (struct N*) malloc(sizeof(struct N));
+  m->v = 0; if (a->next == m) return 1; return 0; }
+int margs(struct N* a, struct N* b) { struct N* m; m = (struct N*) malloc(sizeof(struct N));
+  m->next = NULL; if (b == m) return 1; if (a == m) return 2; return 0; }
+int same(struct N* a, struct N* b) { a->v = 1; b->v = 2; if (a == b) return a->v; return 0; }
+"""
+
+
+@pytest.mark.parametrize("lazy_aliasing", [False, True])
+@pytest.mark.parametrize("fn", ["mnext", "margs"])
+def test_fresh_storage_is_no_input_pointer(fn, lazy_aliasing):
+    """No input pointer can point to malloc'd storage, whether or not it
+    is a heap key yet, so every comparison with it is false and every
+    axiom returns 0."""
+    for unroll in (1, 2):
+        spec = infer_spec(load_program(FRESH_SRC), fn, Limits(unroll_bound=unroll),
+                          lazy_aliasing=lazy_aliasing)
+        assert spec.axioms
+        assert {ax.ret.render() for ax in spec.axioms} == {"ret = 0"}, unroll
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "without --lazy-aliasing the engine splits on `a = b` but keeps two "
+    "objects, so the equal side reads the `v` written through `a`; whether "
+    "two input heap keys differ is the non-aliasing contract's decision "
+    "(ROADMAP items 6 and 14)"))
+def test_two_input_objects_compared_equal_are_one_object():
+    """No axiom of `same` claims `ret = 1` without aliasing: a concrete
+    run returns 2 when `a == b` and 0 otherwise."""
+    idx = load_program(FRESH_SRC)
+    a, b = CAddr(1), CAddr(2)
+    one = {a: CObject("N", {"v": 0, "next": None})}
+    assert concrete_run(idx, "same", one, [a, a])[0] == 2
+    two = {**one, b: CObject("N", {"v": 0, "next": None})}
+    assert concrete_run(idx, "same", two, [a, b])[0] == 0
+    spec = infer_spec(idx, "same", observers_override=["getv"])
+    assert "ret = 1" not in {ax.ret.render() for ax in spec.axioms}
+
+
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

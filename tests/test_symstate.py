@@ -93,9 +93,9 @@ def test_typed_values_are_frozen():
             setattr(obj, name, None)
 
 
-def _union(p, *alloc_atoms):
-    """The two displayed cells plus the distinctness facts `alloc_atoms`."""
-    return p.path_condition | p.mem_path_condition | frozenset(alloc_atoms)
+def _union(p):
+    """The two displayed cells."""
+    return p.path_condition | p.mem_path_condition
 
 
 def test_stored_conjunction_follows_every_cell(dll_index, entry_pattern):
@@ -111,15 +111,10 @@ def test_stored_conjunction_follows_every_cell(dll_index, entry_pattern):
     assert q.condition == _union(q)
     q.add_mem_atom(Atom(NEQ, root, NULL))
     assert q.condition == _union(q)
-    fresh = Atom(NEQ, alloc.fresh_addr("m"), NULL)
-    q.add_alloc_atom(fresh)
-    assert q.condition == _union(q, fresh)
-    # a distinctness fact stays out of both displayed cells
-    assert fresh not in _union(q)
     # an atom already in the conjunction through another cell
     q.add_path_atom(Atom(NEQ, root, NULL))
-    assert q.condition == _union(q, fresh)
-    assert len(q.condition) == 4
+    assert q.condition == _union(q)
+    assert len(q.condition) == 3
     # the clone's updates leave the original alone
     assert p.condition == _union(p)
     assert len(p.condition) == 1
