@@ -81,18 +81,20 @@ Three mechanisms matter beyond plain evaluation:
   With `lazy_aliasing`, a newly discovered object may also be one of the
   already-discovered input objects, one extra successor per candidate.
 
-* Loop budgets. An iteration counts against the unroll bound when it is a
-  real decision: when its guard needed a genuine split, or when a NULL
-  test split genuinely since the loop's last guard check, in the body or
-  in a function it called. The pattern counts its NULL-test splits
-  (`null_splits`), and each loop keeps the count it saw at its last check,
-  so a callee's loop cannot hide a split from its caller's. An iteration
-  whose body dereferences the pointer that the next guard tests thus
-  still counts when the dereference discovered an object. Other
-  iterations whose guard was entailed are free, so post-state walks over
-  already-discovered heaps do not burn budget. Paths cut at the bound
-  are tallied, not emitted. A run is out of its pattern budget only when
-  a leaf it would keep does not fit.
+* Loop budgets. An iteration counts against the unroll bound when its
+  guard added an atom to the path's condition (a genuine split, or the
+  `s = l + r` of symbolic arithmetic, in the guard or in a function it
+  called), or when the memory cell grew since the loop's last guard
+  check, in the body or in a function it called; the memory cell grows
+  only on a genuine NULL-test split and the alias atoms that come with
+  one. Each loop keeps one record in `loop_counts`, written at its guard
+  check, and a callee starts with its own, so a callee's loop cannot hide
+  a split from its caller's. An iteration whose body dereferences the
+  pointer that the next guard tests thus still counts when the
+  dereference discovered an object. Other iterations are free, so
+  post-state walks over already-discovered heaps do not burn budget.
+  Paths cut at the bound are tallied, not emitted. A run is out of its
+  pattern budget only when a leaf it would keep does not fit.
 """
 
 from __future__ import annotations
@@ -298,12 +300,10 @@ class _Engine:
         for r, a, verdict in ((p, atom, st), (q, neg, sf)):
             if mem:
                 r.add_mem_atom(a)
-                r.null_splits += 1
             else:
                 r.add_path_atom(a)
             if verdict == SatResult.UNKNOWN:
                 r.approx = True
-            r.guard_split = True
         self.split_log.append((p.condition, q.condition))
         return [(p, True), (q, False)]
 
@@ -419,26 +419,30 @@ class _Engine:
             p.k += taken.push
 
     def _loop_check(self, p: Pattern, s) -> list[Pattern] | None:
-        """Evaluate the guard of loop `s` next. The iteration it may start
-        counts against the unroll bound when a NULL test split since the
-        loop's last check, in its body or in a function it called; the
-        loop's entry under its guard's id in `loop_counts` holds the
-        path's `null_splits` at that check."""
-        seen = p.loop_counts.get(id(s.cond))
-        p.guard_split = seen is not None and seen != p.null_splits
-        if seen != p.null_splits:
-            p.loop_counts = {**p.loop_counts, id(s.cond): p.null_splits}
+        """Evaluate the guard of loop `s` next. The loop's one record in
+        `loop_counts` keeps its counted iterations, the size of the
+        memory cell at its last check (at the first check, its size now),
+        and the sizes of the memory cell and the condition at this one,
+        for `_loop_decide`."""
+        mem = len(p.mem_path_condition)
+        count, _last, seen, _cond = p.loop_counts.get(id(s)) or (0, 0, mem, 0)
+        p.loop_counts = {**p.loop_counts, id(s): (count, seen, mem, len(p.condition))}
         p.k += s.test
 
     def _loop_decide(self, p: Pattern, s) -> list[Pattern] | None:
+        """Start the next iteration of loop `s` when its guard held. The
+        iteration counts against the unroll bound when the guard added an
+        atom to the path's condition, or when the memory cell grew between
+        the loop's last check and this one, in its body or in a function
+        it called."""
         if p.vals.pop().value == 0:
             return None
-        if p.guard_split:
-            count = p.loop_counts.get(id(s), 0) + 1
-            if count > self.limits.unroll_bound:
+        count, last, mem, cond = p.loop_counts[id(s)]
+        if mem > last or len(p.condition) > cond:
+            if count >= self.limits.unroll_bound:
                 self.truncated += 1
                 return []
-            p.loop_counts = {**p.loop_counts, id(s): count}
+            p.loop_counts = {**p.loop_counts, id(s): (count + 1, last, mem, cond)}
         p.k += s.again
 
     def _leave(self, p: Pattern, s) -> list[Pattern] | None:

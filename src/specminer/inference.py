@@ -251,10 +251,9 @@ def infer_spec(
         raise UnknownFunction(modifier)
     if observers_override is not None:
         for name in observers_override:
-            g = index.functions.get(name)
-            if g is None:
+            if name not in index.functions:
                 raise UnknownFunction(name)
-            if g.return_type.kind == "void":
+            if name not in index.observers:
                 raise NotAnObserver(f"{name} returns void")
     observer_names = set(index.observers if observers_override is None
                          else observers_override) - {modifier}

@@ -159,8 +159,7 @@ class Pattern:
                  status: str = RUNNING, error_reason: str = "", return_value: Value = UNDEF,
                  malloced: frozenset = frozenset(), aliases: dict | None = None,
                  vals: list | None = None, loop_counts: dict | None = None,
-                 approx: bool = False, guard_split: bool = False, null_splits: int = 0,
-                 steps: int = 0, provenance_id: str = ""):
+                 approx: bool = False, steps: int = 0, provenance_id: str = ""):
         self.k = k  # continuation stack of engine frames, top last
         self.env = env
         self.heap = heap
@@ -181,9 +180,6 @@ class Pattern:
         self.vals = [] if vals is None else vals  # expression value stack
         self.loop_counts = {} if loop_counts is None else loop_counts
         self.approx = approx
-        self.guard_split = guard_split
-        # genuine NULL-test splits on this path so far; it only grows
-        self.null_splits = null_splits
         self.steps = steps
         self.provenance_id = provenance_id
 
@@ -204,8 +200,6 @@ class Pattern:
             vals=list(self.vals),
             loop_counts=self.loop_counts,
             approx=self.approx,
-            guard_split=self.guard_split,
-            null_splits=self.null_splits,
             steps=self.steps,
             provenance_id=self.provenance_id,
         )

@@ -324,6 +324,29 @@ def test_an_iteration_that_discovers_heap_counts(fname, bound):
     assert [p.return_value for p in res.final_patterns] == [IntConst(0)]
 
 
+GUARD_ATOMS_SRC = """
+int upto(int k) { int c; c = 0; while (c < k) c = c + 1; return c; }
+int clob(int x) { while (x > 0 && upto(2) > 0) { x = x - 1; } return x; }
+int ag(int x) { while (x + 1 > x) { x = x - 1; } return x; }
+"""
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("fname", ["clob", "ag"])
+def test_a_guard_that_adds_an_atom_counts(fname, bound):
+    """An iteration whose guard adds an atom to the path's condition
+    counts against the bound: a split that a looping callee in the guard
+    (`upto`) runs after, or the `s = x + 1` that `ag`'s guard records
+    before its entailed comparison. The bound, not the step cap, ends the
+    loop."""
+    idx = load_program(GUARD_ATOMS_SRC)
+    alloc = Allocator()
+    res = se(idx, fname, [alloc.fresh_int("x")],
+             Limits(unroll_bound=bound, max_steps=2000), alloc)
+    assert not res.budget_error
+    assert res.truncated_paths > 0
+
+
 def test_clones_share_only_what_is_replaced_on_write(entry_pattern):
     """`Pattern.clone` shares `loop_counts` and `aliases` with the original,
     so the engine replaces them and never writes them in place. A handler
@@ -331,13 +354,16 @@ def test_clones_share_only_what_is_replaced_on_write(entry_pattern):
     idx = load_program(NESTED_LOOPS_SRC)
     alloc = Allocator()
     eng = _Engine(idx, Limits(unroll_bound=2), alloc, True, SatCache())
-    p = entry_pattern(idx, "upto", [alloc.fresh_int("k")])
+    k = alloc.fresh_int("k")
+    p = entry_pattern(idx, "upto", [k])
     loop = idx.functions["upto"].body[1]
     q = p.clone()
+    assert eng._loop_check(q, loop) is None
+    # the guard `c < k` splits, and the held side records its atom
+    eng._record(q, q.add_path_atom, eng.sat.atom(LT, IntConst(0), k))
     q.vals.append(IntConst(1))
-    q.guard_split = True
     assert eng._loop_decide(q, loop) is None
-    assert q.loop_counts == {id(loop): 1}
+    assert q.loop_counts == {id(loop): (1, 0, 0, 0)}
     assert p.loop_counts == {}
 
     a, b = alloc.fresh_addr("a"), alloc.fresh_addr("b")
