@@ -4,26 +4,22 @@ The machine is a small-step interpreter over a continuation stack (`k`) and
 an expression value stack, exploring branches depth-first with the true
 branch first (the false one first in an all-or-nothing run, see `se`).
 
-Every continuation frame is a `(handler, data, weight)` triple, top last.
-The data is the AST node the frame works for, and the handler reads what
-it needs from it (an operator, a field name, the branches of an `if`). A
-statement or expression is pushed as the whole sequence of frames that
-evaluates it: its operands' frames, then the frames for the work after
-them. Frames are built once per program, not per step: `_build_frames`
-runs when the first engine for a `ProgramIndex` is built, and stores on
-every node of the function bodies that sequence (`push`), and on every
-function its body's frames. The only frame a step builds is a call's
-return frame, which holds the caller's env.
+Every continuation frame is a `(handler, data)` pair, top last. The data
+is the AST node the frame works for, and the handler reads what it needs
+from it (an operator, a field name, the branches of an `if`). A statement
+or expression is pushed as the whole sequence of frames that evaluates it:
+its operands' frames, then the frames for the work after them. Frames are
+built once per program, not per step: `_build_frames` runs when the first
+engine for a `ProgramIndex` is built, and stores on every node of the
+function bodies that sequence (`push`), and on every function its body's
+frames. The only frame a step builds is a call's return frame, which holds
+the caller's env.
 
-`Limits.max_steps` counts one step per frame of the nested layout, carried
-as weights. In that layout a compound node was one frame, whose step only
-pushed its sequence; that step now rides on the weight of the sequence's
-first frame (see `_build`), so a frame runs within the budget exactly when
-it did then, and every path takes as many steps. `_Engine.run` steps one
-pattern until it forks or ends: it pops a frame, adds its weight, checks
-the budget and runs the handler. A handler that keeps its pattern returns
-None, and any other returns the successors (none when the path is
-dropped), which go on the work stack.
+A step is one frame run: `Limits.max_steps` bounds the frames each path
+runs. `_Engine.run` steps one pattern until it forks or ends: it pops a
+frame, counts its step, checks the budget and runs the handler. A handler
+that keeps its pattern returns None, and any other returns the successors
+(none when the path is dropped), which go on the work stack.
 
 The continuation is the only record of pending calls. A call pushes a
 return frame under the callee's body; its data is the call node plus the
@@ -194,15 +190,15 @@ class _Engine:
         while stack:
             p = stack.pop()
             # Step `p` until it forks or ends. Each turn pops one frame,
-            # adds its weight to the steps and runs it; a handler that
-            # keeps `p` returns None, any other its successors (none when
-            # the path is dropped). A handler may clone `p`, so the steps
-            # are stored before it runs.
+            # counts its step and runs it; a handler that keeps `p` returns
+            # None, any other its successors (none when the path is
+            # dropped). A handler may clone `p`, so the steps are stored
+            # before it runs.
             succs = None
             steps = p.steps
             while succs is None and p.status is RUNNING:
-                handler, node, weight = p.k.pop()
-                p.steps = steps = steps + weight
+                handler, node = p.k.pop()
+                p.steps = steps = steps + 1
                 if steps > max_steps:
                     self.budget_error = True
                     self._error(p, "step budget exceeded")
@@ -406,10 +402,6 @@ class _Engine:
 
     # -------------------------------------------------- statements
 
-    def _empty(self, p: Pattern, n) -> None:
-        """The step of a compound node that has no frames: an empty
-        block."""
-
     def _pop(self, p: Pattern, s) -> list[Pattern] | None:
         p.vals.pop()
 
@@ -450,7 +442,7 @@ class _Engine:
         exit frame are dropped unrun."""
         rv = p.vals.pop() if s.value is not None else UNDEF
         while True:
-            handler, data, _weight = p.k.pop()
+            handler, data = p.k.pop()
             if handler is _Engine._resume or handler is _Engine._exit:
                 return handler(self, p, data, rv)
 
@@ -574,7 +566,7 @@ class _Engine:
 
     def _malloc(self, p: Pattern, e) -> list[Pattern] | None:
         # `x = malloc(...)` names the object after `x`
-        handler, below, _weight = p.k[-1]
+        handler, below = p.k[-1]
         name = below.target.name if handler is _Engine._assign_var else "obj"
         m = self.alloc.fresh_addr(name)
         p.heap[m] = HeapObject(e.struct, {})
@@ -582,13 +574,13 @@ class _Engine:
         p.vals.append(m)
 
     def _invoke(self, p: Pattern, e) -> list[Pattern] | None:
-        active = sum(1 for h, data, _weight in p.k if h is _Engine._resume and data[0] is e)
+        active = sum(1 for h, data in p.k if h is _Engine._resume and data[0] is e)
         if active >= self.limits.unroll_bound:
             self.truncated += 1
             return []
         f = self.index.functions[e.fname]
         args = [p.vals.pop() for _ in e.args][::-1]
-        p.k.append((_Engine._resume, (e, p.env, p.loop_counts), 1))
+        p.k.append((_Engine._resume, (e, p.env, p.loop_counts)))
         p.k += f.push
         p.env = bind_frame(f, args)
         p.loop_counts = {}
@@ -602,19 +594,13 @@ _CMP_TO_ATOM = {"==": C.EQ, "!=": C.NEQ, "<": C.LT, "<=": C.LE, ">": C.GT, ">=":
 _CONCRETE_CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
                  "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
-# the step that evaluates a statement or expression, by node class. A
-# compound node's own step only pushed its frames in the nested layout;
-# they are now pushed with it, and that step rides on the weight of the
-# first of them (see `_build`). Only an empty block, with no frames to
-# carry it, runs it as a frame of its own.
+# the frame of a leaf, by node class; `_build` gives every other node the
+# frames of its parts and of the work after them
 _HANDLERS = {
     nodes.IntLit: _Engine._int_lit,
     nodes.NullLit: _Engine._null_lit,
     nodes.Var: _Engine._var,
     nodes.Malloc: _Engine._malloc,
-    **dict.fromkeys((nodes.Block, nodes.ExprStmt, nodes.If, nodes.While, nodes.Return,
-                     nodes.FieldAccess, nodes.Unary, nodes.Binary, nodes.Assign,
-                     nodes.Call), _Engine._empty),
 }
 
 
@@ -624,7 +610,7 @@ def _build_frames(index) -> None:
     frames `_build` gives it. Runs once per program, before its first
     engine runs; the frames live as long as the nodes."""
     for f in index.functions.values():
-        f.frame = (_Engine._exit, f, 1)
+        f.frame = (_Engine._exit, f)
         f.push = _seq(f.body)
     index.frames_built = True
 
@@ -638,59 +624,48 @@ def _build(n) -> tuple:
     """Store on node `n` and the nodes below it the frames that evaluate
     them, top last: `push`, and a loop's `test` and `again` or a
     `&&`/`||`'s `rest` for the frames a handler pushes later. Returns
-    `n.push`.
-
-    A frame is `(handler, node, weight)`, and running it costs `weight`
-    steps: its own, plus one for each frame of the nested layout that only
-    pushed it. In that layout a compound node's frame pushed the frames
-    for its operands and for the work after them; here those come in its
-    place, and its step is added to the one that runs first. So a frame
-    runs within `Limits.max_steps` exactly when it did then."""
+    `n.push`. A frame is `(handler, node)`, and a step is one frame run.
+    An empty block has no frames."""
     E = _Engine
     t = type(n)
     if t is nodes.Block:
         frames = _seq(n.stmts)
     elif t is nodes.ExprStmt:
-        frames = ((E._pop, n, 1), *_build(n.expr))
+        frames = ((E._pop, n), *_build(n.expr))
     elif t is nodes.If:
         _build(n.then)
         if n.els is not None:
             _build(n.els)
-        frames = ((E._branch, n, 1), (E._truth, n, 1), *_build(n.cond))
+        frames = ((E._branch, n), (E._truth, n), *_build(n.cond))
     elif t is nodes.While:
-        frames = ((E._loop_check, n, 1),)
-        n.test = ((E._loop_decide, n, 1), (E._truth, n, 1), *_build(n.cond))
+        frames = ((E._loop_check, n),)
+        n.test = ((E._loop_decide, n), (E._truth, n), *_build(n.cond))
         n.again = frames + _build(n.body)
     elif t is nodes.Return:
-        frames = ((E._leave, n, 1),)
+        frames = ((E._leave, n),)
         if n.value is not None:
             frames += _build(n.value)
     elif t is nodes.FieldAccess:
-        frames = ((E._read_field, n, 1), *_build(n.base))
+        frames = ((E._read_field, n), *_build(n.base))
     elif t is nodes.Unary:
-        frames = ((E._not, n, 1), (E._truth, n, 1), *_build(n.operand))
+        frames = ((E._not, n), (E._truth, n), *_build(n.operand))
     elif t is nodes.Binary:
         if n.op in ("&&", "||"):
-            frames = ((E._short_circuit, n, 1), (E._truth, n, 1), *_build(n.left))
-            n.rest = ((E._truth, n, 1), *_build(n.right))
+            frames = ((E._short_circuit, n), (E._truth, n), *_build(n.left))
+            n.rest = ((E._truth, n), *_build(n.right))
         else:
             then = E._arith if n.op in ("+", "-") else E._compare
-            frames = ((then, n, 1), *_build(n.right), *_build(n.left))
+            frames = ((then, n), *_build(n.right), *_build(n.left))
     elif t is nodes.Assign:
         _build(n.target)
         if type(n.target) is nodes.Var:
-            frames = ((E._assign_var, n, 1), *_build(n.value))
+            frames = ((E._assign_var, n), *_build(n.value))
         else:
-            frames = ((E._write_field, n, 1), *n.target.base.push, *_build(n.value))
+            frames = ((E._write_field, n), *n.target.base.push, *_build(n.value))
     elif t is nodes.Call:
-        frames = ((E._invoke, n, 1), *_seq(n.args))
+        frames = ((E._invoke, n), *_seq(n.args))
     else:
-        frames = ()
-    if frames:
-        handler, node, weight = frames[-1]
-        frames = frames[:-1] + ((handler, node, weight + 1),)
-    else:
-        frames = ((_HANDLERS[t], n, 1),)  # a leaf, or an empty block
+        frames = ((_HANDLERS[t], n),)
     n.push = frames
     return frames
 

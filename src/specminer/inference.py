@@ -321,7 +321,9 @@ def infer_spec(
                 if isinstance(root_v, SymAddrRef):
                     post_root = (p.resolve(root_v).sid, display)
             else:
-                post_args.append((pname, p.env[pname], ptype))
+                # C passes arguments by value: the caller's argument is the
+                # seeded value whatever the callee later stored in it
+                post_args.append((pname, seed_v, ptype))
         if post_calls is None:
             post_calls = call_shapes(index, observer_names, post_args)
         post_eqs, hit = explain(

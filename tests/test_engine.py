@@ -11,7 +11,7 @@ from specminer.constraints import (
     EQ, GT, LT, NEQ, NULL, Add, Atom, IntConst, NullRef, SatCache, SatResult, SymAddrRef,
     SymDataRef, SymIntRef, check_sat, negate_atom, render_constraint,
 )
-from specminer.engine import _HANDLERS, Limits, _Engine, se
+from specminer.engine import _HANDLERS, Limits, _Engine, _build, se
 from specminer.frontend import load_program, nodes as N
 from specminer.symstate import (
     Allocator,
@@ -307,9 +307,21 @@ int walkpoke(struct N* n) { while (n != NULL) { poke(n->next); n = n->next; } re
 """
 
 
-@pytest.mark.parametrize("bound", [1, 2])
-@pytest.mark.parametrize("fname", ["walk", "walkup", "walkpoke"])
-def test_an_iteration_that_discovers_heap_counts(fname, bound):
+_WALKS = ("walk", "walkup", "walkpoke")
+
+
+@pytest.mark.parametrize("fname, bound, lazy_aliasing", [
+    *(pytest.param(fname, bound, False, id=f"{fname}-{bound}")
+      for fname in _WALKS for bound in (1, 2)),
+    *(pytest.param(fname, 1, True, id=f"{fname}-1-lazy") for fname in _WALKS),
+    # with lazy aliasing, bound 2 lets the walk find a cyclic list, which
+    # no iteration counts on: ROADMAP item 5, step 2
+    *(pytest.param(fname, 2, True, id=f"{fname}-2-lazy", marks=pytest.mark.xfail(
+        strict=True, reason="a walk over a cyclic discovered list runs to the step "
+                            "cap (ROADMAP item 5, step 2)"))
+      for fname in _WALKS),
+])
+def test_an_iteration_that_discovers_heap_counts(fname, bound, lazy_aliasing):
     """A NULL test that splits in a loop's body, or in a function the body
     calls (`poke`), counts the loop's next iteration against the bound,
     and a callee's own loop (`upto`) does not hide it: the bound, not the
@@ -317,7 +329,7 @@ def test_an_iteration_that_discovers_heap_counts(fname, bound):
     idx = load_program(WALK_SRC)
     alloc = Allocator()
     res = se(idx, fname, [alloc.fresh_addr("n")],
-             Limits(unroll_bound=bound, max_steps=2000), alloc)
+             Limits(unroll_bound=bound, max_steps=2000), alloc, lazy_aliasing)
     assert not res.budget_error
     assert res.truncated_paths
     assert {p.error_reason for p in res.error_patterns} == {"NULL dereference"}
@@ -401,16 +413,16 @@ def test_step_budget_catches_divergence():
 
 
 # (genuine splits, paths cut at the bound, steps summed over the terminal
-# patterns) of each dll.c modifier's run at --unroll 8, as measured before
-# the run loop stepped a pattern until it forks
+# patterns) of each dll.c modifier's run at --unroll 8; the splits and cuts
+# as measured before the run loop stepped a pattern until it forks
 EXPLORATION_AT_UNROLL_8 = {
-    "append": (10, 1, 1173),
-    "find": (17, 1, 2579),
-    "head": (10, 1, 785),
-    "init": (12, 1, 1119),
-    "last": (9, 1, 1662),
-    "length": (9, 1, 972),
-    "reverse": (9, 1, 1368),
+    "append": (10, 1, 790),
+    "find": (17, 1, 1829),
+    "head": (10, 1, 538),
+    "init": (12, 1, 735),
+    "last": (9, 1, 1080),
+    "length": (9, 1, 639),
+    "reverse": (9, 1, 891),
 }
 
 
@@ -426,16 +438,14 @@ def test_exploration_of_each_dll_modifier_is_pinned(dll_index, fname):
             sum(p.steps for p in res.patterns)) == EXPLORATION_AT_UNROLL_8[fname]
 
 
-# One step per frame. Counted by hand for `spin_once` below, where `x > 0`
-# splits. The path into the loop: `while` (1), loop check (2), `x > 0` (3),
-# `x` (4), `0` (5), the comparison that splits (6), truth (7), loop decide
-# (8), `x = one(0);` (9), the assignment (10), `one(0)` (11), `0` (12), the
-# invoke (13), `return a;` (14), `a` (15), its return (16), the variable
-# write (17), the statement's pop (18); the second check is concrete: loop
-# check (19), `x > 0` (20), `x` (21), `0` (22), the comparison (23), truth
-# (24), loop decide (25); then `return x;` (26), `x` (27), its return (28).
-# The path that skips the loop shares steps 1-6, then truth (7), loop decide
-# (8), `return x;` (9), `x` (10), its return (11).
+# One step per frame run. Counted by hand for `spin_once` below, where
+# `x > 0` splits. The path into the loop: loop check (1), `x` (2), `0` (3),
+# the comparison that splits (4), truth (5), loop decide (6), `0` (7), the
+# invoke (8), `a` (9), its return (10), the variable write (11), the
+# statement's pop (12); the second check is concrete: loop check (13), `x`
+# (14), `0` (15), the comparison (16), truth (17), loop decide (18); then
+# `x` (19), its return (20). The path that skips the loop shares steps 1-4,
+# then truth (5), loop decide (6), `x` (7), its return (8).
 STEP_SRC = ("int one(int a) { return a; }\n"
             "int spin_once(int x) { while (x > 0) x = one(0); return x; }\n")
 
@@ -448,34 +458,41 @@ def test_each_frame_costs_one_step():
         return se(idx, "spin_once", _sym_ints(["x"], alloc), Limits(max_steps=max_steps),
                   alloc)
 
-    res = run(28)
+    res = run(20)
     assert not res.budget_error
     assert [(p.status, p.steps, render_tv(p.return_value)) for p in res.patterns] == \
-        [("final", 28, "tv(int, 0)"), ("final", 11, "tv(int, ?x)")]
-    res = run(27)
+        [("final", 20, "tv(int, 0)"), ("final", 8, "tv(int, ?x)")]
+    res = run(19)
     assert res.budget_error
     assert [(p.status, p.error_reason) for p in res.patterns] == \
         [("error", "step budget exceeded"), ("final", "")]
 
 
-def test_an_empty_block_costs_its_step():
-    """An empty block has no frames to carry its step, so it keeps a frame
-    of its own. By hand, as above: `if` (1), `x > 0` (2), `x` (3), `0`
-    (4), the comparison that splits (5), truth (6), branch (7), the empty
-    block (8), `return x;` (9), `x` (10), its return (11); the path that
-    skips the block takes 10 steps."""
+def test_an_empty_block_adds_no_step():
+    """An empty block has no frames, so it takes no step. By hand, as
+    above: `x` (1), `0` (2), the comparison that splits (3), truth (4),
+    branch (5), `x` (6), its return (7); the path that skips the block
+    takes the same 7 steps."""
     idx = load_program("int f(int x) { if (x > 0) { } return x; }")
 
     def run(max_steps):
         alloc = Allocator()
         return se(idx, "f", _sym_ints(["x"], alloc), Limits(max_steps=max_steps), alloc)
 
-    assert [(p.status, p.steps) for p in run(11).patterns] == [("final", 11), ("final", 10)]
-    assert [(p.status, p.error_reason) for p in run(10).patterns] == \
-        [("error", "step budget exceeded"), ("final", "")]
+    res = run(7)
+    assert not res.budget_error
+    assert [(p.status, p.steps) for p in res.patterns] == [("final", 7), ("final", 7)]
+    res = run(6)
+    assert res.budget_error
+    assert [(p.status, p.error_reason) for p in res.patterns] == \
+        [("error", "step budget exceeded"), ("error", "step budget exceeded")]
 
 
-def test_every_statement_and_expression_class_has_a_handler():
+def test_every_statement_and_expression_class_has_a_handler(corpus_dir, ast_nodes):
+    """Every statement and expression class occurs in the corpus, and each
+    occurrence but a block gets a frame of its own: a leaf's handler from
+    `_HANDLERS`, any other node the frames `_build` gives it. A class
+    `_build` does not know raises when its frames are built."""
     def concrete(base):
         for sub in base.__subclasses__():
             yield sub
@@ -483,7 +500,22 @@ def test_every_statement_and_expression_class_has_a_handler():
 
     classes = [*concrete(N.Stmt), *concrete(N.Expr)]
     assert len(classes) >= 14
-    assert [c.__name__ for c in classes if c not in _HANDLERS] == []
+    own = {c: False for c in classes if c is not N.Block}
+    for path in sorted(corpus_dir.glob("*.c")):
+        idx = load_program(path.read_text())
+        _Engine(idx, Limits(), Allocator(), False, SatCache())
+        for f in idx.functions.values():
+            for n in ast_nodes(f.body):
+                if type(n) in own:
+                    own[type(n)] = any(node is n for _h, node in n.push)
+                    assert own[type(n)], (path.name, f.name, n)
+    assert [c.__name__ for c, seen in own.items() if not seen] == []
+
+    class Stray:
+        pass
+
+    with pytest.raises(KeyError):
+        _build(Stray())
 
 
 _LEAVES = (N.IntLit, N.NullLit, N.Var, N.Malloc)
@@ -493,31 +525,28 @@ def test_every_corpus_node_carries_its_frame(corpus_dir, ast_nodes):
     """The first engine built for a program stores on every function its
     exit frame and its body's frames, which are its statements' frames
     concatenated, and on every statement and expression node the frames
-    that evaluate it (`push`). Each frame is `(handler, node, weight)` with
-    a weight of at least 1. A leaf is its one frame with its class's
-    handler, and a block is its statements' frames, the one that runs
-    first carrying the block's own step, or one frame of its own when it
-    is empty."""
+    that evaluate it (`push`). Each frame is a `(handler, node)` pair. A
+    leaf is its one frame with its class's handler, and a block is its
+    statements' frames, none when it is empty."""
+    assert set(_HANDLERS) == set(_LEAVES)
     for path in sorted(corpus_dir.glob("*.c")):
         idx = load_program(path.read_text())
         _Engine(idx, Limits(), Allocator(), False, SatCache())
         for f in idx.functions.values():
-            assert f.frame == (_Engine._exit, f, 1)
+            assert f.frame == (_Engine._exit, f)
             assert f.push == tuple(fr for s in reversed(f.body) for fr in s.push)
             for n in ast_nodes(f.body):
                 where = (path.name, f.name, n)
-                for handler, node, weight in n.push:
-                    assert type(weight) is int and weight >= 1, where
+                for frame in n.push:
+                    assert type(frame) is tuple and len(frame) == 2, where
+                    handler, node = frame
                     assert handler in vars(_Engine).values(), where
                     assert isinstance(node, (N.Stmt, N.Expr)), where
                 if isinstance(n, _LEAVES):
-                    assert n.push == ((_HANDLERS[type(n)], n, 1),), where
-                elif isinstance(n, N.Block) and n.stmts:
-                    frames = tuple(fr for s in reversed(n.stmts) for fr in s.push)
-                    h, node, w = frames[-1]
-                    assert n.push == frames[:-1] + ((h, node, w + 1),), where
+                    assert n.push == ((_HANDLERS[type(n)], n),), where
                 elif isinstance(n, N.Block):
-                    assert n.push == ((_HANDLERS[N.Block], n, 1),), where
+                    assert n.push == tuple(fr for s in reversed(n.stmts) for fr in s.push), \
+                        where
 
 
 SAME_SRC = ("struct N { int v; };\n"

@@ -225,6 +225,41 @@ def test_post_equations_use_only_the_primed_root(dll_index):
                 assert "list'" in eq.args, eq.render()
 
 
+BY_VALUE_SRC = """
+struct N { int v; struct N* next; };
+int getv(struct N* a) { return a->v; }
+int upto(int k) { int c; c = 0; while (c < k) c = c + 1; return c; }
+int clob(int x) { while (x > 0 && upto(2) > 0) { x = x - 1; } return x; }
+int adv(struct N* a, struct N* b) { b = b->next; b->v = 3; return 0; }
+"""
+
+
+def test_post_equations_name_the_callers_arguments():
+    """C passes arguments by value, so in a post equation an unprimed
+    argument name is the caller's argument, not the callee's final local:
+    `clob` counts its `x` down and `adv` moves its `b` along the list, yet
+    the caller's `x` and `b` stay as they were."""
+    idx = load_program(BY_VALUE_SRC)
+    n1, n2 = CAddr(1), CAddr(2)
+    heap = {n1: CObject("N", {"v": 0, "next": n2}), n2: CObject("N", {"v": 0, "next": None})}
+    # concrete runs: clob(1) returns 0, and adv writes the node after the
+    # caller's b, not b itself
+    assert concrete_run(idx, "clob", {}, [1])[0] == 0
+    _ret, post = concrete_run(idx, "adv", heap, [n2, n1])
+    assert concrete_run(idx, "getv", post, [n1])[0] == 0
+
+    spec = infer_spec(idx, "clob", Limits(unroll_bound=2))
+    assert spec.axioms
+    for ax in spec.axioms:
+        # the caller's x is unchanged, so upto(x) reads as before the call
+        assert [e for e in ax.post if e.args == ("x",)] == \
+            [e for e in ax.pre if e.args == ("x",)], ax
+    spec = infer_spec(idx, "adv", Limits(unroll_bound=2))
+    assert spec.axioms
+    posts = {e.render() for ax in spec.axioms for e in ax.post}
+    assert "getv(b) = 3" not in posts
+
+
 # ---------------------------------------------------------------- simplify
 
 def _eq(observer, args, rhs):
