@@ -6,14 +6,16 @@ branch first (the false one first in an all-or-nothing run, see `se`).
 
 Every continuation frame is a `(handler, data)` pair, top last. The data
 is the AST node the frame works for, and the handler reads what it needs
-from it (an operator, a field name, the branches of an `if`). A statement
+from it (an operator, a field name, the branches of an `if`); a loop's
+check and decide frames pair the loop with its record. A statement
 or expression is pushed as the whole sequence of frames that evaluates it:
 its operands' frames, then the frames for the work after them. Frames are
 built once per program, not per step: `_build_frames` runs when the first
 engine for a `ProgramIndex` is built, and stores on every node of the
 function bodies that sequence (`push`), and on every function its body's
-frames. The only frame a step builds is a call's return frame, which holds
-the caller's env.
+frames. The frames a step builds are a call's return frame, which holds
+the caller's env, and a loop's check and decide frames, which hold its
+record.
 
 A step is one frame run: `Limits.max_steps` bounds the frames each path
 runs. `_Engine.run` steps one pattern until it forks or ends: it pops a
@@ -22,13 +24,13 @@ that keeps its pattern returns None, and any other returns the successors
 (none when the path is dropped), which go on the work stack.
 
 The continuation is the only record of pending calls. A call pushes a
-return frame under the callee's body; its data is the call node plus the
-caller's env and loop counts, which the frame restores when the callee
-returns. The entry call's body sits on its exit frame instead, whose data
-is the function and which ends the path. A `return` drops the frames down
-to the nearest return or exit frame, and running off the end of a body
-reaches that frame too. The recursion depth of a call is the number of
-return frames for its call node.
+return frame under the callee's body; its data is the call node and the
+caller's env, which the frame restores when the callee returns. The entry
+call's body sits on its exit frame instead, whose data is the function and
+which ends the path. A `return` drops the frames down to the nearest return
+or exit frame, and running off the end of a body reaches that frame too.
+The recursion depth of a call is the number of return frames for its call
+node.
 
 A variable holds its value in the pattern's env, and the heap holds only
 struct objects (see `symstate`). The env is shared between clones and with
@@ -83,11 +85,11 @@ Three mechanisms matter beyond plain evaluation:
   called), or when the memory cell grew since the loop's last guard
   check, in the body or in a function it called; the memory cell grows
   only on a genuine NULL-test split and the alias atoms that come with
-  one. Each loop keeps one record in `loop_counts`, written at its guard
-  check, and a callee starts with its own, so a callee's loop cannot hide
-  a split from its caller's. An iteration whose body dereferences the
-  pointer that the next guard tests thus still counts when the
-  dereference discovered an object. Other iterations are free, so
+  one. Each execution of a loop carries its own record in its check and
+  decide frames, so a nested or called loop starts its own count and
+  cannot hide a split from the loop around it. An iteration whose body
+  dereferences the pointer that the next guard tests thus still counts
+  when the dereference discovered an object. Other iterations are free, so
   post-state walks over already-discovered heaps do not burn budget.
   Paths cut at the bound are tallied, not emitted. A run is out of its
   pattern budget only when a leaf it would keep does not fit.
@@ -410,18 +412,19 @@ class _Engine:
         if taken is not None:
             p.k += taken.push
 
-    def _loop_check(self, p: Pattern, s) -> list[Pattern] | None:
-        """Evaluate the guard of loop `s` next. The loop's one record in
-        `loop_counts` keeps its counted iterations, the size of the
-        memory cell at its last check (at the first check, its size now),
-        and the sizes of the memory cell and the condition at this one,
-        for `_loop_decide`."""
+    def _loop_check(self, p: Pattern, data) -> list[Pattern] | None:
+        """Evaluate the guard of loop `s` next. `data` is `s` and its
+        record: None at the loop's entry, else the iterations counted and
+        the size of the memory cell at the last check. The decide frame
+        under the guard carries the record on, with the sizes of the
+        memory cell and the condition at this check."""
+        s, rec = data
         mem = len(p.mem_path_condition)
-        count, _last, seen, _cond = p.loop_counts.get(id(s)) or (0, 0, mem, 0)
-        p.loop_counts = {**p.loop_counts, id(s): (count, seen, mem, len(p.condition))}
+        count, last = rec or (0, mem)
+        p.k.append((_Engine._loop_decide, (s, count, last, mem, len(p.condition))))
         p.k += s.test
 
-    def _loop_decide(self, p: Pattern, s) -> list[Pattern] | None:
+    def _loop_decide(self, p: Pattern, data) -> list[Pattern] | None:
         """Start the next iteration of loop `s` when its guard held. The
         iteration counts against the unroll bound when the guard added an
         atom to the path's condition, or when the memory cell grew between
@@ -429,13 +432,14 @@ class _Engine:
         it called."""
         if p.vals.pop().value == 0:
             return None
-        count, last, mem, cond = p.loop_counts[id(s)]
+        s, count, last, mem, cond = data
         if mem > last or len(p.condition) > cond:
             if count >= self.limits.unroll_bound:
                 self.truncated += 1
                 return []
-            p.loop_counts = {**p.loop_counts, id(s): (count + 1, last, mem, cond)}
-        p.k += s.again
+            count += 1
+        p.k.append((_Engine._loop_check, (s, (count, mem))))
+        p.k += s.body.push
 
     def _leave(self, p: Pattern, s) -> list[Pattern] | None:
         """Finish a `return`: the frames down to the nearest return or
@@ -448,8 +452,8 @@ class _Engine:
 
     def _resume(self, p: Pattern, saved, rv=UNDEF) -> list[Pattern] | None:
         """Return `rv` from a call (UNDEF off the end of its body) to the
-        caller whose env and loop counts `saved` holds."""
-        _call, p.env, p.loop_counts = saved
+        caller whose env `saved` holds."""
+        _call, p.env = saved
         p.vals.append(rv)
 
     def _exit(self, p: Pattern, f, rv=UNDEF) -> list[Pattern] | None:
@@ -580,10 +584,9 @@ class _Engine:
             return []
         f = self.index.functions[e.fname]
         args = [p.vals.pop() for _ in e.args][::-1]
-        p.k.append((_Engine._resume, (e, p.env, p.loop_counts)))
+        p.k.append((_Engine._resume, (e, p.env)))
         p.k += f.push
         p.env = bind_frame(f, args)
-        p.loop_counts = {}
 
 
 # the 0/1 that tests and comparisons push
@@ -622,10 +625,11 @@ def _seq(ns) -> tuple:
 
 def _build(n) -> tuple:
     """Store on node `n` and the nodes below it the frames that evaluate
-    them, top last: `push`, and a loop's `test` and `again` or a
-    `&&`/`||`'s `rest` for the frames a handler pushes later. Returns
-    `n.push`. A frame is `(handler, node)`, and a step is one frame run.
-    An empty block has no frames."""
+    them, top last: `push`, and a loop's `test` or a `&&`/`||`'s `rest`
+    for the frames a handler pushes later. Returns `n.push`. A frame is
+    `(handler, node)`, and a step is one frame run; a loop's entry frame
+    holds `(loop, None)` instead, as the loop has no record yet. An empty
+    block has no frames."""
     E = _Engine
     t = type(n)
     if t is nodes.Block:
@@ -638,9 +642,9 @@ def _build(n) -> tuple:
             _build(n.els)
         frames = ((E._branch, n), (E._truth, n), *_build(n.cond))
     elif t is nodes.While:
-        frames = ((E._loop_check, n),)
-        n.test = ((E._loop_decide, n), (E._truth, n), *_build(n.cond))
-        n.again = frames + _build(n.body)
+        frames = ((E._loop_check, (n, None)),)
+        n.test = ((E._truth, n), *_build(n.cond))
+        _build(n.body)
     elif t is nodes.Return:
         frames = ((E._leave, n),)
         if n.value is not None:

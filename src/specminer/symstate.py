@@ -16,19 +16,18 @@ a cell with a larger set. The pattern also keeps `condition`, the union of
 the two cells, which every solver question starts from. No atom says that
 malloc'd storage differs from NULL and from every input object: the engine
 knows it by construction (see `engine._Engine._compare`). Pending calls
-live only in the continuation: a call's frame holds the caller's env and
-loop counts.
+and loops live only in the continuation: a call's frame holds the
+caller's env, and a loop's frames hold its record.
 
 `Pattern.clone` copies only the containers that are written in place: the
 continuation `k`, the value stack `vals`, and the two heap dicts. Every
-other container (`env`, `loop_counts`, `aliases`, the envs and loop counts
-that call frames saved, and the heap objects themselves) is shared between
-the clones and must only ever be replaced, never written in place; that is
-what makes sharing it safe. An assignment to a variable replaces the env
-with a copy that holds the new value, and a field write stores a new
-`HeapObject` in the writing pattern's own heap (`HeapObject.with_field`),
-so an entry pattern built from another pattern's heap shares its objects
-too.
+other container (`env`, `aliases`, the envs that call frames saved, and
+the heap objects themselves) is shared between the clones and must only
+ever be replaced, never written in place; that is what makes sharing it
+safe. An assignment to a variable replaces the env with a copy that holds
+the new value, and a field write stores a new `HeapObject` in the writing
+pattern's own heap (`HeapObject.with_field`), so an entry pattern built
+from another pattern's heap shares its objects too.
 
 The heap maps a symbolic address, a `constraints.SymAddrRef` and so its own
 condition term, to a struct object, and holds nothing else: the fragment
@@ -158,8 +157,8 @@ class Pattern:
                  condition: frozenset | None = None,
                  status: str = RUNNING, error_reason: str = "", return_value: Value = UNDEF,
                  malloced: frozenset = frozenset(), aliases: dict | None = None,
-                 vals: list | None = None, loop_counts: dict | None = None,
-                 approx: bool = False, steps: int = 0, provenance_id: str = ""):
+                 vals: list | None = None, approx: bool = False, steps: int = 0,
+                 provenance_id: str = ""):
         self.k = k  # continuation stack of engine frames, top last
         self.env = env
         self.heap = heap
@@ -178,7 +177,6 @@ class Pattern:
         self.malloced = malloced
         self.aliases = {} if aliases is None else aliases
         self.vals = [] if vals is None else vals  # expression value stack
-        self.loop_counts = {} if loop_counts is None else loop_counts
         self.approx = approx
         self.steps = steps
         self.provenance_id = provenance_id
@@ -198,7 +196,6 @@ class Pattern:
             malloced=self.malloced,
             aliases=self.aliases,
             vals=list(self.vals),
-            loop_counts=self.loop_counts,
             approx=self.approx,
             steps=self.steps,
             provenance_id=self.provenance_id,

@@ -8,8 +8,8 @@ import pytest
 from specminer import inference
 from specminer.concrete import build_dll, concrete_run
 from specminer.constraints import (
-    EQ, GT, LT, NEQ, NULL, Add, Atom, IntConst, NullRef, SatCache, SatResult, SymAddrRef,
-    SymDataRef, SymIntRef, check_sat, negate_atom, render_constraint,
+    EQ, GT, LT, NEQ, NULL, TRUE, Add, Atom, IntConst, NullRef, SatCache, SatResult,
+    SymAddrRef, SymDataRef, SymIntRef, check_sat, negate_atom, render_constraint,
 )
 from specminer.engine import _HANDLERS, Limits, _Engine, _build, se
 from specminer.frontend import load_program, nodes as N
@@ -269,11 +269,13 @@ def test_recursion_is_cut_at_the_unroll_bound():
         assert res.truncated_paths == 1
 
 
-# `upto` has its own loop and `sum` calls it from inside its loop
+# `upto` has its own loop and `sum` calls it from inside its loop; `sumin`
+# runs the same inner loop in its own body
 NESTED_LOOPS_SRC = """
 struct N { int v; struct N* next; };
 int upto(int k) { int c; c = 0; while (c < k) c = c + 1; return c; }
 int sum(struct N* n) { int t; t = 0; while (n != NULL) { t = t + upto(n->v); n = n->next; } return t; }
+int sumin(struct N* n) { int t; int c; t = 0; while (n != NULL) { c = 0; while (c < n->v) c = c + 1; t = t + c; n = n->next; } return t; }
 """
 
 
@@ -283,16 +285,19 @@ int sum(struct N* n) { int t; t = 0; while (n != NULL) { t = t + upto(n->v); n =
     (2, [0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 4]),
 ])
 def test_each_call_counts_its_own_loop_and_restores_the_callers(bound, returns):
-    """A call starts its loops from zero and gives the caller back its own
-    counts, on every path: one path's iterations never use up another's."""
+    """Each execution of a loop starts its own count, whether it sits in
+    a callee (`sum`) or in the body of the loop around it (`sumin`), and
+    the outer loop keeps its own count, on every path: one path's
+    iterations never use up another's."""
     idx = load_program(NESTED_LOOPS_SRC)
-    alloc = Allocator()
-    res = se(idx, "sum", [alloc.fresh_addr("n")],
-             Limits(unroll_bound=bound), alloc)
-    assert sorted(p.return_value.value for p in res.final_patterns) == returns
-    # every path that would take one more counted iteration is cut
-    assert res.truncated_paths == len(returns)
-    assert res.error_patterns == []
+    for fname in ("sum", "sumin"):
+        alloc = Allocator()
+        res = se(idx, fname, [alloc.fresh_addr("n")],
+                 Limits(unroll_bound=bound), alloc)
+        assert sorted(p.return_value.value for p in res.final_patterns) == returns, fname
+        # every path that would take one more counted iteration is cut
+        assert res.truncated_paths == len(returns), fname
+        assert res.error_patterns == [], fname
 
 
 # walks over an ever longer input list: the dereference of `n->next` in the
@@ -360,9 +365,11 @@ def test_a_guard_that_adds_an_atom_counts(fname, bound):
 
 
 def test_clones_share_only_what_is_replaced_on_write(entry_pattern):
-    """`Pattern.clone` shares `loop_counts` and `aliases` with the original,
-    so the engine replaces them and never writes them in place. A handler
-    that keeps its pattern returns None."""
+    """A loop's record rides in its check and decide frames, which
+    `Pattern.clone` copies with `k`, so a clone's iterations never touch
+    the original's. `aliases` is shared with the original, so the engine
+    replaces it and never writes it in place. A handler that keeps its
+    pattern returns None."""
     idx = load_program(NESTED_LOOPS_SRC)
     alloc = Allocator()
     eng = _Engine(idx, Limits(unroll_bound=2), alloc, True, SatCache())
@@ -370,13 +377,29 @@ def test_clones_share_only_what_is_replaced_on_write(entry_pattern):
     p = entry_pattern(idx, "upto", [k])
     loop = idx.functions["upto"].body[1]
     q = p.clone()
-    assert eng._loop_check(q, loop) is None
+    assert eng._loop_check(q, (loop, None)) is None
+    # at the loop's entry nothing is counted and the cells are empty
+    assert q.k == [(_Engine._loop_decide, (loop, 0, 0, 0, 0)), *loop.test]
+    del q.k[1:]
+    _handler, data = q.k.pop()
     # the guard `c < k` splits, and the held side records its atom
     eng._record(q, q.add_path_atom, eng.sat.atom(LT, IntConst(0), k))
     q.vals.append(IntConst(1))
-    assert eng._loop_decide(q, loop) is None
-    assert q.loop_counts == {id(loop): (1, 0, 0, 0)}
-    assert p.loop_counts == {}
+    assert eng._loop_decide(q, data) is None
+    assert q.k == [(_Engine._loop_check, (loop, (1, 0))), *loop.body.push]
+    del q.k[1:]
+    _handler, data = q.k.pop()
+    # the body grew the memory cell; the next check carries the count on,
+    # with the last check's size and its own
+    eng._record(q, q.add_mem_atom, eng.sat.atom(NEQ, alloc.fresh_addr("m"), NULL))
+    assert eng._loop_check(q, data) is None
+    assert q.k == [(_Engine._loop_decide, (loop, 1, 0, 1, 2)), *loop.test]
+    del q.k[1:]
+    _handler, data = q.k.pop()
+    q.vals.append(IntConst(1))
+    assert eng._loop_decide(q, data) is None
+    assert q.k == [(_Engine._loop_check, (loop, (2, 1))), *loop.body.push]
+    assert p.k == [] and p.condition == TRUE
 
     a, b = alloc.fresh_addr("a"), alloc.fresh_addr("b")
     ok = entry_pattern(idx, "sum", [b], heap={a: HeapObject("N", {})})
@@ -488,6 +511,18 @@ def test_an_empty_block_adds_no_step():
         [("error", "step budget exceeded"), ("error", "step budget exceeded")]
 
 
+def _node_of(frame):
+    """The node a static frame works for: its data, but the loop of a
+    loop's entry frame, whose data is `(While node, None)`. None for any
+    other data."""
+    data = frame[1]
+    if type(data) is not tuple:
+        return data
+    if len(data) == 2 and type(data[0]) is N.While and data[1] is None:
+        return data[0]
+    return None
+
+
 def test_every_statement_and_expression_class_has_a_handler(corpus_dir, ast_nodes):
     """Every statement and expression class occurs in the corpus, and each
     occurrence but a block gets a frame of its own: a leaf's handler from
@@ -507,7 +542,7 @@ def test_every_statement_and_expression_class_has_a_handler(corpus_dir, ast_node
         for f in idx.functions.values():
             for n in ast_nodes(f.body):
                 if type(n) in own:
-                    own[type(n)] = any(node is n for _h, node in n.push)
+                    own[type(n)] = any(_node_of(fr) is n for fr in n.push)
                     assert own[type(n)], (path.name, f.name, n)
     assert [c.__name__ for c, seen in own.items() if not seen] == []
 
@@ -525,9 +560,11 @@ def test_every_corpus_node_carries_its_frame(corpus_dir, ast_nodes):
     """The first engine built for a program stores on every function its
     exit frame and its body's frames, which are its statements' frames
     concatenated, and on every statement and expression node the frames
-    that evaluate it (`push`). Each frame is a `(handler, node)` pair. A
-    leaf is its one frame with its class's handler, and a block is its
-    statements' frames, none when it is empty."""
+    that evaluate it (`push`). Each frame is a `(handler, node)` pair, but
+    a loop's entry frame, `(_loop_check, (loop, None))`: the loop has no
+    record yet. A leaf is its one frame with its class's handler, a block
+    is its statements' frames, none when it is empty, and a loop's guard
+    frames (`test`) are its truth frame and its condition's frames."""
     assert set(_HANDLERS) == set(_LEAVES)
     for path in sorted(corpus_dir.glob("*.c")):
         idx = load_program(path.read_text())
@@ -539,14 +576,18 @@ def test_every_corpus_node_carries_its_frame(corpus_dir, ast_nodes):
                 where = (path.name, f.name, n)
                 for frame in n.push:
                     assert type(frame) is tuple and len(frame) == 2, where
-                    handler, node = frame
+                    handler, data = frame
                     assert handler in vars(_Engine).values(), where
-                    assert isinstance(node, (N.Stmt, N.Expr)), where
+                    assert isinstance(_node_of(frame), (N.Stmt, N.Expr)), where
+                    assert (type(data) is tuple) == (handler is _Engine._loop_check), where
                 if isinstance(n, _LEAVES):
                     assert n.push == ((_HANDLERS[type(n)], n),), where
                 elif isinstance(n, N.Block):
                     assert n.push == tuple(fr for s in reversed(n.stmts) for fr in s.push), \
                         where
+                elif isinstance(n, N.While):
+                    assert n.push == ((_Engine._loop_check, (n, None)),), where
+                    assert n.test == ((_Engine._truth, n), *n.cond.push), where
 
 
 SAME_SRC = ("struct N { int v; };\n"

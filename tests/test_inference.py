@@ -895,5 +895,32 @@ def test_two_input_objects_compared_equal_are_one_object():
     assert "ret = 1" not in {ax.ret.render() for ax in spec.axioms}
 
 
+ALIAS_REPLAY_SRC = """
+struct N { int v; struct N* next; };
+int g(struct N* a) { a->next->v = 1; return a->v; }
+int f(struct N* a) { a->next->v = 5; a->v = 7; return 0; }
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "`explain` starts each replay from the path's heap, condition and "
+    "malloc'd objects but not its alias decisions, so a replay that "
+    "reaches an aliased address builds a second object for it (ROADMAP "
+    "item 5, step 2)"))
+def test_a_replay_keeps_its_paths_alias_decisions():
+    """On the path where `a->next` is `a`, `f` leaves the one-node cyclic
+    list, and `g` on it writes 1 through `a->next` before it reads
+    `a->v`, so the axiom of that path states `g(a') = 1`."""
+    idx = load_program(ALIAS_REPLAY_SRC)
+    a = CAddr(1)
+    _got, heap = concrete_run(idx, "f", {a: CObject("N", {"v": 0, "next": a})}, [a])
+    assert concrete_run(idx, "g", heap, [a])[0] == 1
+    spec = infer_spec(idx, "f", observers_override=["g"], lazy_aliasing=True)
+    [aliased] = [p for p in spec.patterns if p.status == "final" and p.aliases]
+    [ax] = [ax for ax in spec.axioms
+            if aliased.provenance_id in ax.provenance.split("+")]
+    assert Equation("g", ("a'",), Rhs("int", 1)) in ax.post, [e.render() for e in ax.post]
+
+
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
