@@ -51,13 +51,15 @@ Three mechanisms matter beyond plain evaluation:
 * Guard decisions. Branches and dereferences fork in one place,
   `_Engine._decide`. An atom the current conditions do not already decide
   clones the pattern, one successor per polarity, and records the atom or
-  its negation — in the memory condition cell when it tests an address
-  against NULL (heap shape discovery), in the ordinary path condition
-  otherwise. A decision the conditions already entail takes a single
-  successor and records nothing; when they record the atom or its
-  negation, that decides it with one solver question. The conditions are
-  the pattern's stored conjunction (`Pattern.condition`), and
-  the negation is built only when the atom itself is not recorded. A
+  its negation in its condition, and in its path condition too unless it
+  tests an address against NULL. The memory cell, the condition's atoms
+  outside the path condition, thus holds the NULL tests and the alias
+  decisions made while discovering the heap. A decision the conditions
+  already entail takes a single successor and records nothing; when they
+  record the atom or its negation, that decides it with one solver
+  question. The conditions are the pattern's stored conjunction
+  (`Pattern.condition`), and the negation is built only when the atom
+  itself is not recorded. A
   dereference of a heap key, or its comparison with NULL, asks no
   question at all: the conditions entail that an input object's heap key
   is not NULL (see `se`), and malloc'd storage is not NULL by
@@ -83,10 +85,11 @@ Three mechanisms matter beyond plain evaluation:
   guard added an atom to the path's condition (a genuine split, or the
   `s = l + r` of symbolic arithmetic, in the guard or in a function it
   called), or when the memory cell grew since the loop's last guard
-  check, in the body or in a function it called; the memory cell grows
-  only on a genuine NULL-test split and the alias atoms that come with
-  one. Each execution of a loop carries its own record in its check and
-  decide frames, so a nested or called loop starts its own count and
+  check, in the body or in a function it called; the memory cell (the
+  condition's atoms outside the path condition) grows only on a genuine
+  NULL-test split and the alias atoms that come with one. Each execution
+  of a loop carries its own record in its check and decide frames, so a
+  nested or called loop starts its own count and
   cannot hide a split from the loop around it. An iteration whose body
   dereferences the pointer that the next guard tests thus still counts
   when the dereference discovered an object. Other iterations are free, so
@@ -419,7 +422,7 @@ class _Engine:
         under the guard carries the record on, with the sizes of the
         memory cell and the condition at this check."""
         s, rec = data
-        mem = len(p.mem_path_condition)
+        mem = len(p.condition) - len(p.path_condition)
         count, last = rec or (0, mem)
         p.k.append((_Engine._loop_decide, (s, count, last, mem, len(p.condition))))
         p.k += s.test

@@ -295,16 +295,16 @@ def infer_spec(
                            f"equations use unprimed names")
 
     # the calls a phase replays depend only on the names and types of its
-    # arguments, which are the same on every path
-    pre_calls = call_shapes(index, observer_names, seeded)
-    post_calls = None
+    # arguments, the same on every path and in both phases (no identifier
+    # character sorts before the prime of the post root's name)
+    calls = call_shapes(index, observer_names, seeded)
     axioms = []
     for p in res.patterns:
         if p.status != "final":
             continue
         cond = p.condition
         pre_eqs, hit = explain(
-            index, p.entry_heap, cond, seeded, limits, alloc, pre_calls,
+            index, p.entry_heap, cond, seeded, limits, alloc, calls,
             sat=sat, malloced=p.malloced, lazy_aliasing=lazy_aliasing,
             diagnostics=diagnostics, context=f"{modifier}/{p.provenance_id} pre")
         budget_error = budget_error or hit
@@ -324,10 +324,8 @@ def infer_spec(
                 # C passes arguments by value: the caller's argument is the
                 # seeded value whatever the callee later stored in it
                 post_args.append((pname, seed_v, ptype))
-        if post_calls is None:
-            post_calls = call_shapes(index, observer_names, post_args)
         post_eqs, hit = explain(
-            index, p.heap, cond, post_args, limits, alloc, post_calls,
+            index, p.heap, cond, post_args, limits, alloc, calls,
             sat=sat, malloced=p.malloced, post_root=post_root,
             lazy_aliasing=lazy_aliasing,
             diagnostics=diagnostics, context=f"{modifier}/{p.provenance_id} post")

@@ -8,14 +8,15 @@ variable or field that holds no value yet.
 
 A pattern is one branch of the symbolic execution: a continuation stack of
 engine frames (top last), an environment mapping each variable of the
-running call straight to its value, the heap, and the two condition cells
-(one for ordinary branch facts, one for decisions taken while
-materializing unexplored parts of the heap on demand). A condition is the
+running call straight to its value, the heap, and two conditions:
+`condition`, every atom of the path, which every solver question starts
+from, and `path_condition`, its ordinary branch facts. A condition is the
 frozenset of its atoms (see `constraints`), and recording an atom replaces
-a cell with a larger set. The pattern also keeps `condition`, the union of
-the two cells, which every solver question starts from. No atom says that
-malloc'd storage differs from NULL and from every input object: the engine
-knows it by construction (see `engine._Engine._compare`). Pending calls
+a condition with a larger set. The memory cell is not stored: it is the
+atoms of `condition` outside the path condition, the NULL tests and alias
+decisions made while discovering the heap. No atom says that malloc'd
+storage differs from NULL and from every input object: the engine knows
+it by construction (see `engine._Engine._compare`). Pending calls
 and loops live only in the continuation: a call's frame holds the
 caller's env, and a loop's frames hold its record.
 
@@ -153,25 +154,21 @@ ERROR = "error"
 
 class Pattern:
     def __init__(self, k: list, env: dict[str, Value], heap: Heap, entry_heap: Heap,
-                 path_condition: frozenset = TRUE, mem_path_condition: frozenset = TRUE,
-                 condition: frozenset | None = None,
-                 status: str = RUNNING, error_reason: str = "", return_value: Value = UNDEF,
+                 path_condition: frozenset = TRUE, condition: frozenset | None = None,
                  malloced: frozenset = frozenset(), aliases: dict | None = None,
-                 vals: list | None = None, approx: bool = False, steps: int = 0,
-                 provenance_id: str = ""):
+                 vals: list | None = None, approx: bool = False, steps: int = 0):
         self.k = k  # continuation stack of engine frames, top last
         self.env = env
         self.heap = heap
         self.entry_heap = entry_heap  # the input heap as discovered: materializations + fills
         self.path_condition = path_condition
-        self.mem_path_condition = mem_path_condition
-        # the conjunction of the two cells above, kept by the add_*_atom
-        # methods, built from them when not given
-        self.condition = (path_condition | mem_path_condition
-                          if condition is None else condition)
-        self.status = status
-        self.error_reason = error_reason
-        self.return_value = return_value
+        # every atom of the path: the path condition and the memory cell
+        self.condition = path_condition if condition is None else condition
+        # only an ending path sets these
+        self.status = RUNNING
+        self.error_reason = ""
+        self.return_value = UNDEF
+        self.provenance_id = ""
         # the malloc'd heap objects, of this run or of the run a replay
         # starts from; every other heap object is a discovered input object
         self.malloced = malloced
@@ -179,7 +176,6 @@ class Pattern:
         self.vals = [] if vals is None else vals  # expression value stack
         self.approx = approx
         self.steps = steps
-        self.provenance_id = provenance_id
 
     def clone(self) -> "Pattern":
         return Pattern(
@@ -188,18 +184,19 @@ class Pattern:
             heap=dict(self.heap),
             entry_heap=dict(self.entry_heap),
             path_condition=self.path_condition,
-            mem_path_condition=self.mem_path_condition,
             condition=self.condition,
-            status=self.status,
-            error_reason=self.error_reason,
-            return_value=self.return_value,
             malloced=self.malloced,
             aliases=self.aliases,
             vals=list(self.vals),
             approx=self.approx,
             steps=self.steps,
-            provenance_id=self.provenance_id,
         )
+
+    @property
+    def mem_path_condition(self) -> frozenset:
+        """The memory cell: the atoms of `condition` outside the path
+        condition."""
+        return self.condition - self.path_condition
 
     def resolve(self, a: SymAddrRef) -> SymAddrRef:
         """The object `a` stands for once aliasing decisions are applied.
@@ -217,7 +214,6 @@ class Pattern:
         self.condition = self.condition | {a}
 
     def add_mem_atom(self, a: Atom) -> None:
-        self.mem_path_condition = self.mem_path_condition | {a}
         self.condition = self.condition | {a}
 
 

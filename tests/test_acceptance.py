@@ -251,7 +251,7 @@ def test_criterion_6_no_false_unsat(capsys):
 def test_criterion_7_guard_splits_mutually_unsat(capsys):
     bad = []
     total = 0
-    for path in ("dll.c", "branch.c", "setter.c"):
+    for path in ("dll.c", "branch.c", "setter.c", "sorted.c"):
         idx = load_program((CORPUS / path).read_text())
         for fn in sorted(idx.functions):
             spec = infer_spec(idx, fn, Limits(unroll_bound=1))
@@ -272,7 +272,7 @@ def test_criterion_8_byte_identical_runs(capsys):
         env = dict(os.environ)
         env["PYTHONHASHSEED"] = hashseed
         out = {}
-        for path in ("dll.c", "branch.c", "setter.c"):
+        for path in ("dll.c", "branch.c", "setter.c", "sorted.c"):
             idx = load_program((CORPUS / path).read_text())
             for fn in sorted(idx.functions):
                 proc = subprocess.run(
@@ -287,7 +287,7 @@ def test_criterion_8_byte_identical_runs(capsys):
     a = full_corpus_run("0")
     b = full_corpus_run("42")
     diffs = [k for k in a if a[k] != b[k]]
-    ok = not diffs and len(a) == 9
+    ok = not diffs and len(a) == 14
     _line(capsys, 8, ok, f"{len(a)} modifier runs compared across hash seeds, "
                  f"{len(diffs)} differing")
     assert ok, diffs

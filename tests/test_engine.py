@@ -125,6 +125,29 @@ def test_append_emission_order_is_depth_first_true_first(dll_index):
         assert p.condition == p.path_condition | p.mem_path_condition, p.provenance_id
 
 
+CMP_HEAP_SRC = """
+struct N { int v; struct N* next; };
+int cmpheap(struct N* a, struct N* b) { int t; t = b->v; if (a->next == b) return 1; return a->next->v; }
+"""
+
+
+def test_an_atom_recorded_in_both_cells_shows_under_cond_only():
+    """`b` is a heap key when `a->next != b` is decided, so the separate
+    alias world of `a->next` records that atom again as its alias
+    decision. The memory cell is the condition's atoms outside the path
+    condition, so the dump shows the atom once, under <cond>."""
+    alloc = Allocator()
+    res = se(load_program(CMP_HEAP_SRC), "cmpheap",
+             [alloc.fresh_addr("a"), alloc.fresh_addr("b")], Limits(), alloc,
+             lazy_aliasing=True)
+    p1 = res.patterns[1]
+    dump = render_pattern(p1)
+    assert "<cond> a->next != b </cond>" in dump
+    assert ("<memcond> a != NULL /\\ a != b /\\ a->next != NULL /\\ a->next != a"
+            " /\\ b != NULL </memcond>") in dump
+    assert p1.condition == p1.path_condition | p1.mem_path_condition
+
+
 def test_split_log_pairs_are_mutually_unsat(dll_index):
     alloc = Allocator()
     res = se(dll_index, "append", _append_args(alloc), Limits(unroll_bound=2), alloc)

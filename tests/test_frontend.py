@@ -131,6 +131,7 @@ def test_corpus_token_counts_and_ends(corpus_dir):
         "branch.c": (25, "kw(int)@1:1", "punct(})@4:1", "eof()@5:1"),
         "dll.c": (430, "kw(struct)@3:1", "punct(})@101:1", "eof()@102:1"),
         "setter.c": (33, "kw(struct)@1:1", "punct(})@8:1", "eof()@9:1"),
+        "sorted.c": (309, "kw(struct)@1:1", "punct(})@52:1", "eof()@53:1"),
     }
     assert sorted(p.name for p in corpus_dir.glob("*.c")) == sorted(want)
     for name, (count, first, last, eof) in want.items():

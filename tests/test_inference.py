@@ -194,6 +194,29 @@ def test_universe_excludes_ill_typed_calls(dll_index):
     assert call_shapes(dll_index, {"length"}, args) == []
 
 
+PREFIX_SRC = """
+struct S { int key; struct S* next; };
+int cmp(struct S* l, struct S* lo) { if (l == lo) return 1; return 0; }
+int join(struct S* l, struct S* lo) { l->next = lo; return 0; }
+"""
+
+
+def test_both_phases_replay_the_same_calls(corpus_dir):
+    """Priming the root's display keeps the order of the calls, so the pre
+    and the post phase of `infer_spec` replay one list. In `PREFIX_SRC`
+    the root's name is a prefix of another argument's."""
+    sources = [path.read_text() for path in sorted(corpus_dir.glob("*.c"))]
+    for src in sources + [PREFIX_SRC]:
+        idx = load_program(src)
+        for fn, f in sorted(idx.functions.items()):
+            root = next((pname for pname, pt in f.params if pt.kind == "structptr"), None)
+            seeded = [(pname, object(), pt) for pname, pt in f.params]
+            post = [(d + "'" if d == root else d, v, t) for d, v, t in seeded]
+            observers = idx.observers - {fn}
+            assert call_shapes(idx, observers, seeded) == \
+                call_shapes(idx, observers, post), fn
+
+
 def test_inference_ignores_declaration_order(dll_src):
     pat = re.compile(r"(?:struct \w+\*|int|void\*?|\bvoid\b) (\w+)\([^)]*\) \{.*?\n\}", re.S)
     blocks = {m.group(1): m.group(0) for m in pat.finditer(dll_src)}
@@ -893,6 +916,41 @@ def test_two_input_objects_compared_equal_are_one_object():
     assert concrete_run(idx, "same", two, [a, b])[0] == 0
     spec = infer_spec(idx, "same", observers_override=["getv"])
     assert "ret = 1" not in {ax.ret.render() for ax in spec.axioms}
+
+
+def _concrete_rhs(rhs, binding):
+    """The concrete value an equation's right-hand side names."""
+    if rhs.kind == "int":
+        return rhs.value
+    if rhs.kind == "null":
+        return None
+    return binding[rhs.value]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "premises are only the observer equations on the pre-state; `true` "
+    "does not separate the path that puts `k` in front from the path that "
+    "walks past the first key, so `min(l') = k` is claimed for both "
+    "(ROADMAP item 4)"))
+def test_the_true_premise_axioms_of_insert_hold_on_a_one_key_list(corpus_dir):
+    """Inserting 5 into the list [1] returns [1, 5]. Every conclusion of
+    each axiom of `insert` at bound 1 whose premise is `true` must hold
+    there, with `l'` the returned list."""
+    idx = load_program((corpus_dir / "sorted.c").read_text())
+    l = CAddr(1)
+    ret, post = concrete_run(idx, "insert", {l: CObject("S", {"key": 1, "next": None})},
+                             [l, 5])
+    assert ret == l and concrete_run(idx, "size", post, [l])[0] == 2
+    binding = {"l": l, "k": 5, "l'": ret}
+    spec = infer_spec(idx, "insert", Limits(unroll_bound=1))
+    axioms = [ax for ax in spec.axioms if not ax.pre]
+    assert axioms
+    for ax in axioms:
+        for e in ax.post:
+            got, _heap = concrete_run(idx, e.observer, post, [binding[a] for a in e.args])
+            assert got == _concrete_rhs(e.rhs, binding), (ax.provenance, e.render())
+        if ax.ret is not None:
+            assert ret == _concrete_rhs(ax.ret.rhs, binding), (ax.provenance, ax.ret.render())
 
 
 ALIAS_REPLAY_SRC = """
