@@ -36,13 +36,14 @@ replay, which start from the modifier's path conditions), keeping the
 closure of every atom set it has seen, up to the end of the replay phase
 that added it: `mark` and `release` drop what one `explain` call added,
 since no condition of a replay outlives it. A question extends the path
-condition's closure by one atom (an equality merges two classes of a
-copied union-find and rechecks only the disequalities of the merged one;
-an integer atom re-runs the interval check on the stored normal forms
-plus its own) and keeps the result, where the path's next question
-starts. An atom a path records without asking gets its closure the same
-way, so `Closure.of` runs once per invocation, on the empty condition,
-when the cache is made. The engine never builds a field path; a
+condition's closure by one atom (an address atom copies the union-find
+map, and an equality across two classes rechecks only the disequalities
+of the merged one; an integer atom shares the map and re-runs the
+interval check on the stored normal forms plus its own) and keeps the
+result, where the path's next question starts. No map is written after
+its closure is built, so sharing one is safe. An atom a path records
+without asking gets its closure the same way, so `Closure.of` runs once
+per invocation, on the empty condition, when the cache is made. The engine never builds a field path; a
 condition that holds one is closed from scratch by `Closure.of`.
 Its answers are `check_sat`'s, so the one-sided Unsat contract holds for
 them too.
@@ -173,10 +174,6 @@ class Atom(Frozen):
         return self._hash
 
 
-def negate_atom(a: Atom) -> Atom:
-    return Atom(_NEGATION[a.op], a.lhs, a.rhs)
-
-
 TRUE = frozenset()  # the empty condition
 
 
@@ -232,36 +229,31 @@ def _is_int_atom(a: Atom) -> bool:
 
 # ---------------------------------------------------------------- congruence
 
-class _UnionFind:
-    """Union-find over terms. `register` makes a term its own root; after
-    that, `find` returns the one stored object for every term equal to it,
-    so roots are compared by identity. Copying `parent` copies the
-    partition."""
+def _register(parent: dict, terms) -> None:
+    """Make each new term its own root. After that, `_find` returns the
+    one stored object for every term equal to it, so roots are compared
+    by identity."""
+    for t in terms:
+        parent.setdefault(t, t)
 
-    def __init__(self, parent: dict | None = None):
-        self.parent: dict = {} if parent is None else parent
 
-    def register(self, terms) -> None:
-        for t in terms:
-            self.parent.setdefault(t, t)
+def _find(parent: dict, x):
+    while True:
+        p = parent.get(x, x)
+        if p is x:
+            return x
+        g = parent.get(p, p)
+        if g is not p:
+            parent[x] = g  # path halving; the partition is unchanged
+        x = g
 
-    def find(self, x):
-        parent = self.parent
-        while True:
-            p = parent.get(x, x)
-            if p is x:
-                return x
-            g = parent.get(p, p)
-            if g is not p:
-                parent[x] = g  # path halving; the partition is unchanged
-            x = g
 
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra is rb:
-            return False
-        self.parent[ra] = rb
-        return True
+def _union(parent: dict, a, b) -> bool:
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra is rb:
+        return False
+    parent[ra] = rb
+    return True
 
 
 def _atom_terms(a: Atom):
@@ -276,16 +268,16 @@ def _has_path(a: Atom) -> bool:
     return isinstance(a.lhs, FieldPath) or isinstance(a.rhs, FieldPath)
 
 
-def _close(uf: _UnionFind, paths) -> None:
-    """Close `uf` under field-path congruence: paths with the same field
-    chain over unified bases collapse into one class."""
+def _close(parent: dict, paths) -> None:
+    """Close the partition under field-path congruence: paths with the
+    same field chain over unified bases collapse into one class."""
     changed = True
     while changed:
         changed = False
         first: dict = {}
         for p in paths:
-            q = first.setdefault((p.fields, uf.find(p.base)), p)
-            if q is not p and uf.union(p, q):
+            q = first.setdefault((p.fields, _find(parent, p.base)), p)
+            if q is not p and _union(parent, p, q):
                 changed = True
 
 
@@ -428,17 +420,17 @@ def _int_sat(forms) -> SatResult:
 
 # ---------------------------------------------------------------- checkSat
 
-def _refuted(uf: _UnionFind, neqs) -> bool:
+def _refuted(parent: dict, neqs) -> bool:
     """Whether some disequality has both sides in one class."""
-    return any(uf.find(a.lhs) is uf.find(a.rhs) for a in neqs)
+    return any(_find(parent, a.lhs) is _find(parent, a.rhs) for a in neqs)
 
 
-def _by_class(uf: _UnionFind, neqs) -> dict:
+def _by_class(parent: dict, neqs) -> dict:
     """Each disequality under the root of each of its sides."""
     index: dict = {}
     for a in neqs:
         for t in (a.lhs, a.rhs):
-            r = uf.find(t)
+            r = _find(parent, t)
             index[r] = index.get(r, ()) + (a,)
     return index
 
@@ -462,12 +454,15 @@ class Closure:
     congruence. `extended(atom)` returns the closure of the conjunction
     plus one atom without rebuilding it, normalizing only that atom. It
     takes only path-free cases (`SatCache.extend` builds the others with
-    `of`), where a merge of one class into another can only refute a
-    disequality between the two, so it rechecks those listed at the merged
-    root and moves them to the root that stays. An extension that leaves
-    the partition as it is shares the parent map, which later lookups only
-    ever change in ways that keep the partition. Closures share the index
-    and its tuples, so an extension that changes it copies the map.
+    `of`). An address atom copies its base's parent map before its first
+    lookup, since lookups halve paths in place, so no map is written after
+    its closure is built. An equality across two classes merges one into
+    the other, which can only refute a disequality between the two, so it
+    rechecks those listed at the merged root and moves them to the root
+    that stays; a disequality is listed at both of its roots. An integer
+    atom leaves the partition as it is and shares its base's map.
+    Closures share the index and its tuples, so an extension that changes
+    it copies the index.
     """
 
     def __init__(self, parent: dict, paths: set, diseqs: dict, int_forms: list,
@@ -480,22 +475,22 @@ class Closure:
 
     @classmethod
     def of(cls, atoms) -> "Closure":
-        uf = _UnionFind()
+        parent: dict = {}
         paths, neqs, int_forms = set(), [], []
         for a in atoms:
             if _is_int_atom(a):
                 int_forms.append(_norm_int_atom(a))
                 continue
-            uf.register(_atom_terms(a))
+            _register(parent, _atom_terms(a))
             paths.update(t for t in (a.lhs, a.rhs) if isinstance(t, FieldPath))
             if a.op == EQ:
-                uf.union(a.lhs, a.rhs)
+                _union(parent, a.lhs, a.rhs)
             else:
                 neqs.append(a)
-        _close(uf, paths)
+        _close(parent, paths)
         # the integer side is only consulted once the equalities stand
-        verdict = SatResult.UNSAT if _refuted(uf, neqs) else _int_sat(int_forms)
-        return cls(uf.parent, paths, _by_class(uf, neqs), int_forms, verdict)
+        verdict = SatResult.UNSAT if _refuted(parent, neqs) else _int_sat(int_forms)
+        return cls(parent, paths, _by_class(parent, neqs), int_forms, verdict)
 
     def extended(self, atom: Atom) -> "Closure":
         if self.verdict is SatResult.UNSAT:
@@ -504,28 +499,25 @@ class Closure:
             int_forms = self.int_forms + [_norm_int_atom(atom)]
             return Closure(self.parent, self.paths, self.diseqs, int_forms,
                            _int_sat(int_forms))
-        uf = _UnionFind(self.parent)
-        ra, rb = uf.find(atom.lhs), uf.find(atom.rhs)
-        if atom.op == EQ and ra is not rb:
-            # `ra` joins `rb`: only a disequality listed at `ra` can now
-            # have both sides in one class
-            uf = _UnionFind(dict(self.parent))
-            uf.register(_atom_terms(atom))
-            uf.parent[ra] = rb
-            diseqs = dict(self.diseqs)
-            moved = diseqs.pop(ra, ())
-            refuted = any(uf.find(a.lhs) is uf.find(a.rhs) for a in moved)
-            if moved:
-                diseqs[rb] = diseqs.get(rb, ()) + moved
-        else:
-            # only new singleton classes, which the shared map may hold
-            uf.register(_atom_terms(atom))
-            diseqs = self.diseqs
-            refuted = atom.op == NEQ and ra is rb
-            if atom.op == NEQ and not refuted:
+        parent = dict(self.parent)
+        _register(parent, _atom_terms(atom))
+        ra, rb = _find(parent, atom.lhs), _find(parent, atom.rhs)
+        diseqs, refuted = self.diseqs, False
+        if atom.op == NEQ:
+            refuted = ra is rb
+            if not refuted:
                 diseqs = {**diseqs, ra: diseqs.get(ra, ()) + (atom,),
                           rb: diseqs.get(rb, ()) + (atom,)}
-        return Closure(uf.parent, self.paths, diseqs, self.int_forms,
+        elif ra is not rb:
+            # `ra` joins `rb`: only a disequality listed at `ra` can now
+            # have both sides in one class
+            parent[ra] = rb
+            diseqs = dict(diseqs)
+            moved = diseqs.pop(ra, ())
+            refuted = _refuted(parent, moved)
+            if moved:
+                diseqs[rb] = diseqs.get(rb, ()) + moved
+        return Closure(parent, self.paths, diseqs, self.int_forms,
                        SatResult.UNSAT if refuted else self.verdict)
 
 
@@ -619,7 +611,7 @@ class Entailment(enum.Enum):
 
 
 def entails(c: frozenset[Atom], a: Atom) -> Entailment:
-    r = check_sat(c | {negate_atom(a)})
+    r = check_sat(c | {Atom(_NEGATION[a.op], a.lhs, a.rhs)})
     if r == SatResult.UNSAT:
         return Entailment.YES
     if r == SatResult.SAT:

@@ -255,17 +255,15 @@ class _Engine:
         add(atom)
 
     def _fill(self, p: Pattern, a: SymAddrRef, fname: str, ftype: nodes.CType):
-        """Give the object at `a` a fresh value for its missing field
-        `fname`, in the heap and in the entry heap."""
+        """Give the input object at `a` a fresh value for its missing field
+        `fname`, in the heap and in the entry heap. Every input object has
+        an entry object, which lacks every field the heap object lacks."""
         # the display derives from `a`'s, which already carries any label
         v = fresh_value(self.alloc, ftype, f"{a.display}.{fname}")
         obj = p.heap[a]
         p.heap[a] = filled = obj.with_field(fname, v)
-        entry = p.entry_heap.get(a)
-        if entry is obj:
-            p.entry_heap[a] = filled
-        elif entry is not None and fname not in entry.fields:
-            p.entry_heap[a] = entry.with_field(fname, v)
+        entry = p.entry_heap[a]
+        p.entry_heap[a] = filled if entry is obj else entry.with_field(fname, v)
         return v
 
     def _decide(self, p: Pattern, atom: Atom) -> list[tuple[Pattern, bool]]:
@@ -481,7 +479,7 @@ class _Engine:
         p.vals.append(v)
 
     def _read_field(self, p: Pattern, e) -> list[Pattern] | None:
-        return self._deref(p, p.vals.pop(), e.struct_name, _Engine._read, e)
+        return self._deref(p, p.vals.pop(), e.base.ctype.struct, _Engine._read, e)
 
     def _read(self, q: Pattern, addr: SymAddrRef, e) -> None:
         """Push field `e.fieldname` of the object at `addr`. A field it
@@ -566,7 +564,7 @@ class _Engine:
 
     def _write_field(self, p: Pattern, e) -> list[Pattern] | None:
         # the assigned value stays on the stack as the assignment's result
-        return self._deref(p, p.vals.pop(), e.target.struct_name, _Engine._write, e)
+        return self._deref(p, p.vals.pop(), e.target.base.ctype.struct, _Engine._write, e)
 
     def _write(self, q: Pattern, addr: SymAddrRef, e) -> None:
         q.heap[addr] = q.heap[addr].with_field(e.target.fieldname, q.vals[-1])

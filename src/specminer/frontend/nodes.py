@@ -1,9 +1,9 @@
 """AST node types plus the pretty-printer used for the round-trip check.
 
-Type annotations added by the resolver live in `ctype` (and, on a field
-access, `struct_name`) attributes that each node's equality key leaves
-out, so two independent parses of the same source compare equal, whether
-or not the resolver has annotated them.
+The resolver's one annotation is each expression's C type, in a `ctype`
+attribute that each node's equality key leaves out, so two independent
+parses of the same source compare equal, whether or not the resolver has
+annotated them. A field access reads its struct from its base's `ctype`.
 """
 
 from __future__ import annotations
@@ -78,8 +78,6 @@ class Var(Expr):
 
 
 class FieldAccess(Expr):
-    struct_name: str | None = None  # the resolver's annotation: the base's struct
-
     def __init__(self, base: Expr, fieldname: str):
         self.base = base
         self.fieldname = fieldname

@@ -140,7 +140,6 @@ class _Checker:
                 raise UnknownField(
                     f"{self.fn.name}: struct {bt.struct} has no field {e.fieldname!r}"
                 )
-            e.struct_name = bt.struct
             return fields[e.fieldname]
         if isinstance(e, N.Unary):
             ot = self.expr(e.operand)

@@ -87,7 +87,6 @@ def _infer_sorts(atoms) -> tuple[dict, dict]:
 def _components(atoms: list[Atom]) -> list[list[Atom]]:
     """Group atoms sharing variables (or any field path, since field tables
     are global) into connected components."""
-    key_of: dict = {}
     parent: dict = {}
 
     def find(x):
@@ -111,7 +110,6 @@ def _components(atoms: list[Atom]) -> list[list[Atom]]:
         ks = sorted(keys, key=repr)
         for k in ks[1:]:
             union(ks[0], k)
-        key_of[i] = ("atom", i)
 
     groups: dict = {}
     for i, a in enumerate(atoms):

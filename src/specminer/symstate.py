@@ -201,13 +201,8 @@ class Pattern:
     def resolve(self, a: SymAddrRef) -> SymAddrRef:
         """The object `a` stands for once aliasing decisions are applied.
         An alias maps an unmaterialized address to an input object's heap
-        key, and heap keys are never aliased, so the chain is at most one
-        step long."""
-        aliases = self.aliases
-        if aliases:
-            while a in aliases:
-                a = aliases[a]
-        return a
+        key, and heap keys are never aliased, so one lookup resolves it."""
+        return self.aliases.get(a, a)
 
     def add_path_atom(self, a: Atom) -> None:
         self.path_condition = self.path_condition | {a}

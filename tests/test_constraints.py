@@ -15,7 +15,7 @@ from specminer.constraints import (
     EQ, GE, GT, LE, LT, NEQ,
     Add, Atom, Closure, Entailment, FieldPath, IntConst, NullRef, SatCache,
     SatResult, Sub, SymAddrRef, SymDataRef, SymIntRef, TRUE,
-    check_sat, entails, negate_atom,
+    check_sat, entails,
     render_atom, render_constraint,
 )
 from specminer.modelsearch import find_model
@@ -80,12 +80,13 @@ def test_render_constraint_sorted_and_true():
     assert TRUE == frozenset()
 
 
-def test_negate_atom_is_an_involution():
-    atoms = [Atom(op, X, Y) for op in (EQ, NEQ, LT, LE, GT, GE)]
-    for at in atoms:
-        assert negate_atom(negate_atom(at)) == at
-    assert negate_atom(Atom(GT, X, Y)) == Atom(LE, X, Y)
-    assert negate_atom(Atom(EQ, A, NullRef())) == Atom(NEQ, A, NullRef())
+def test_negation_is_an_involution():
+    sat = SatCache()
+    for op in (EQ, NEQ, LT, LE, GT, GE):
+        at = sat.atom(op, X, Y)
+        assert sat.negation(sat.negation(at)) is at
+    assert sat.negation(sat.atom(GT, X, Y)) == Atom(LE, X, Y)
+    assert sat.negation(sat.atom(EQ, A, NullRef())) == Atom(NEQ, A, NullRef())
 
 
 def test_condition_union_dedupes():

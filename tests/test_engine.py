@@ -9,7 +9,7 @@ from specminer import inference
 from specminer.concrete import build_dll, concrete_run
 from specminer.constraints import (
     EQ, GT, LT, NEQ, NULL, TRUE, Add, Atom, IntConst, NullRef, SatCache, SatResult,
-    SymAddrRef, SymDataRef, SymIntRef, check_sat, negate_atom, render_constraint,
+    SymAddrRef, SymDataRef, SymIntRef, check_sat, render_constraint,
 )
 from specminer.engine import _HANDLERS, Limits, _Engine, _build, se
 from specminer.frontend import load_program, nodes as N
@@ -56,7 +56,7 @@ def test_a_recorded_atom_decides_its_branch_with_one_question(
     alloc = Allocator()
     x, y = alloc.fresh_int("x"), alloc.fresh_int("y")
     atom = Atom(GT, x, y)
-    recorded = atom if holds else negate_atom(atom)
+    recorded = atom if holds else SatCache().negation(atom)
     p = entry_pattern(branch_index, "branch", [x, y], condition=frozenset({recorded}))
     base = p.condition
     asked = []
@@ -702,7 +702,9 @@ def test_every_heap_key_is_non_null_under_its_condition(corpus_dir, monkeypatch,
     not malloc'd. The from-scratch `check_sat` decides it. A malloc'd
     object is not NULL by construction, and no entry heap holds one but
     those the run starts from: the modifier run's entry heaps, which the
-    pre replays start from, hold none."""
+    pre replays start from, hold none. What `_fill` rests on: every heap
+    key that is not malloc'd has an entry object, which lacks every field
+    its heap object lacks."""
     real_se = inference.se
     checked = []
 
@@ -716,6 +718,10 @@ def test_every_heap_key_is_non_null_under_its_condition(corpus_dir, monkeypatch,
                 assert check_sat(p.condition | {Atom(EQ, a, NULL)}) == SatResult.UNSAT, \
                     (args[1], p.provenance_id, a)
                 checked.append(a)
+            for a in p.heap.keys() - p.malloced:
+                assert a in p.entry_heap, (args[1], p.provenance_id, a)
+                assert set(p.entry_heap[a].fields) <= set(p.heap[a].fields), \
+                    (args[1], p.provenance_id, a)
         return res
 
     monkeypatch.setattr(inference, "se", spy)

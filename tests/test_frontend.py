@@ -254,7 +254,7 @@ def test_resolver_annotations_take_no_part_in_equality():
     resolved = parse(src)
     resolve(resolved)
     access = resolved.functions[0].body[0].value.left
-    assert access.ctype == N.INT and access.struct_name == "S"
+    assert access.ctype == N.INT and access.base.ctype == N.structptr("S")
     assert resolved == parse(src)
 
 
@@ -267,7 +267,7 @@ def test_every_field_access_carries_its_fields_declared_type(corpus_dir, ast_nod
         for f in idx.functions.values():
             for e in ast_nodes(f.body):
                 if isinstance(e, N.FieldAccess):
-                    declared = idx.struct_fields(e.struct_name)[e.fieldname]
+                    declared = idx.struct_fields(e.base.ctype.struct)[e.fieldname]
                     assert e.ctype == declared, (path.name, f.name, N.render_expr(e))
                     seen += 1
     assert seen > 0
