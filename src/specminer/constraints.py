@@ -43,10 +43,10 @@ interval check on the stored normal forms plus its own) and keeps the
 result, where the path's next question starts. No map is written after
 its closure is built, so sharing one is safe. An atom a path records
 without asking gets its closure the same way, so `Closure.of` runs once
-per invocation, on the empty condition, when the cache is made. The engine never builds a field path; a
-condition that holds one is closed from scratch by `Closure.of`.
-Its answers are `check_sat`'s, so the one-sided Unsat contract holds for
-them too.
+per invocation, on the empty condition, when the cache is made. The
+engine never builds a field path; a condition that holds one is closed
+from scratch by `Closure.of`. Its answers are `check_sat`'s, so the
+one-sided Unsat contract holds for them too.
 
 The cache also interns the invocation's atoms: one `Atom` object per
 `(op, lhs, rhs)`. Each atom stores its hash, so the conditions that key
