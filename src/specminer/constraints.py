@@ -33,19 +33,19 @@ The engine asks a narrower question at every branch and dereference: "is
 this path condition plus one atom satisfiable?". One `SatCache` answers it
 for a whole inference invocation (the modifier run and every observer
 replay, which start from the modifier's path conditions), keeping the
-closure of every atom set it has seen, up to the end of the replay phase
-that added it: `mark` and `release` drop what one `explain` call added,
-since no condition of a replay outlives it. A question extends the path
-condition's closure by one atom (an address atom copies the union-find
-map, and an equality across two classes rechecks only the disequalities
-of the merged one; an integer atom shares the map and re-runs the
-interval check on the stored normal forms plus its own) and keeps the
-result, where the path's next question starts. No map is written after
-its closure is built, so sharing one is safe. An atom a path records
-without asking gets its closure the same way, so `Closure.of` runs once
-per invocation, on the empty condition, when the cache is made. The
-engine never builds a field path; a condition that holds one is closed
-from scratch by `Closure.of`. Its answers are `check_sat`'s, so the
+closure of every atom set it has seen, up to the end of the replays that
+added it: `mark` and `release` bracket one path's replays, pre and post,
+and drop what they added, since no condition of a replay outlives them.
+A question extends the path condition's closure by one atom (an address
+atom copies the union-find map, and an equality across two classes
+rechecks only the disequalities of the merged one; an integer atom shares
+the map and re-runs the interval check on the stored normal forms plus
+its own) and keeps the result, where the path's next question starts. No
+map is written after its closure is built, so sharing one is safe. An
+atom a path records without asking gets its closure the same way, so
+`Closure.of` runs once per invocation, on the empty condition, when the
+cache is made. The engine never builds a field path; a condition that
+holds one is closed from scratch by `Closure.of`. Its answers are `check_sat`'s, so the
 one-sided Unsat contract holds for them too.
 
 The cache also interns the invocation's atoms: one `Atom` object per
@@ -155,17 +155,19 @@ _NEGATION = {EQ: NEQ, NEQ: EQ, LT: GE, GE: LT, LE: GT, GT: LE}
 
 
 class Atom(Frozen):
-    """`lhs op rhs`. Its hash, that of `(op, lhs, rhs)`, is stored when it
-    is built. Atoms compare by structure, but the engine's atoms come from
-    a `SatCache`, which hands out one object per structure, so sets of them
+    """`lhs op rhs`. Its hash, that of `(op, lhs, rhs)`, and its sort,
+    whether it is an integer atom (`is_int`), are stored when it is built.
+    Atoms compare by structure, but the engine's atoms come from a
+    `SatCache`, which hands out one object per structure, so sets of them
     match by identity."""
-    __slots__ = ("op", "lhs", "rhs", "_hash")
+    __slots__ = ("op", "lhs", "rhs", "_hash", "is_int")
 
     def __init__(self, op: str, lhs: Term, rhs: Term):
         setfield(self, "op", op)
         setfield(self, "lhs", lhs)
         setfield(self, "rhs", rhs)
         setfield(self, "_hash", hash((op, lhs, rhs)))
+        setfield(self, "is_int", _is_int_atom(self))
 
     def _key(self):
         return (self.op, self.lhs, self.rhs)
@@ -454,15 +456,16 @@ class Closure:
     congruence. `extended(atom)` returns the closure of the conjunction
     plus one atom without rebuilding it, normalizing only that atom. It
     takes only path-free cases (`SatCache.extend` builds the others with
-    `of`). An address atom copies its base's parent map before its first
-    lookup, since lookups halve paths in place, so no map is written after
-    its closure is built. An equality across two classes merges one into
-    the other, which can only refute a disequality between the two, so it
-    rechecks those listed at the merged root and moves them to the root
-    that stays; a disequality is listed at both of its roots. An integer
-    atom leaves the partition as it is and shares its base's map.
-    Closures share the index and its tuples, so an extension that changes
-    it copies the index.
+    `of`), so an atom brings no terms but its two sides, and it reads the
+    atom's sort from the atom. An address atom copies its base's parent
+    map before its first lookup, since lookups halve paths in place, so no
+    map is written after its closure is built. An equality across two
+    classes merges one into the other, which can only refute a disequality
+    between the two, so it rechecks those listed at the merged root and
+    moves them to the root that stays; a disequality is listed at both of
+    its roots. An integer atom leaves the partition as it is and shares
+    its base's map. Closures share the index and its tuples, so an
+    extension that changes it copies the index.
     """
 
     def __init__(self, parent: dict, paths: set, diseqs: dict, int_forms: list,
@@ -478,7 +481,7 @@ class Closure:
         parent: dict = {}
         paths, neqs, int_forms = set(), [], []
         for a in atoms:
-            if _is_int_atom(a):
+            if a.is_int:
                 int_forms.append(_norm_int_atom(a))
                 continue
             _register(parent, _atom_terms(a))
@@ -495,13 +498,16 @@ class Closure:
     def extended(self, atom: Atom) -> "Closure":
         if self.verdict is SatResult.UNSAT:
             return self  # no atom undoes a refutation
-        if _is_int_atom(atom):
+        if atom.is_int:
             int_forms = self.int_forms + [_norm_int_atom(atom)]
             return Closure(self.parent, self.paths, self.diseqs, int_forms,
                            _int_sat(int_forms))
+        # a path-free atom: its two sides are all the terms it brings
+        lhs, rhs = atom.lhs, atom.rhs
         parent = dict(self.parent)
-        _register(parent, _atom_terms(atom))
-        ra, rb = _find(parent, atom.lhs), _find(parent, atom.rhs)
+        parent.setdefault(lhs, lhs)
+        parent.setdefault(rhs, rhs)
+        ra, rb = _find(parent, lhs), _find(parent, rhs)
         diseqs, refuted = self.diseqs, False
         if atom.op == NEQ:
             refuted = ra is rb
@@ -548,8 +554,10 @@ class SatCache:
     newest first, every atom and closure added since. A condition built
     before the mark holds only atoms interned before it, so its closure
     stays and its atoms stay the cache's own; a condition built after the
-    mark must not outlive the release. `explain` releases what its
-    replays added when it returns. The closure of the empty condition is
+    mark must not outlive the release. `infer_spec` brackets one path's
+    replays, its pre and its post `explain` call, so the post phase finds
+    the closures the pre phase built, and releases what they added when
+    the post phase ends. The closure of the empty condition is
     built here, before any mark, so a released closure is only ever
     rebuilt as an extension."""
 

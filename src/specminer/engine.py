@@ -75,7 +75,11 @@ Three mechanisms matter beyond plain evaluation:
 
 * Lazy heaps. The input heap starts unknown. Dereferencing an address the
   conditions allow to be non-null conjures an empty object for it; reading
-  a field never seen before conjures a fresh value of the field's type.
+  a field never seen before conjures a value of the field's type. In the
+  modifier run that value is fresh at every such read. The replays of one
+  path share a map from (heap key, field name) to value (`se`'s `fills`),
+  so the field gets one value, fixed at its first read in any of them,
+  and the replays ask the same solver questions about it.
   Both discoveries are mirrored into the pattern's entry heap, which ends
   up describing exactly the slice of the input this branch depends on.
   With `lazy_aliasing`, a newly discovered object may also be one of the
@@ -165,7 +169,7 @@ class SEResult:
 
 class _Engine:
     def __init__(self, index, limits: Limits, alloc: Allocator, lazy_aliasing: bool,
-                 sat: C.SatCache):
+                 sat: C.SatCache, fills: dict | None = None):
         self.index = index
         self.limits = limits
         self.alloc = alloc
@@ -176,6 +180,9 @@ class _Engine:
         # satisfiability of "path condition plus one atom"; the caller may
         # share it with other runs
         self.sat = sat
+        # (heap key, field name) -> the value of that missing input field,
+        # shared by the runs the caller hands it to; None: every read mints
+        self.fills = fills
         # the literal limit (0: none, as before CPython 3.10.7, which
         # lacks the function); a fold of at most `fold_bits` bits has
         # fewer digits than it, since 2**(3 * d) < 10**d
@@ -255,11 +262,18 @@ class _Engine:
         add(atom)
 
     def _fill(self, p: Pattern, a: SymAddrRef, fname: str, ftype: nodes.CType):
-        """Give the input object at `a` a fresh value for its missing field
-        `fname`, in the heap and in the entry heap. Every input object has
-        an entry object, which lacks every field the heap object lacks."""
-        # the display derives from `a`'s, which already carries any label
-        v = fresh_value(self.alloc, ftype, f"{a.display}.{fname}")
+        """Give the input object at `a` a value for its missing field
+        `fname`, in the heap and in the entry heap: the one `fills` holds
+        for it, else a fresh one, which `fills` then keeps. Every input
+        object has an entry object, which lacks every field the heap object
+        lacks."""
+        fills = self.fills
+        v = None if fills is None else fills.get((a, fname))
+        if v is None:
+            # the display derives from `a`'s, which already carries any label
+            v = fresh_value(self.alloc, ftype, f"{a.display}.{fname}")
+            if fills is not None:
+                fills[a, fname] = v
         obj = p.heap[a]
         p.heap[a] = filled = obj.with_field(fname, v)
         entry = p.entry_heap[a]
@@ -690,6 +704,7 @@ def se(
     heap: dict | None = None,
     condition: frozenset = C.TRUE,
     malloced: frozenset = frozenset(),
+    fills: dict | None = None,
 ) -> SEResult:
     """Execute `fname` on the values `args` symbolically and return every
     terminal pattern (finals and errors), the count of bound-cut paths, and
@@ -717,11 +732,19 @@ def se(
     first, so the patterns come in another order than without it.
 
     `sat` answers the run's solver questions. Runs may share it; a run
-    without one gets a fresh cache."""
+    without one gets a fresh cache.
+
+    `fills` maps (heap key, field name) to the value a read of that field
+    gets when its input object lacks it. A read it holds no entry for
+    mints a fresh value, display included, and adds it, so all runs that
+    share the map read one value per input field; `infer_spec` gives the
+    replays of each path one map. Without it, as in the modifier run,
+    every such read mints, so the modifier's patterns keep their `?iN`
+    names and `#sid` tags."""
     limits = limits or Limits()
     alloc = alloc or Allocator()
     eng = _Engine(index, limits, alloc, lazy_aliasing,
-                  C.SatCache() if sat is None else sat)
+                  C.SatCache() if sat is None else sat, fills)
     f = index.functions.get(fname)
     if f is None:
         raise KeyError(f"unknown function '{fname}'")

@@ -8,7 +8,12 @@ conditions. An observer call earns an equation only when every one of its
 own branches finishes normally with the same value, and that value is
 expressible in the caller's vocabulary: a literal, NULL, an input
 argument, or the updated structure root. So a replay stops at its first leaf
-that rules the call out (see `explain`). The surviving equations become
+that rules the call out (see `explain`). All the replays of one branch, in
+both phases, share one map from (heap key, field name) to the value of an
+input field the modifier never read, so each such field has one value,
+fixed at its first read; they also share the solver-cache entries they
+add, which are released once the branch's post phase ends, since no
+condition a replay builds outlives it. The surviving equations become
 one axiom per branch. Two axioms with the same conclusion merge when one
 premise contains the other, keeping the weaker premise; axioms with
 different conclusions stay apart, since each describes its own paths.
@@ -179,6 +184,7 @@ def explain(
     lazy_aliasing: bool = False,
     diagnostics: list | None = None,
     context: str = "",
+    fills: dict | None = None,
 ):
     """Equations observed to hold on `heap` under `condition`.
 
@@ -186,10 +192,14 @@ def explain(
     observer calls to replay over it, as `call_shapes` gives them;
     `post_root` optionally names (sid, display) for the updated-structure
     root. `sat` answers every solver question of the replays and may be
-    shared with other runs. The replays are one phase: the atoms and
-    closures they add to `sat` are released when it returns, since no
-    condition they build outlives them; the conditions the caller holds
-    keep theirs.
+    shared with other runs. `explain` does not release the atoms and
+    closures its replays add to `sat`: the caller releases them when no
+    condition the replays built is held any more, and `infer_spec` does so
+    once a path's post phase ends. `fills` is the path's map from (heap
+    key, field name) to input-field value, which every replay reads and
+    extends (see `se`); both phases of a path share it, so their replays
+    read one value per input field and ask the same questions about it,
+    which the cache answers once.
 
     A call's replay rejects a leaf that is not final, whose value the
     caller cannot name, or whose value differs from the first leaf's, and
@@ -199,7 +209,6 @@ def explain(
     sym_map = _sym_id_map(args, post_root)
     equations = []
     budget_hit = False
-    mark = sat.mark()
     for oname, positions in calls:
         call_args = [args[i] for i in positions]
         values = []  # the nameable value of each accepted leaf, all equal
@@ -213,7 +222,7 @@ def explain(
 
         res = se(index, oname, [v for _d, v, _t in call_args], limits, alloc,
                  lazy_aliasing, reject, sat=sat,
-                 heap=heap, condition=condition, malloced=malloced)
+                 heap=heap, condition=condition, malloced=malloced, fills=fills)
         if res.budget_error:
             budget_hit = True
             names = ", ".join(d for d, _v, _t in call_args)
@@ -226,7 +235,6 @@ def explain(
         approx = any(leaf.approx for leaf in res.patterns)
         equations.append(Equation(oname, tuple(d for d, _v, _t in call_args),
                                   values[0], approx))
-    sat.release(mark)
     return equations, budget_hit
 
 
@@ -264,8 +272,8 @@ def infer_spec(
 
     alloc = Allocator(seed_label)
     # one solver cache for every run below: replays start from the path
-    # conditions whose closures the modifier run already built, and each
-    # replay phase releases what it added
+    # conditions whose closures the modifier run already built, and the
+    # replays of each path release what they added
     sat = SatCache()
     seeded = _seed_args(f, alloc)
     res = se(index, modifier, [v for _n, v, _t in seeded],
@@ -303,10 +311,16 @@ def infer_spec(
         if p.status != "final":
             continue
         cond = p.condition
+        # both phases read one value per input field the run left unread,
+        # so the post phase finds the closures of the pre phase's questions
+        # in `sat`; no condition the replays build outlives the post phase
+        fills: dict = {}
+        mark = sat.mark()
         pre_eqs, hit = explain(
             index, p.entry_heap, cond, seeded, limits, alloc, calls,
             sat=sat, malloced=p.malloced, lazy_aliasing=lazy_aliasing,
-            diagnostics=diagnostics, context=f"{modifier}/{p.provenance_id} pre")
+            diagnostics=diagnostics, context=f"{modifier}/{p.provenance_id} pre",
+            fills=fills)
         budget_error = budget_error or hit
 
         ret_v = p.return_value
@@ -328,7 +342,9 @@ def infer_spec(
             index, p.heap, cond, post_args, limits, alloc, calls,
             sat=sat, malloced=p.malloced, post_root=post_root,
             lazy_aliasing=lazy_aliasing,
-            diagnostics=diagnostics, context=f"{modifier}/{p.provenance_id} post")
+            diagnostics=diagnostics, context=f"{modifier}/{p.provenance_id} post",
+            fills=fills)
+        sat.release(mark)
         budget_error = budget_error or hit
 
         if f.return_type.kind == "void":

@@ -417,12 +417,13 @@ def _ruled_out(res, sym_map, sat):
 
 def _exhaustive_explain(index, heap, condition, args, limits, alloc,
                         observer_names, *, sat, malloced=frozenset(), post_root=None,
-                        lazy_aliasing=False, context=""):
+                        lazy_aliasing=False, context="", fills=None):
     """The acceptance rule applied after complete replays, as it was before
     replays stopped early. Returns the equations, the budget diagnostics,
     and the budget diagnostics of calls no leaf rules out. It is an
-    independent oracle: it ignores the invocation's solver cache `sat`, and
-    each replay and return-value test gets a fresh one."""
+    independent oracle: it ignores the invocation's solver cache `sat` and
+    the path's map of input-field values `fills`, so each replay reads
+    fresh values and, like each return-value test, gets a fresh cache."""
     sym_map = inference._sym_id_map(args, post_root)
     own_sat = SatCache()
     equations, diagnostics, unruled = [], [], []
@@ -613,24 +614,99 @@ def test_every_recorded_atom_is_the_caches_own(dll_index, monkeypatch, modifier)
 @pytest.mark.parametrize("modifier", DLL_MODIFIERS)
 def test_a_replay_phase_leaves_the_solver_cache_as_it_found_it(dll_index, monkeypatch,
                                                                modifier, lazy_aliasing):
-    """No condition a replay builds outlives its `explain` call, so the
-    call releases every atom and closure its replays added: the cache's
-    tables hold the same keys, in the same order, after it as before."""
+    """A path's replay phase is its pre and its post `explain` call. No
+    condition a replay builds outlives the phase, so `infer_spec` releases
+    every atom and closure the phase added right after its post call: the
+    cache's tables then hold the same keys, in the same order, as before
+    the pre call."""
     real_explain = inference.explain
-    phases = []
+    real_release = SatCache.release
+    phases, released = [], []
+    before = {}  # the path whose phase is open -> its tables before the pre call
 
-    def spy(*args, sat, **kwargs):
-        before = (list(sat.closures), list(sat.interned))
+    def tables(sat):
+        return list(sat.closures), list(sat.interned)
+
+    def explain(*args, sat, **kwargs):
+        path, phase = kwargs["context"].rsplit(" ", 1)
+        if phase == "pre":
+            assert not before, kwargs["context"]
+            before[path] = tables(sat)
         out = real_explain(*args, sat=sat, **kwargs)
-        assert (list(sat.closures), list(sat.interned)) == before, kwargs["context"]
         phases.append(kwargs["context"])
         return out
 
-    monkeypatch.setattr(inference, "explain", spy)
+    def release(self, mark):
+        real_release(self, mark)
+        (path, tables_before), = before.items()
+        assert phases[-1] == f"{path} post"
+        assert tables(self) == tables_before, path
+        before.clear()
+        released.append(path)
+
+    monkeypatch.setattr(inference, "explain", explain)
+    monkeypatch.setattr(SatCache, "release", release)
     # the step cap keeps init's divergent --lazy-aliasing run short
     infer_spec(dll_index, modifier, Limits(unroll_bound=2, max_steps=2000),
                lazy_aliasing=lazy_aliasing)
-    assert phases
+    assert released
+    assert phases == [f"{path} {phase}" for path in released for phase in ("pre", "post")]
+
+
+def test_a_paths_replays_read_one_value_per_input_field(corpus_dir, monkeypatch):
+    """Every replay of a path, pre and post, reads one value for each field
+    of an input object that its starting heap lacks: over the entry heaps
+    of all the replays' leaves, each (heap key, field) pair the starting
+    heap lacked holds one value per path. The replays leave the modifier's
+    patterns (heap, entry heap, condition) as the modifier run returned
+    them."""
+    real_se, real_explain = inference.se, inference.explain
+    path = []  # the context of the path whose replays run; empty: the modifier run
+    modifier_runs = []
+    values: dict = {}  # (case, path, key, field) -> {value: replays that read it}
+
+    def explain(*args, context, **kwargs):
+        path[:] = [context.rsplit(" ", 1)[0]]
+        return real_explain(*args, context=context, **kwargs)
+
+    def snapshot(patterns):
+        return _heap_objects(patterns), [p.condition for p in patterns]
+
+    def spy(*args, heap=None, **kwargs):
+        res = real_se(*args, heap=heap, **kwargs)
+        if not path:
+            modifier_runs.append(snapshot(res.patterns))
+            return res
+        start = heap or {}
+        run = object()
+        for leaf in res.patterns:
+            for key, obj in leaf.entry_heap.items():
+                lacked = start[key].fields.keys() if key in start else ()
+                for field, v in obj.fields.items():
+                    if field not in lacked:
+                        values.setdefault((case, path[0], key, field), {}) \
+                            .setdefault(v, set()).add(run)
+        return res
+
+    monkeypatch.setattr(inference, "explain", explain)
+    monkeypatch.setattr(inference, "se", spy)
+    for source in sorted(corpus_dir.glob("*.c")):
+        idx = load_program(source.read_text())
+        for fname in sorted(idx.functions):
+            for unroll in (1, 2):
+                for lazy_aliasing in (False, True):
+                    case = (source.name, fname, unroll, lazy_aliasing)
+                    path.clear()
+                    modifier_runs.clear()
+                    # the step cap keeps init's divergent --lazy-aliasing run short
+                    spec = infer_spec(idx, fname, Limits(unroll_bound=unroll, max_steps=2000),
+                                      lazy_aliasing=lazy_aliasing)
+                    assert modifier_runs == [snapshot(spec.patterns)], case
+    for where, by_value in values.items():
+        assert len(by_value) == 1, (where, sorted(map(repr, by_value)))
+    # not vacuous: many fields are read by more than one replay
+    assert sum(len(runs) > 1 for by_value in values.values()
+               for runs in by_value.values()) > 100
 
 
 @pytest.mark.parametrize("modifier", DLL_MODIFIERS)
