@@ -592,9 +592,10 @@ def _assert_atoms_are_the_caches_own(res, sat, case):
 def test_every_recorded_atom_is_the_caches_own(dll_index, monkeypatch, modifier):
     """Each atom on a terminal pattern's conditions, in the modifier run
     and in every replay, is the object the invocation's cache hands out
-    for its (op, lhs, rhs). A replay phase releases its atoms when it
-    ends, so each run is checked as it returns; the modifier's patterns
-    outlive every phase, so theirs are checked again at the end."""
+    for its (op, lhs, rhs). A path's replays release their atoms when its
+    post phase ends, so each run is checked as it returns; the modifier's
+    patterns outlive every path's replays, so theirs are checked again at
+    the end."""
     real_se = inference.se
     runs = []
 
@@ -612,17 +613,16 @@ def test_every_recorded_atom_is_the_caches_own(dll_index, monkeypatch, modifier)
 
 @pytest.mark.parametrize("lazy_aliasing", (False, True))
 @pytest.mark.parametrize("modifier", DLL_MODIFIERS)
-def test_a_replay_phase_leaves_the_solver_cache_as_it_found_it(dll_index, monkeypatch,
-                                                               modifier, lazy_aliasing):
-    """A path's replay phase is its pre and its post `explain` call. No
-    condition a replay builds outlives the phase, so `infer_spec` releases
-    every atom and closure the phase added right after its post call: the
-    cache's tables then hold the same keys, in the same order, as before
-    the pre call."""
+def test_a_paths_replays_leave_the_solver_cache_as_they_found_it(dll_index, monkeypatch,
+                                                                 modifier, lazy_aliasing):
+    """No condition a replay builds outlives its path's pre and post
+    `explain` calls, so `infer_spec` releases every atom and closure those
+    replays added right after the post call: the cache's tables then hold
+    the same keys, in the same order, as before the pre call."""
     real_explain = inference.explain
     real_release = SatCache.release
     phases, released = [], []
-    before = {}  # the path whose phase is open -> its tables before the pre call
+    before = {}  # the path whose replays run -> the tables before its pre call
 
     def tables(sat):
         return list(sat.closures), list(sat.interned)
@@ -681,9 +681,9 @@ def test_a_paths_replays_read_one_value_per_input_field(corpus_dir, monkeypatch)
         run = object()
         for leaf in res.patterns:
             for key, obj in leaf.entry_heap.items():
-                lacked = start[key].fields.keys() if key in start else ()
+                had = start[key].fields.keys() if key in start else ()
                 for field, v in obj.fields.items():
-                    if field not in lacked:
+                    if field not in had:
                         values.setdefault((case, path[0], key, field), {}) \
                             .setdefault(v, set()).add(run)
         return res
@@ -727,9 +727,10 @@ def test_one_closure_is_built_from_scratch_per_invocation(dll_index, monkeypatch
 
 @pytest.mark.parametrize("unroll, limit_kib", [(8, 1024), (12, 1536)])
 def test_memory_per_invocation(dll_index, unroll, limit_kib):
-    """Replay phases release their solver-cache entries, so an
-    invocation's traced peak stays near that of one phase. Keeping every
-    phase's entries to the end read 2.0 and 4.8 MiB here (CPython 3.11)."""
+    """The replays of each path release their solver-cache entries, so an
+    invocation's traced peak stays near that of one path's replays.
+    Keeping every replay phase's entries to the end read 2.0 and 4.8 MiB
+    here (CPython 3.11)."""
     tracemalloc.start()
     try:
         infer_spec(dll_index, "find", Limits(unroll_bound=unroll))
@@ -741,8 +742,8 @@ def test_memory_per_invocation(dll_index, unroll, limit_kib):
 
 def test_a_cache_builds_the_empty_closure_before_any_replay_phase(monkeypatch):
     """A modifier that records no atom leaves the empty condition to its
-    replays. Its closure is built with the cache, not in a phase that
-    would release it, so `Closure.of` still runs once."""
+    replays. Its closure is built with the cache, not among a path's
+    replays that would release it, so `Closure.of` still runs once."""
     real_of = Closure.of.__func__
     built = []
 
