@@ -6,13 +6,14 @@ symbols, opaque data tokens, and +/- over integers. A condition is the
 `frozenset` of its atoms, read as their conjunction, and the empty set,
 `TRUE`, is true.
 
-Five of the terms are also the engine's values: a pointer is a
-`SymAddrRef` or `NULL`, an int an `IntConst` or a `SymIntRef`, a void*
-payload a `SymDataRef`. Atoms take values as they are; field paths and
-`+`/`-` only occur inside atoms. A heap address is a `SymAddrRef`: the
-`symstate.Allocator` hands it out, and the heap is keyed by it. Terms are
-frozen value objects (`record.Frozen`) with structural, class-aware
-equality. The three symbol classes hash by their `sid`, which one
+Six of the terms are also the engine's values: a pointer is a
+`SymAddrRef`, a `MallocRef` or `NULL`, an int an `IntConst` or a
+`SymIntRef`, a void* payload a `SymDataRef`. Atoms take values as they
+are; field paths and `+`/`-` only occur inside atoms. A heap address is a
+`SymAddrRef`, or its subclass `MallocRef` for malloc'd storage, which no
+atom holds: the `symstate.Allocator` hands it out, and the heap is keyed
+by it. Terms are frozen value objects (`record.Frozen`) with structural,
+class-aware equality. The symbol classes hash by their `sid`, which one
 allocator never hands out twice, and `NULL` by a constant, so the sets and
 dicts that hold them hash no strings.
 
@@ -84,8 +85,13 @@ class _Symbol(Term):
 
 
 class SymAddrRef(_Symbol):
-    """A heap address: a pointer argument, a materialized input object or
-    a malloc result. It is also the heap key."""
+    """A heap address: a pointer argument or a materialized input object,
+    or, as a `MallocRef`, a malloc result. It is also the heap key."""
+    __slots__ = ()
+
+
+class MallocRef(SymAddrRef):
+    """A malloc result: by construction not NULL and no input object."""
     __slots__ = ()
 
 

@@ -64,14 +64,14 @@ Three mechanisms matter beyond plain evaluation:
   question at all: the conditions entail that an input object's heap key
   is not NULL (see `se`), and malloc'd storage is not NULL by
   construction, so `_on_heap` reads their own verdict instead. Nor does
-  a comparison of a malloc'd address with any other address: no input
-  pointer can point to fresh storage, so they differ, and no atom says
-  so (lazy initialization takes a fresh object to be distinct from every
-  input object the same way). A branch pushes the outcome as the shared
-  1 or 0; a dereference turns the NULL outcome into an error leaf. An int
-  is true when it is not 0. The solver's answers come from a `SatCache`
-  the caller may share between runs (`infer_spec` shares one between the
-  modifier run and every observer replay).
+  a comparison of a `MallocRef` with any other pointer, on either side:
+  no input pointer can point to fresh storage, so they differ, and no
+  atom says so (lazy initialization takes a fresh object to be distinct
+  from every input object the same way). A branch pushes the outcome as
+  the shared 1 or 0; a dereference turns the NULL outcome into an error
+  leaf. An int is true when it is not 0. The solver's answers come from a
+  `SatCache` the caller may share between runs (`infer_spec` shares one
+  between the modifier run and every observer replay).
 
 * Lazy heaps. The input heap starts unknown. Dereferencing an address the
   conditions allow to be non-null conjures an empty object for it; reading
@@ -108,7 +108,7 @@ import operator
 import sys
 
 from . import constraints as C
-from .constraints import Atom, IntConst, NullRef, SatResult, SymAddrRef
+from .constraints import Atom, IntConst, MallocRef, NullRef, SatResult, SymAddrRef
 from .frontend import nodes
 from .record import Record
 from .symstate import (
@@ -370,7 +370,7 @@ class _Engine:
     def _on_heap(self, p: Pattern) -> bool:
         """Decide, as `_decide` would, that two pointers differ where `p`
         knows it without a question: a key of `p.heap` and NULL, or a
-        malloc'd object and another address. The conditions entail that an
+        `MallocRef` and another pointer. The conditions entail that an
         input object's key is not NULL (see `se`), and malloc'd storage
         differs from NULL and every input object by construction, so adding
         the fact or refuting its negation leaves their verdict as it is:
@@ -387,7 +387,7 @@ class _Engine:
         told that `target` is none of them."""
         cands = sorted(
             (a for a, o in ok.heap.items()
-             if a not in ok.malloced and o.struct_name == struct_name and a != target),
+             if type(a) is SymAddrRef and o.struct_name == struct_name and a != target),
             key=lambda a: (a.display, a.sid),
         )
         if not cands:
@@ -502,7 +502,7 @@ class _Engine:
         obj = q.heap[addr]
         v = obj.fields.get(e.fieldname)
         if v is None:
-            if addr in q.malloced:
+            if type(addr) is MallocRef:
                 self._error(q, f"read of uninitialized field '{e.fieldname}'")
                 return
             v = self._fill(q, addr, e.fieldname, e.ctype)
@@ -556,16 +556,15 @@ class _Engine:
         if (l is C.NULL or isinstance(l, SymAddrRef)) and l is r:
             p.vals.append(_ONE if e.op in ("==", "<=", ">=") else _ZERO)
             return None
-        # two different objects, compared with `==` or `!=` (the resolver
-        # admits no other pointer comparison): a heap key and NULL, or a
-        # malloc'd object and any other address, since no input pointer
-        # can point to fresh storage
+        # two different pointers, compared with `==` or `!=`: a heap key
+        # and NULL, or malloc'd storage and any other pointer, void*
+        # included, since no input pointer can point to fresh storage
         if l is C.NULL:
-            apart = type(r) is SymAddrRef and r in p.heap
+            apart = r in p.heap
         elif r is C.NULL:
-            apart = type(l) is SymAddrRef and l in p.heap
+            apart = l in p.heap
         else:
-            apart = type(l) is SymAddrRef and (l in p.malloced or r in p.malloced)
+            apart = type(l) is MallocRef or type(r) is MallocRef
         if apart:
             if not self._on_heap(p):
                 return []
@@ -587,9 +586,8 @@ class _Engine:
         # `x = malloc(...)` names the object after `x`
         handler, below = p.k[-1]
         name = below.target.name if handler is _Engine._assign_var else "obj"
-        m = self.alloc.fresh_addr(name)
+        m = self.alloc.symbol(MallocRef, self.alloc.label(name))
         p.heap[m] = HeapObject(e.struct, {})
-        p.malloced = p.malloced | {m}
         p.vals.append(m)
 
     def _invoke(self, p: Pattern, e) -> list[Pattern] | None:
@@ -703,19 +701,17 @@ def se(
     *,
     heap: dict | None = None,
     condition: frozenset = C.TRUE,
-    malloced: frozenset = frozenset(),
     fills: dict | None = None,
 ) -> SEResult:
     """Execute `fname` on the values `args` symbolically and return every
     terminal pattern (finals and errors), the count of bound-cut paths, and
     the log of genuine guard splits. The run starts from `heap`, under
-    `condition`, with the objects in `malloced` known to be malloc'd (a
-    replay starts from the run it observes).
+    `condition` (a replay starts from the run it observes).
 
-    Every key `a` of `heap` that is not malloc'd must be non-null under
-    `condition`: the solver refutes `condition` plus `a = NULL`. The run
-    keeps this for the keys it adds, since it materializes an input
-    object only once `a = NULL` is refuted or split off, and a malloc'd
+    Every key `a` of `heap` that is not a `MallocRef` must be non-null
+    under `condition`: the solver refutes `condition` plus `a = NULL`.
+    The run keeps this for the keys it adds, since it materializes an
+    input object only once `a = NULL` is refuted or split off, and a malloc'd
     key is non-null by construction; so the heap and condition of any
     pattern it returns may start another run. The engine decides
     `a != NULL` for a heap key from the condition's verdict alone (see
@@ -752,5 +748,5 @@ def se(
         raise TypeError(f"{fname} expects {len(f.params)} args, got {len(args)}")
     heap = {} if heap is None else heap
     p = Pattern(k=[f.frame, *f.push], env=bind_frame(f, args), heap=dict(heap),
-                entry_heap=dict(heap), path_condition=condition, malloced=malloced)
+                entry_heap=dict(heap), path_condition=condition)
     return eng.run(p, reject)

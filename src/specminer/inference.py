@@ -179,7 +179,6 @@ def explain(
     calls,
     *,
     sat: SatCache,
-    malloced=frozenset(),
     post_root=None,
     lazy_aliasing: bool = False,
     diagnostics: list | None = None,
@@ -222,7 +221,7 @@ def explain(
 
         res = se(index, oname, [v for _d, v, _t in call_args], limits, alloc,
                  lazy_aliasing, reject, sat=sat,
-                 heap=heap, condition=condition, malloced=malloced, fills=fills)
+                 heap=heap, condition=condition, fills=fills)
         if res.budget_error:
             budget_hit = True
             names = ", ".join(d for d, _v, _t in call_args)
@@ -318,9 +317,8 @@ def infer_spec(
         mark = sat.mark()
         pre_eqs, hit = explain(
             index, p.entry_heap, cond, seeded, limits, alloc, calls,
-            sat=sat, malloced=p.malloced, lazy_aliasing=lazy_aliasing,
-            diagnostics=diagnostics, context=f"{modifier}/{p.provenance_id} pre",
-            fills=fills)
+            sat=sat, lazy_aliasing=lazy_aliasing, diagnostics=diagnostics,
+            context=f"{modifier}/{p.provenance_id} pre", fills=fills)
         budget_error = budget_error or hit
 
         ret_v = p.return_value
@@ -328,8 +326,8 @@ def infer_spec(
         post_root = None
         for pname, seed_v, ptype in seeded:
             if pname == root_param:
-                root_v = ret_v if isinstance(ret_v, SymAddrRef) or ret_v is C.NULL \
-                    else p.env[pname]
+                root_v = ret_v if f.return_type == ptype and (
+                    isinstance(ret_v, SymAddrRef) or ret_v is C.NULL) else p.env[pname]
                 display = pname + "'"
                 post_args.append((display, root_v, ptype))
                 if isinstance(root_v, SymAddrRef):
@@ -340,8 +338,7 @@ def infer_spec(
                 post_args.append((pname, seed_v, ptype))
         post_eqs, hit = explain(
             index, p.heap, cond, post_args, limits, alloc, calls,
-            sat=sat, malloced=p.malloced, post_root=post_root,
-            lazy_aliasing=lazy_aliasing,
+            sat=sat, post_root=post_root, lazy_aliasing=lazy_aliasing,
             diagnostics=diagnostics, context=f"{modifier}/{p.provenance_id} post",
             fills=fills)
         sat.release(mark)

@@ -15,10 +15,11 @@ frozenset of its atoms (see `constraints`), and recording an atom replaces
 a condition with a larger set. The memory cell is not stored: it is the
 atoms of `condition` outside the path condition, the NULL tests and alias
 decisions made while discovering the heap. No atom says that malloc'd
-storage differs from NULL and from every input object: the engine knows
-it by construction (see `engine._Engine._compare`). Pending calls
-and loops live only in the continuation: a call's frame holds the
-caller's env, and a loop's frames hold its record.
+storage differs from NULL and from every input object: its address is a
+`constraints.MallocRef`, so the engine knows it by construction (see
+`engine._Engine._compare`); every other heap key is an input object's.
+Pending calls and loops live only in the continuation: a call's frame
+holds the caller's env, and a loop's frames hold its record.
 
 `Pattern.clone` copies only the containers that are written in place: the
 continuation `k`, the value stack `vals`, and the two heap dicts. Every
@@ -155,8 +156,8 @@ ERROR = "error"
 class Pattern:
     def __init__(self, k: list, env: dict[str, Value], heap: Heap, entry_heap: Heap,
                  path_condition: frozenset = TRUE, condition: frozenset | None = None,
-                 malloced: frozenset = frozenset(), aliases: dict | None = None,
-                 vals: list | None = None, approx: bool = False, steps: int = 0):
+                 aliases: dict | None = None, vals: list | None = None,
+                 approx: bool = False, steps: int = 0):
         self.k = k  # continuation stack of engine frames, top last
         self.env = env
         self.heap = heap
@@ -169,9 +170,6 @@ class Pattern:
         self.error_reason = ""
         self.return_value = UNDEF
         self.provenance_id = ""
-        # the malloc'd heap objects, of this run or of the run a replay
-        # starts from; every other heap object is a discovered input object
-        self.malloced = malloced
         self.aliases = {} if aliases is None else aliases
         self.vals = [] if vals is None else vals  # expression value stack
         self.approx = approx
@@ -185,7 +183,6 @@ class Pattern:
             entry_heap=dict(self.entry_heap),
             path_condition=self.path_condition,
             condition=self.condition,
-            malloced=self.malloced,
             aliases=self.aliases,
             vals=list(self.vals),
             approx=self.approx,

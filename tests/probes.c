@@ -33,3 +33,9 @@ int sumin(struct N* n) { int t; int c; t = 0; while (n != NULL) { c = 0; while (
 // which the dump shows under <cond> only
 int cmpthen(struct N* a, struct N* b) { if (a->next == b) return b->v; return a->next->v; }
 int cmpheap(struct N* a, struct N* b) { int t; t = b->v; if (a->next == b) return 1; return a->next->v; }
+// malloc'd storage compared with a void* argument, on each side of `==`
+int vcmp(void* x) { struct N* m; m = (struct N*) malloc(sizeof(struct N)); if (x == m) return 1; if (m == x) return 2; return 0; }
+// a modifier that returns an object of another struct than its root, the
+// first struct-pointer argument, which the post phase must keep as `a'`
+struct M { int v; };
+struct M* mkother(struct N* a, struct M* b) { a->v = 1; b->v = 7; return b; }

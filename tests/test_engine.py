@@ -8,8 +8,8 @@ import pytest
 from specminer import inference
 from specminer.concrete import build_dll, concrete_run
 from specminer.constraints import (
-    EQ, GT, LT, NEQ, NULL, TRUE, Add, Atom, IntConst, NullRef, SatCache, SatResult,
-    SymAddrRef, SymDataRef, SymIntRef, check_sat, render_constraint,
+    EQ, GT, LT, NEQ, NULL, TRUE, Add, Atom, IntConst, MallocRef, NullRef, SatCache,
+    SatResult, SymAddrRef, SymDataRef, SymIntRef, check_sat, render_constraint,
 )
 from specminer.engine import _HANDLERS, Limits, _Engine, _build, se
 from specminer.frontend import load_program, nodes as N
@@ -277,7 +277,8 @@ def test_aliases_map_undiscovered_addresses_to_lazy_objects(dll_index):
                 aliases += 1
                 assert target not in p.heap, (fname, p.provenance_id)
                 obj = p.heap.get(cand)
-                assert isinstance(obj, HeapObject) and cand not in p.malloced, (fname, p.provenance_id)
+                assert isinstance(obj, HeapObject) and type(cand) is SymAddrRef, \
+                    (fname, p.provenance_id)
     assert aliases > 0
 
 
@@ -712,13 +713,14 @@ def test_every_heap_key_is_non_null_under_its_condition(corpus_dir, monkeypatch,
         res = real_se(*args, **kwargs)
         start = kwargs.get("heap") or {}
         for p in res.final_patterns:
-            assert not (p.malloced & p.entry_heap.keys()) - start.keys(), \
+            malloced = {a for a in p.heap if type(a) is MallocRef}
+            assert not (malloced & p.entry_heap.keys()) - start.keys(), \
                 (args[1], p.provenance_id)
-            for a in {**p.entry_heap, **p.heap}.keys() - p.malloced:
+            for a in {**p.entry_heap, **p.heap}.keys() - malloced:
                 assert check_sat(p.condition | {Atom(EQ, a, NULL)}) == SatResult.UNSAT, \
                     (args[1], p.provenance_id, a)
                 checked.append(a)
-            for a in p.heap.keys() - p.malloced:
+            for a in p.heap.keys() - malloced:
                 assert a in p.entry_heap, (args[1], p.provenance_id, a)
                 assert set(p.entry_heap[a].fields) <= set(p.heap[a].fields), \
                     (args[1], p.provenance_id, a)
@@ -737,10 +739,10 @@ def test_every_heap_key_is_non_null_under_its_condition(corpus_dir, monkeypatch,
 @pytest.mark.parametrize("lazy_aliasing", [False, True])
 def test_a_value_is_undef_or_its_own_term(dll_index, lazy_aliasing):
     """Every variable, object field and return value of every dll.c
-    modifier's terminal patterns is UNDEF or one of the five value terms,
+    modifier's terminal patterns is UNDEF or one of the six value terms,
     never a compound term such as `Add`, `Sub` or `FieldPath`; both heaps
     hold struct objects and nothing else."""
-    value_terms = (SymAddrRef, NullRef, IntConst, SymIntRef, SymDataRef)
+    value_terms = (SymAddrRef, MallocRef, NullRef, IntConst, SymIntRef, SymDataRef)
     seen = set()
     for fname in sorted(dll_index.functions):
         alloc = Allocator()
@@ -757,8 +759,9 @@ def test_a_value_is_undef_or_its_own_term(dll_index, lazy_aliasing):
             for v in values:
                 assert v is UNDEF or type(v) in value_terms, (fname, p.provenance_id, v)
                 seen.add(type(v))
-    # dll.c has no int field or parameter, so no symbolic int shows up
-    assert seen == {type(UNDEF), SymAddrRef, NullRef, IntConst, SymDataRef}
+    # dll.c has no int field or parameter, so no symbolic int shows up;
+    # append mallocs its new node
+    assert seen == {type(UNDEF), SymAddrRef, MallocRef, NullRef, IntConst, SymDataRef}
 
 
 def test_arithmetic_on_an_undefined_call_result_is_an_error_leaf():

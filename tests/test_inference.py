@@ -15,7 +15,7 @@ import pytest
 from specminer import constraints, engine, inference
 from specminer.concrete import CAddr, CObject, concrete_run
 from specminer.constraints import (
-    Closure, SatCache, check_sat, render_constraint,
+    Closure, MallocRef, SatCache, SymAddrRef, check_sat, render_constraint,
 )
 from specminer.engine import Limits, se
 from specminer.frontend import load_program, nodes as N
@@ -416,7 +416,7 @@ def _ruled_out(res, sym_map, sat):
 
 
 def _exhaustive_explain(index, heap, condition, args, limits, alloc,
-                        observer_names, *, sat, malloced=frozenset(), post_root=None,
+                        observer_names, *, sat, post_root=None,
                         lazy_aliasing=False, context="", fills=None):
     """The acceptance rule applied after complete replays, as it was before
     replays stopped early. Returns the equations, the budget diagnostics,
@@ -432,7 +432,7 @@ def _exhaustive_explain(index, heap, condition, args, limits, alloc,
 
         def replay(limits):
             return se(index, oname, [v for _d, v, _t in call_args], limits, alloc,
-                      lazy_aliasing, heap=heap, condition=condition, malloced=malloced)
+                      lazy_aliasing, heap=heap, condition=condition)
 
         res = replay(limits)
         if res.budget_error:
@@ -950,7 +950,7 @@ def test_lazy_aliasing_never_aliases_an_input_with_a_malloc(monkeypatch):
     aliased = [(p, cand) for res, _sat, _objs in runs for p in res.patterns
                for cand in p.aliases.values()]
     assert aliased  # `b` may be `a`, so the check below is not vacuous
-    assert all(cand not in p.malloced for p, cand in aliased)
+    assert all(type(cand) is SymAddrRef for p, cand in aliased)
 
 
 FRESH_SRC = """
@@ -961,20 +961,52 @@ int mnext(struct N* a) { struct N* m; m = (struct N*) malloc(sizeof(struct N));
 int margs(struct N* a, struct N* b) { struct N* m; m = (struct N*) malloc(sizeof(struct N));
   m->next = NULL; if (b == m) return 1; if (a == m) return 2; return 0; }
 int same(struct N* a, struct N* b) { a->v = 1; b->v = 2; if (a == b) return a->v; return 0; }
+int mdata(void* x) { struct N* m; m = (struct N*) malloc(sizeof(struct N));
+  if (x == m) return 1; return 0; }
+int mdatar(void* x) { struct N* m; m = (struct N*) malloc(sizeof(struct N));
+  if (m == x) return 1; return 0; }
 """
 
 
 @pytest.mark.parametrize("lazy_aliasing", [False, True])
-@pytest.mark.parametrize("fn", ["mnext", "margs"])
+@pytest.mark.parametrize("fn", ["mnext", "margs", "mdata", "mdatar"])
 def test_fresh_storage_is_no_input_pointer(fn, lazy_aliasing):
-    """No input pointer can point to malloc'd storage, whether or not it
-    is a heap key yet, so every comparison with it is false and every
-    axiom returns 0."""
+    """No input pointer, void* included, can point to malloc'd storage,
+    whether or not it is a heap key yet, so every comparison with it is
+    false, on either side of `==`, and every axiom returns 0. No atom
+    records that: the engine reads it from the `MallocRef` class."""
     for unroll in (1, 2):
         spec = infer_spec(load_program(FRESH_SRC), fn, Limits(unroll_bound=unroll),
                           lazy_aliasing=lazy_aliasing)
         assert spec.axioms
         assert {ax.ret.render() for ax in spec.axioms} == {"ret = 0"}, unroll
+        assert not [a for p in spec.patterns for a in p.condition
+                    if MallocRef in (type(a.lhs), type(a.rhs))], unroll
+
+
+OTHER_SRC = """
+struct N { int v; };
+struct M { int v; };
+int getv(struct N* a) { return a->v; }
+struct M* mkother(struct N* a, struct M* b) { a->v = 1; b->v = 7; return b; }
+"""
+
+
+def test_a_returned_pointer_of_another_type_is_not_the_primed_root():
+    """`mkother` returns its `struct M*` argument, not an object of the
+    root's type, so `a'` stays the root `a`: the post phase replays `getv`
+    on `a`, and `ret` names `b`, as a concrete run has them."""
+    idx = load_program(OTHER_SRC)
+    a, b = CAddr(1), CAddr(2)
+    heap = {a: CObject("N", {"v": 0}), b: CObject("M", {"v": 0})}
+    ret, post = concrete_run(idx, "mkother", heap, [a, b])
+    binding = {"a": a, "b": b, "a'": a}
+    spec = infer_spec(idx, "mkother")
+    [ax] = spec.axioms
+    [eq] = [e for e in ax.post if e.observer == "getv"]
+    assert eq.args == ("a'",)
+    assert _concrete_rhs(eq.rhs, binding) == concrete_run(idx, "getv", post, [a])[0] == 1
+    assert _concrete_rhs(ax.ret.rhs, binding) is ret is b
 
 
 @pytest.mark.xfail(strict=True, reason=(
